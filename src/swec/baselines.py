@@ -9,14 +9,13 @@ the same train/test index sets as the convolutional model.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tinycnn import _pack_tensors, _read_tensor, _unpack_tensors
-
-NUM_CLASSES = 4
+from .synthgrid import NUM_CLASSES
+from .tinycnn import (ModelFileReader, central_difference_errors, sgdm_step,
+                      softmax, write_model_file)
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -133,11 +132,6 @@ def _dense_forward(weights, biases, x, tanh_last: bool):
     return acts
 
 
-def _softmax(z):
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def _dense_backward(weights, acts, delta_out, tanh_last: bool):
     """Backprop from the output-layer delta; returns per-layer (dW, db)."""
     grads_w = [None] * len(weights)
@@ -152,13 +146,6 @@ def _dense_backward(weights, acts, delta_out, tanh_last: bool):
         if i > 0:
             delta = weights[i].T @ delta
     return grads_w, grads_b
-
-
-def _sgdm_update(params, grads, velocity, lr, momentum):
-    for p, g, v in zip(params, grads, velocity):
-        v *= momentum
-        v -= lr * g
-        p += v
 
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
@@ -200,7 +187,7 @@ def tmlp_loss_and_grad(model: TaperedMlp, batch):
     gb = [np.zeros_like(b) for b in model.biases]
     for x, label in batch:
         acts = _dense_forward(model.weights, model.biases, x, tanh_last=False)
-        probs = _softmax(acts[-1])
+        probs = softmax(acts[-1])
         total -= np.log(probs[label - 1])
         delta = probs.copy()
         delta[label - 1] -= 1.0
@@ -235,8 +222,8 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
             _, (gw, gb) = tmlp_loss_and_grad(
                 model, [(features[i], labels[i]) for i in idx]
             )
-            _sgdm_update(weights, gw, vel_w, config.learning_rate, config.momentum)
-            _sgdm_update(biases, gb, vel_b, config.learning_rate, config.momentum)
+            sgdm_step(weights, gw, vel_w, config)
+            sgdm_step(biases, gb, vel_b, config)
     return model
 
 
@@ -252,22 +239,10 @@ def tmlp_predict(model: TaperedMlp, features) -> np.ndarray:
 def mlp_grad_check(model: TaperedMlp, x, label: int, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients."""
     _, (gw, gb) = tmlp_loss_and_grad(model, [(x, label)])
-    worst = 0.0
-    for params, grads in ((model.weights, gw), (model.biases, gb)):
-        for p, g in zip(params, grads):
-            flat_p = p.reshape(-1)
-            flat_g = g.reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + h
-                up, _ = tmlp_loss_and_grad(model, [(x, label)])
-                flat_p[i] = orig - h
-                down, _ = tmlp_loss_and_grad(model, [(x, label)])
-                flat_p[i] = orig
-                fd = (up - down) / (2.0 * h)
-                worst = max(worst, abs(fd - flat_g[i])
-                            / max(1e-8, abs(fd) + abs(flat_g[i])))
-    return worst
+    errors = central_difference_errors(
+        lambda: tmlp_loss_and_grad(model, [(x, label)])[0],
+        [*model.weights, *model.biases], [*gw, *gb], h)
+    return max(errors)
 
 
 # ── Autoencoder classifier ───────────────────────────────────────────────────
@@ -350,8 +325,7 @@ def train_autoencoder_clf(features, labels,
                 grads[1] += dcode
             for g in grads:
                 g /= len(idx)
-            _sgdm_update(params, grads, velocity,
-                         config.learning_rate, config.momentum)
+            sgdm_step(params, grads, velocity, config)
         model.recon_trace.append(epoch_err / n)
 
     head = [head_w, head_b]
@@ -363,15 +337,14 @@ def train_autoencoder_clf(features, labels,
             idx = order[start:start + config.batch_size]
             grads = [np.zeros_like(p) for p in head]
             for i in idx:
-                probs = _softmax(head_w @ codes[i] + head_b)
+                probs = softmax(head_w @ codes[i] + head_b)
                 delta = probs.copy()
                 delta[labels[i] - 1] -= 1.0
                 grads[0] += np.outer(delta, codes[i])
                 grads[1] += delta
             for g in grads:
                 g /= len(idx)
-            _sgdm_update(head, grads, head_vel,
-                         config.learning_rate, config.momentum)
+            sgdm_step(head, grads, head_vel, config)
     return model
 
 
@@ -386,67 +359,48 @@ def ae_predict(model: AutoencoderClassifier, features) -> np.ndarray:
 # ── Model files (same header scheme as the CNN, distinct magic) ──────────────
 
 def save_svm(model: LinearOvrSvm, path) -> None:
-    dims = (model.weights.shape[0], model.weights.shape[1])
-    blob = _pack_tensors(SVM_MAGIC, dims, [model.weights, model.biases])
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_model_file(path, SVM_MAGIC, model.weights.shape,
+                     [model.weights, model.biases])
 
 
 def load_svm(path) -> LinearOvrSvm:
-    data = open(path, "rb").read()
-    (n_cls, dim), offset = _unpack_tensors(data, SVM_MAGIC, 2, path)
-    w, offset = _read_tensor(data, offset, (n_cls, dim), path)
-    b, offset = _read_tensor(data, offset, (n_cls,), path)
-    if offset != len(data):
-        raise ValueError(f"{path}: offset {offset}: trailing bytes")
-    return LinearOvrSvm(w, b, SvmConfig())
+    f = ModelFileReader(path, SVM_MAGIC)
+    n_cls, dim = f.uints(2)
+    model = LinearOvrSvm(f.tensor(n_cls, dim), f.tensor(n_cls), SvmConfig())
+    f.expect_end()
+    return model
 
 
 def save_tmlp(model: TaperedMlp, path) -> None:
-    dims = (len(model.sizes), *model.sizes)
     tensors = []
     for w, b in zip(model.weights, model.biases):
         tensors += [w, b]
-    blob = _pack_tensors(TMLP_MAGIC, dims, tensors)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_model_file(path, TMLP_MAGIC, (len(model.sizes), *model.sizes), tensors)
 
 
 def load_tmlp(path) -> TaperedMlp:
-    data = open(path, "rb").read()
-    (n_sizes,), offset = _unpack_tensors(data, TMLP_MAGIC, 1, path)
-    sizes = struct.unpack_from(f"<{n_sizes}I", data, offset)
-    offset += 4 * n_sizes
+    f = ModelFileReader(path, TMLP_MAGIC)
+    (n_sizes,) = f.uints(1)
+    sizes = f.uints(n_sizes)
     weights, biases = [], []
-    for i in range(n_sizes - 1):
-        w, offset = _read_tensor(data, offset, (sizes[i + 1], sizes[i]), path)
-        b, offset = _read_tensor(data, offset, (sizes[i + 1],), path)
-        weights.append(w)
-        biases.append(b)
-    if offset != len(data):
-        raise ValueError(f"{path}: offset {offset}: trailing bytes")
-    return TaperedMlp(tuple(sizes), weights, biases, MlpConfig())
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append(f.tensor(n_out, n_in))
+        biases.append(f.tensor(n_out))
+    f.expect_end()
+    return TaperedMlp(sizes, weights, biases, MlpConfig())
 
 
 def save_autoencoder(model: AutoencoderClassifier, path) -> None:
-    dims = (model.enc_w.shape[0], model.enc_w.shape[1])
-    blob = _pack_tensors(AE_MAGIC, dims,
-                         [model.enc_w, model.enc_b, model.dec_w, model.dec_b,
-                          model.head_w, model.head_b])
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_model_file(path, AE_MAGIC, model.enc_w.shape,
+                     [model.enc_w, model.enc_b, model.dec_w, model.dec_b,
+                      model.head_w, model.head_b])
 
 
 def load_autoencoder(path) -> AutoencoderClassifier:
-    data = open(path, "rb").read()
-    (code, dim), offset = _unpack_tensors(data, AE_MAGIC, 2, path)
-    enc_w, offset = _read_tensor(data, offset, (code, dim), path)
-    enc_b, offset = _read_tensor(data, offset, (code,), path)
-    dec_w, offset = _read_tensor(data, offset, (dim, code), path)
-    dec_b, offset = _read_tensor(data, offset, (dim,), path)
-    head_w, offset = _read_tensor(data, offset, (NUM_CLASSES, code), path)
-    head_b, offset = _read_tensor(data, offset, (NUM_CLASSES,), path)
-    if offset != len(data):
-        raise ValueError(f"{path}: offset {offset}: trailing bytes")
-    return AutoencoderClassifier(enc_w, enc_b, dec_w, dec_b, head_w, head_b,
-                                 AeConfig())
+    f = ModelFileReader(path, AE_MAGIC)
+    code, dim = f.uints(2)
+    model = AutoencoderClassifier(
+        f.tensor(code, dim), f.tensor(code), f.tensor(dim, code), f.tensor(dim),
+        f.tensor(NUM_CLASSES, code), f.tensor(NUM_CLASSES), AeConfig())
+    f.expect_end()
+    return model

@@ -16,8 +16,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import expharness, metrics, synthgrid, tinycnn
 
 
@@ -31,7 +29,7 @@ def _load_config(args) -> expharness.ExperimentConfig:
     config = expharness.load_config(args.config) if args.config \
         else expharness.ExperimentConfig()
     overrides = {}
-    for name in ("seed", "repeats", "snr_db", "train_fraction"):
+    for name in ("seed", "repeats"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -44,15 +42,6 @@ def _parse_buses(text: str) -> tuple:
     except ValueError:
         raise ValueError(f"bad bus list {text!r}; expected e.g. 632,671,675")
     return buses
-
-
-def _featurize_split(dataset, buses, config, seed):
-    features = expharness.featurize_dataset(dataset, buses, jitter=config.jitter)
-    split = expharness.split_stratified(
-        dataset, config.train_fraction,
-        expharness.derive_seed(seed, 0, expharness._STAGE_SPLIT),
-    )
-    return features, split
 
 
 def _cmd_generate(args) -> int:
@@ -71,21 +60,12 @@ def _cmd_train(args) -> int:
     dataset = synthgrid.load_dataset(args.data)
     if args.fs is not None and args.fs != dataset.fs:
         raise ValueError(f"--fs {args.fs} does not match dataset fs {dataset.fs}")
-    buses = _parse_buses(args.buses)
-    seed = args.seed if args.seed is not None else config.seed
-    features, split = _featurize_split(dataset, buses, config, seed)
-    labels = np.array([fm.label for fm in features], dtype=int)
-    arch = tinycnn.CnnArch(input_h=len(buses), input_w=features[0].width)
-    train_seed = expharness.derive_seed(seed, 0, expharness._STAGE_TRAIN,
-                                        expharness.METHODS.index("cnn"))
-    cnn_cfg = replace(config.cnn, seed=train_seed)
-    model = tinycnn.init_model(arch, train_seed, cnn_cfg.init_std)
-    model, losses = tinycnn.train(
-        model, [(features[i], labels[i]) for i in split.train], cnn_cfg
-    )
-    tinycnn.save_model(model, args.model)
+    features, split = expharness.features_and_split(
+        config, dataset, _parse_buses(args.buses))
+    model, losses = expharness.fit_method(config, "cnn", features, split)
+    expharness.save_model("cnn", model, args.model)
     _emit([["model", "train_records", "epochs", "first_loss", "last_loss"],
-           [str(args.model), str(len(split.train)), str(cnn_cfg.epochs),
+           [str(args.model), str(len(split.train)), str(config.cnn.epochs),
             repr(float(losses[0])), repr(float(losses[-1]))]])
     return 0
 
@@ -93,19 +73,16 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     dataset = synthgrid.load_dataset(args.data)
-    model = tinycnn.load_model(args.model)
+    model = expharness.load_model("cnn", args.model)
     buses = _parse_buses(args.buses) if args.buses else \
         synthgrid.MONITORED_BUSES[: model.arch.input_h]
     if len(buses) != model.arch.input_h:
         raise ValueError(
             f"model expects {model.arch.input_h} buses, got {len(buses)}"
         )
-    seed = args.seed if args.seed is not None else config.seed
-    features, split = _featurize_split(dataset, buses, config, seed)
-    labels = np.array([fm.label for fm in features], dtype=int)
-    preds = tinycnn.predict_batch(model, [features[i] for i in split.test])
-    cm = metrics.confusion(preds, labels[split.test])
-    _emit(metrics.report_rows("cnn", metrics.aggregate(cm), cm))
+    features, split = expharness.features_and_split(config, dataset, buses)
+    report, cm = expharness.evaluate_method(config, "cnn", model, features, split)
+    _emit(metrics.report_rows("cnn", report, cm))
     return 0
 
 

@@ -2,13 +2,17 @@
 
 A run is fully determined by an ExperimentConfig plus its seed: every stage
 (dataset generation, splitting, training) draws its own seed from the global
-one through a fixed derivation, so sweep cells can execute in any order (or
-in parallel, capped by SWEC_THREADS) and still assemble the same tables, and
-two executions of the same comparison write byte-identical artifacts.
+one through a fixed derivation, so sweep cells can execute in any order and
+still assemble the same tables, and two executions of the same comparison
+write byte-identical artifacts.
 
-Within one comparison cell every method trains and evaluates on the same
-train/test index sets and the same extracted features; the split fingerprint
-recorded per row makes that checkable after the fact.
+The four methods sit behind one table (METHOD_TABLE): per method, the input
+features it derives from the feature matrices, its trainer and its
+predictor. Comparisons, sweeps and the command line all train and evaluate
+through fit_method and evaluate_method. Within one comparison cell every
+method trains and evaluates on the same train/test index sets and the same
+extracted features; the split fingerprint recorded per row makes that
+checkable after the fact.
 """
 
 from __future__ import annotations
@@ -17,17 +21,17 @@ import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import baselines, metrics, synthgrid, tinycnn
 from .featpipe import FeatureMatrix, featurize
-from .synthgrid import (ConfigError, Dataset, DatasetConfig, DatasetGrids,
-                        MONITORED_BUSES, build_dataset, extract_window)
+from .synthgrid import (NUM_CLASSES, ConfigError, Dataset, DatasetConfig,
+                        DatasetGrids, MONITORED_BUSES, build_dataset,
+                        dataclass_from_json, dataclass_to_json, extract_window)
 
 DEFAULT_BUS_SUBSETS = (
     (675,), (671,), (632,),
@@ -35,7 +39,49 @@ DEFAULT_BUS_SUBSETS = (
     (632, 671, 675),
 )
 DEFAULT_FS_LIST = (1250.0, 2500.0, 5000.0, 10000.0, 20000.0)
-METHODS = ("autoencoder", "svm", "tmlp", "cnn")
+
+
+class Method(NamedTuple):
+    """How one classifier is trained and queried. Its trainer config is the
+    ExperimentConfig field named after the method."""
+
+    inputs: Callable   # (config, feature matrices) -> model input
+    fit: Callable      # (inputs, labels, trainer config) -> (model, epoch losses)
+    predict: Callable  # (model, inputs) -> class codes
+
+
+def _energy(config, fms):
+    return baselines.energy_feature_set(fms, config.num_intervals)
+
+
+def _fit_cnn(fms, labels, cfg):
+    arch = tinycnn.CnnArch(input_h=len(fms[0].buses), input_w=fms[0].width)
+    model = tinycnn.init_model(arch, cfg.seed, cfg.init_std)
+    return tinycnn.train(model, list(zip(fms, labels)), cfg)
+
+
+# The entries look the trainers and predictors up on their modules at call
+# time. The baseline trainers keep no per-epoch loss trace. The order fixes
+# each method's training seed and the default comparison order.
+METHOD_TABLE = {
+    "autoencoder": Method(
+        _energy,
+        lambda x, y, cfg: (baselines.train_autoencoder_clf(x, y, cfg), []),
+        lambda model, x: baselines.ae_predict(model, x)),
+    "svm": Method(
+        _energy,
+        lambda x, y, cfg: (baselines.train_svm_ovr(x, y, cfg), []),
+        lambda model, x: baselines.svm_predict(model, x)),
+    "tmlp": Method(
+        lambda config, fms: baselines.flatten_features(fms),
+        lambda x, y, cfg: (baselines.train_tmlp(x, y, cfg), []),
+        lambda model, x: baselines.tmlp_predict(model, x)),
+    "cnn": Method(
+        lambda config, fms: fms,
+        _fit_cnn,
+        lambda model, x: tinycnn.predict_batch(model, x)),
+}
+METHODS = tuple(METHOD_TABLE)
 
 _STAGE_DATASET = 1
 _STAGE_SPLIT = 2
@@ -110,76 +156,14 @@ def derive_seed(*parts) -> int:
 
 # ── Config file round trip ───────────────────────────────────────────────────
 
-def _dataclass_io(cls):
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-
-    def from_json(obj):
-        unknown = set(obj) - fields
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)} for {cls.__name__}")
-        kwargs = dict(obj)
-        if "hidden" in kwargs:
-            kwargs["hidden"] = tuple(kwargs["hidden"])
-        return cls(**kwargs)
-
-    def to_json(cfg):
-        out = {}
-        for name in fields:
-            v = getattr(cfg, name)
-            out[name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    return from_json, to_json
-
-
-_TOP_LEVEL_SIMPLE = (
-    "seed", "placement_fs", "train_fraction", "snr_db", "duration",
-    "event_time", "amplitude", "jitter", "repeats", "num_intervals",
-)
-
-
 def config_to_json(config: ExperimentConfig) -> dict:
-    out = {name: getattr(config, name) for name in _TOP_LEVEL_SIMPLE}
-    out["fs_list"] = list(config.fs_list)
-    out["bus_subsets"] = [list(s) for s in config.bus_subsets]
-    out["methods"] = list(config.methods)
-    out["grids"] = synthgrid._grids_to_json(config.grids)
-    for name, cls in (("cnn", tinycnn.TrainConfig), ("tmlp", baselines.MlpConfig),
-                      ("svm", baselines.SvmConfig),
-                      ("autoencoder", baselines.AeConfig)):
-        _, to_json = _dataclass_io(cls)
-        out[name] = to_json(getattr(config, name))
-    return out
+    return dataclass_to_json(config)
 
 
-def config_from_json(obj: dict) -> ExperimentConfig:
+def config_from_json(obj) -> ExperimentConfig:
     """Build a config from a JSON document; every field optional, unknown
-    keys rejected."""
-    known = set(_TOP_LEVEL_SIMPLE) | {
-        "fs_list", "bus_subsets", "methods", "grids", "cnn", "tmlp", "svm",
-        "autoencoder",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    kwargs = {k: obj[k] for k in _TOP_LEVEL_SIMPLE if k in obj}
-    if "fs_list" in obj:
-        kwargs["fs_list"] = tuple(obj["fs_list"])
-    if "bus_subsets" in obj:
-        kwargs["bus_subsets"] = tuple(tuple(s) for s in obj["bus_subsets"])
-    if "methods" in obj:
-        kwargs["methods"] = tuple(obj["methods"])
-    if "grids" in obj:
-        kwargs["grids"] = synthgrid._grids_from_json(
-            {**synthgrid._grids_to_json(DatasetGrids()), **obj["grids"]}
-        )
-    for name, cls in (("cnn", tinycnn.TrainConfig), ("tmlp", baselines.MlpConfig),
-                      ("svm", baselines.SvmConfig),
-                      ("autoencoder", baselines.AeConfig)):
-        if name in obj:
-            from_json, _ = _dataclass_io(cls)
-            kwargs[name] = from_json(obj[name])
-    return ExperimentConfig(**kwargs)
+    keys and wrong value types rejected with the dotted field name."""
+    return dataclass_from_json(ExperimentConfig, obj)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -225,7 +209,7 @@ def split_stratified(dataset, train_fraction: float, seed: int) -> SplitIndex:
     labels = dataset.labels if isinstance(dataset, Dataset) else np.asarray(dataset)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train fraction {train_fraction} outside (0, 1)")
-    class_codes = list(range(1, metrics.NUM_CLASSES + 1))
+    class_codes = list(range(1, NUM_CLASSES + 1))
     counts = [int(np.sum(labels == c)) for c in class_codes]
     empty = [c for c, n in zip(class_codes, counts) if n == 0]
     if empty:
@@ -275,7 +259,9 @@ def _build(config: ExperimentConfig, fs: float, repeat: int) -> Dataset:
         raise PipelineError("dataset", exc) from exc
 
 
-def _features_split(config: ExperimentConfig, dataset: Dataset, buses, repeat: int):
+def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
+                       repeat: int = 0):
+    """Feature matrices of every record plus the repeat's stratified split."""
     try:
         features = featurize_dataset(dataset, buses, jitter=config.jitter)
     except Exception as exc:
@@ -290,59 +276,44 @@ def _features_split(config: ExperimentConfig, dataset: Dataset, buses, repeat: i
 
 def _prepare(config: ExperimentConfig, fs: float, buses, repeat: int):
     dataset = _build(config, fs, repeat)
-    return _features_split(config, dataset, buses, repeat)
+    return features_and_split(config, dataset, buses, repeat)
+
+
+def _subset(features, index):
+    return ([features[i] for i in index],
+            np.array([features[i].label for i in index], dtype=int))
+
+
+def fit_method(config: ExperimentConfig, method: str, features, split: SplitIndex,
+               repeat: int = 0):
+    """Train one method on the split's training records with the repeat's
+    seed; returns (model, per-epoch losses)."""
+    fms, labels = _subset(features, split.train)
+    seed = derive_seed(config.seed, repeat, _STAGE_TRAIN, METHODS.index(method))
+    m = METHOD_TABLE[method]
+    try:
+        return m.fit(m.inputs(config, fms), labels,
+                     replace(getattr(config, method), seed=seed))
+    except Exception as exc:
+        raise PipelineError(f"train[{method}]", exc) from exc
+
+
+def evaluate_method(config: ExperimentConfig, method: str, model, features,
+                    split: SplitIndex):
+    """Metrics report and confusion matrix on the split's test records."""
+    fms, labels = _subset(features, split.test)
+    m = METHOD_TABLE[method]
+    try:
+        cm = metrics.confusion(m.predict(model, m.inputs(config, fms)), labels)
+        return metrics.aggregate(cm), cm
+    except Exception as exc:
+        raise PipelineError("evaluate", exc) from exc
 
 
 def _train_eval(config: ExperimentConfig, method: str, features, split: SplitIndex,
                 fs: float, buses, repeat: int) -> RunResult:
-    labels = np.array([fm.label for fm in features], dtype=int)
-    train_fms = [features[i] for i in split.train]
-    test_fms = [features[i] for i in split.test]
-    y_train = labels[split.train]
-    y_test = labels[split.test]
-    train_seed = derive_seed(config.seed, repeat, _STAGE_TRAIN, METHODS.index(method))
-    try:
-        if method == "cnn":
-            arch = tinycnn.CnnArch(input_h=len(buses),
-                                   input_w=train_fms[0].width)
-            cfg = replace(config.cnn, seed=train_seed)
-            model = tinycnn.init_model(arch, train_seed, cfg.init_std)
-            model, _ = tinycnn.train(
-                model, list(zip(train_fms, y_train)), cfg
-            )
-            preds = tinycnn.predict_batch(model, test_fms)
-        elif method == "tmlp":
-            x_train = baselines.flatten_features(train_fms)
-            x_test = baselines.flatten_features(test_fms)
-            model = baselines.train_tmlp(
-                x_train, y_train, replace(config.tmlp, seed=train_seed)
-            )
-            preds = baselines.tmlp_predict(model, x_test)
-        elif method == "svm":
-            x_train = baselines.energy_feature_set(train_fms, config.num_intervals)
-            x_test = baselines.energy_feature_set(test_fms, config.num_intervals)
-            model = baselines.train_svm_ovr(
-                x_train, y_train, replace(config.svm, seed=train_seed)
-            )
-            preds = baselines.svm_predict(model, x_test)
-        elif method == "autoencoder":
-            x_train = baselines.energy_feature_set(train_fms, config.num_intervals)
-            x_test = baselines.energy_feature_set(test_fms, config.num_intervals)
-            model = baselines.train_autoencoder_clf(
-                x_train, y_train, replace(config.autoencoder, seed=train_seed)
-            )
-            preds = baselines.ae_predict(model, x_test)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"train[{method}]", exc) from exc
-    try:
-        cm = metrics.confusion(preds, y_test)
-        report = metrics.aggregate(cm)
-    except Exception as exc:
-        raise PipelineError("evaluate", exc) from exc
+    model, _ = fit_method(config, method, features, split, repeat)
+    report, cm = evaluate_method(config, method, model, features, split)
     return RunResult(method, fs, tuple(buses), repeat, report.accuracy,
                      report, cm, split.fingerprint(), model)
 
@@ -352,28 +323,6 @@ def run_pipeline(config: ExperimentConfig, fs: float, buses, method: str,
     """One full build -> featurize -> split -> train -> evaluate cell."""
     features, split = _prepare(config, fs, buses, repeat)
     return _train_eval(config, method, features, split, fs, buses, repeat)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("SWEC_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SWEC_THREADS={raw!r} is not a positive integer") from exc
-    if value < 1:
-        raise ConfigError(f"SWEC_THREADS={raw!r} is not a positive integer")
-    return value
-
-
-def _run_cells(cells, fn):
-    """Evaluate independent sweep cells, optionally on a thread pool."""
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
 
 
 @dataclass
@@ -389,9 +338,8 @@ def sweep_sampling_rate(config: ExperimentConfig) -> list[SweepRow]:
     if len(config.fs_list) < 2:
         raise ConfigError("sampling-rate sweep needs at least 2 rates")
     buses = MONITORED_BUSES
-    cells = [(fs, r) for fs in sorted(config.fs_list) for r in range(config.repeats)]
-    results = _run_cells(cells,
-                         lambda c: run_pipeline(config, c[0], buses, "cnn", c[1]))
+    results = [run_pipeline(config, fs, buses, "cnn", r)
+               for fs in sorted(config.fs_list) for r in range(config.repeats)]
     rows = []
     for fs in sorted(config.fs_list):
         accs = [r.accuracy for r in results if r.fs == fs]
@@ -407,13 +355,10 @@ def sweep_placement(config: ExperimentConfig) -> list[SweepRow]:
     results = []
     for repeat in range(config.repeats):
         dataset = _build(config, config.placement_fs, repeat)
-
-        def cell(subset, repeat=repeat, dataset=dataset):
-            features, split = _features_split(config, dataset, subset, repeat)
-            return _train_eval(config, "cnn", features, split,
-                               config.placement_fs, subset, repeat)
-
-        results.extend(_run_cells(list(config.bus_subsets), cell))
+        for subset in config.bus_subsets:
+            features, split = features_and_split(config, dataset, subset, repeat)
+            results.append(_train_eval(config, "cnn", features, split,
+                                       config.placement_fs, subset, repeat))
     rows = []
     for subset in config.bus_subsets:
         accs = [r.accuracy for r in results if r.buses == tuple(subset)]

@@ -143,6 +143,7 @@ def featurize(window: dict[int, np.ndarray], buses) -> FeatureMatrix:
     window maps bus id -> (3, W) array of phase voltages (W even). For each
     requested bus: alpha-mode -> level-1 db4 -> detail coefficients ->
     peak normalization. Rows stack in ascending bus-id order, width W/2.
+    A NaN or infinite sample raises ValueError naming its bus.
     """
     buses = tuple(sorted(int(b) for b in buses))
     if not buses:
@@ -156,6 +157,8 @@ def featurize(window: dict[int, np.ndarray], buses) -> FeatureMatrix:
             raise ValueError(
                 f"bus {bus}: expected (3, W) phase matrix, got {phases.shape}"
             )
+        if not np.isfinite(phases).all():
+            raise ValueError(f"bus {bus}: window holds non-finite samples")
         mode1 = clarke_mode1(phases[0], phases[1], phases[2])
         _, detail = dwt_db4_level1(mode1)
         rows.append(normalize_abs_peak(detail))

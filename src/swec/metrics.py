@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-NUM_CLASSES = 4
+from .synthgrid import NUM_CLASSES
 
 
 def confusion(preds, targets, num_classes: int = NUM_CLASSES) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -127,6 +127,8 @@ class EventClass(IntEnum):
     HIF = 4
 
 
+NUM_CLASSES = len(EventClass)
+
 _EXPECTED_PARAMS = {
     EventClass.CAPACITOR_SWITCHING: {"size_index", "amplitude"},
     EventClass.TRANSFORMER_ENERGIZATION: {"tap_index"},
@@ -209,11 +211,58 @@ class WaveformRecord:
         return self.samples.shape[2]
 
 
-# ── Grids and dataset configuration ──────────────────────────────────────────
+# ── Config documents ─────────────────────────────────────────────────────────
 
 class ConfigError(ValueError):
     """Raised when a dataset or experiment configuration is inconsistent."""
 
+
+def dataclass_to_json(value):
+    """Dataclass -> JSON-ready value: fields in declaration order, tuples as
+    lists, recursively."""
+    if is_dataclass(value):
+        return {f.name: dataclass_to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [dataclass_to_json(v) for v in value]
+    return value
+
+
+def dataclass_from_json(cls, obj, where: str = ""):
+    """Inverse of dataclass_to_json. Missing fields keep their defaults, and
+    each value must have the type of its field's default (an int is accepted
+    and kept where the default is a float); unknown keys and wrong types raise
+    ConfigError naming the dotted field."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or cls.__name__}: expected an object, "
+                          f"got {type(obj).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"{where or cls.__name__}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for name, value in obj.items():
+        f = known[name]
+        default = f.default_factory() if f.default is MISSING else f.default
+        kwargs[name] = _typed(value, default, f"{where}.{name}" if where else name)
+    return cls(**kwargs)
+
+
+def _typed(value, like, where: str):
+    """value checked against the example value `like`, tuples restored."""
+    if is_dataclass(like):
+        return dataclass_from_json(type(like), value, where)
+    if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        return tuple(_typed(v, like[0], f"{where}[{i}]") for i, v in enumerate(value))
+    kinds = (int, float) if type(like) is float else (type(like),)
+    if isinstance(value, bool) != isinstance(like, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{where}: expected {type(like).__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+    return value
+
+
+# ── Grids and dataset configuration ──────────────────────────────────────────
 
 def _even_angles(k: int) -> tuple[float, ...]:
     return tuple(360.0 * j / k for j in range(k))
@@ -655,36 +704,6 @@ def _spec_from_json(obj: dict | None) -> EventSpec | None:
     )
 
 
-def _grids_to_json(grids: DatasetGrids) -> dict:
-    return {
-        "cap_sizes": grids.cap_sizes, "cap_angles": grids.cap_angles,
-        "cap_amplitude": grids.cap_amplitude,
-        "xfmr_taps": grids.xfmr_taps, "xfmr_angles": grids.xfmr_angles,
-        "fault_types": list(grids.fault_types),
-        "fault_locations": list(grids.fault_locations),
-        "fault_resistances": grids.fault_resistances,
-        "fault_angles": grids.fault_angles,
-        "hif_locations": list(grids.hif_locations),
-        "hif_angles": grids.hif_angles, "hif_draws": grids.hif_draws,
-        "declared_counts": list(grids.declared_counts),
-    }
-
-
-def _grids_from_json(obj: dict) -> DatasetGrids:
-    return DatasetGrids(
-        cap_sizes=obj["cap_sizes"], cap_angles=obj["cap_angles"],
-        cap_amplitude=obj["cap_amplitude"],
-        xfmr_taps=obj["xfmr_taps"], xfmr_angles=obj["xfmr_angles"],
-        fault_types=tuple(obj["fault_types"]),
-        fault_locations=tuple(obj["fault_locations"]),
-        fault_resistances=obj["fault_resistances"],
-        fault_angles=obj["fault_angles"],
-        hif_locations=tuple(obj["hif_locations"]),
-        hif_angles=obj["hif_angles"], hif_draws=obj["hif_draws"],
-        declared_counts=tuple(obj["declared_counts"]),
-    )
-
-
 def save_dataset(dataset: Dataset, out_dir) -> Path:
     """Write manifest.json plus one full-precision CSV per record."""
     out = Path(out_dir)
@@ -700,7 +719,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         "event_time": cfg.event_time,
         "amplitude": cfg.amplitude,
         "counts": list(dataset.counts),
-        "grids": _grids_to_json(cfg.grids),
+        "grids": dataclass_to_json(cfg.grids),
         "records": [
             {"index": i, "seed": r.seed, "spec": _spec_to_json(r.spec)}
             for i, r in enumerate(dataset.records)
@@ -737,7 +756,7 @@ def load_dataset(in_dir) -> Dataset:
             f"{manifest_path}: unsupported schema_version "
             f"{manifest.get('schema_version')!r}"
         )
-    grids = _grids_from_json(manifest["grids"])
+    grids = dataclass_from_json(DatasetGrids, manifest["grids"], "grids")
     cfg = DatasetConfig(
         fs=manifest["fs"], seed=manifest["seed"], snr_db=manifest["snr_db"],
         duration=manifest["duration"], event_time=manifest["event_time"],

@@ -14,13 +14,14 @@ column, which would make the 1x2 pool empty.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-NUM_CLASSES = 4
+from .synthgrid import NUM_CLASSES
 
 MODEL_MAGIC = b"SWEC"
 MODEL_FORMAT_VERSION = 1
@@ -115,7 +116,7 @@ def init_model(arch: CnnArch, seed: int, init_std: float = 0.01) -> CnnModel:
 
 
 def zero_state(model: CnnModel) -> dict[str, np.ndarray]:
-    """Momentum velocity buffers, one per parameter tensor."""
+    """Momentum velocity buffers, one per parameter tensor, in params() order."""
     return {name: np.zeros_like(p) for name, p in model.params().items()}
 
 
@@ -223,14 +224,14 @@ def loss_and_grad(model: CnnModel, batch) -> tuple[float, dict[str, np.ndarray]]
     return _accumulate_loss_grads(model, patch_list, labels)
 
 
-def sgdm_step(model: CnnModel, grads: dict, state: dict, cfg: TrainConfig):
-    """v <- momentum*v - lr*g; w <- w + v, per parameter tensor (in place)."""
-    for name, p in model.params().items():
-        v = state[name]
+def sgdm_step(params, grads, velocity, cfg) -> None:
+    """v <- momentum*v - lr*g; w <- w + v, in place, over parallel sequences
+    of parameter, gradient and velocity tensors. cfg supplies learning_rate
+    and momentum."""
+    for p, g, v in zip(params, grads, velocity):
         v *= cfg.momentum
-        v -= cfg.learning_rate * grads[name]
+        v -= cfg.learning_rate * g
         p += v
-    return model, state
 
 
 def train(model: CnnModel, train_set, cfg: TrainConfig):
@@ -253,7 +254,7 @@ def train(model: CnnModel, train_set, cfg: TrainConfig):
             loss, grads = _accumulate_loss_grads(
                 model, [patch_list[i] for i in idx], [labels[i] for i in idx]
             )
-            model, state = sgdm_step(model, grads, state, cfg)
+            sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
     return model, losses
@@ -281,7 +282,7 @@ class GradCheckReport:
 def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheckReport:
     """Central finite differences against the analytic gradient, every parameter.
 
-    Relative error uses max(1e-8, |analytic| + |numeric|) as denominator.
+    Relative error as in central_difference_errors.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -297,25 +298,34 @@ def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheck
             total -= np.log(probs[lab - 1])
         return total / len(patches)
 
-    per_tensor = {}
-    count = 0
-    for name, p in model.params().items():
+    params = model.params()
+    errors = central_difference_errors(loss_at, params.values(), grads.values(), h)
+    per_tensor = dict(zip(params, errors))
+    count = sum(p.size for p in params.values())
+    return GradCheckReport(max(per_tensor.values()), per_tensor, count)
+
+
+def central_difference_errors(loss, params, grads, h: float) -> list[float]:
+    """Worst relative error per tensor of central differences of loss()
+    against the analytic grads, nudging each entry of params in place (and
+    restoring it). The denominator is max(1e-8, |analytic| + |numeric|)."""
+    out = []
+    for p, g in zip(params, grads):
         worst = 0.0
         flat_p = p.reshape(-1)
-        flat_g = grads[name].reshape(-1)
+        flat_g = g.reshape(-1)
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            up = loss_at()
+            up = loss()
             flat_p[i] = orig - h
-            down = loss_at()
+            down = loss()
             flat_p[i] = orig
             fd = (up - down) / (2.0 * h)
             err = abs(fd - flat_g[i]) / max(1e-8, abs(fd) + abs(flat_g[i]))
             worst = max(worst, err)
-        per_tensor[name] = worst
-        count += flat_p.size
-    return GradCheckReport(max(per_tensor.values()), per_tensor, count)
+        out.append(worst)
+    return out
 
 
 def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
@@ -365,47 +375,72 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
 
 # ── Model file format ────────────────────────────────────────────────────────
 
-def _pack_tensors(magic: bytes, dims, tensors) -> bytes:
+def write_model_file(path, magic: bytes, dims, tensors) -> None:
+    """Magic, u32 format version, u32 dims, then little-endian float64 tensors."""
     header = magic + struct.pack("<I", MODEL_FORMAT_VERSION)
     header += struct.pack(f"<{len(dims)}I", *dims)
     body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors)
-    return header + body
+    Path(path).write_bytes(header + body)
 
 
-def _unpack_tensors(data: bytes, magic: bytes, num_dims: int, path):
-    if data[:4] != magic:
-        raise ValueError(f"{path}: offset 0: bad magic {data[:4]!r}, expected {magic!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: offset 4: unsupported format version {version}")
-    dims = struct.unpack_from(f"<{num_dims}I", data, 8)
-    return dims, 8 + 4 * num_dims
+class ModelFileReader:
+    """Bounds-checked reader of one write_model_file file.
 
+    Opening checks the magic and the format version; every read checks the
+    remaining length first, and expect_end() rejects trailing bytes. Each
+    failure is a ValueError naming the path and the byte offset.
+    """
 
-def _read_tensor(data: bytes, offset: int, shape, path) -> tuple[np.ndarray, int]:
-    nbytes = int(np.prod(shape)) * 8
-    if offset + nbytes > len(data):
-        raise ValueError(
-            f"{path}: offset {offset}: truncated file, expected {nbytes} more bytes"
-        )
-    t = np.frombuffer(data, dtype="<f8", count=int(np.prod(shape)), offset=offset)
-    return t.reshape(shape).astype(float), offset + nbytes
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        self.data = Path(path).read_bytes()
+        self.offset = 0
+        if len(self.data) >= len(magic) and self.data[:len(magic)] != magic:
+            raise ValueError(
+                f"{path}: offset 0: bad magic {self.data[:len(magic)]!r}, "
+                f"expected {magic!r}"
+            )
+        self._take(len(magic))
+        (version,) = self.uints(1)
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"{path}: offset 4: unsupported format version {version}")
+
+    def _take(self, nbytes: int) -> int:
+        start = self.offset
+        if start + nbytes > len(self.data):
+            raise ValueError(
+                f"{self.path}: offset {start}: truncated file, expected {nbytes} "
+                f"bytes, {len(self.data) - start} left"
+            )
+        self.offset += nbytes
+        return start
+
+    def uints(self, count: int) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{count}I", self.data, self._take(4 * count))
+
+    def tensor(self, *shape: int) -> np.ndarray:
+        count = math.prod(shape)
+        start = self._take(8 * count)
+        t = np.frombuffer(self.data, dtype="<f8", count=count, offset=start)
+        return t.reshape(shape).astype(float)
+
+    def expect_end(self) -> None:
+        if self.offset != len(self.data):
+            raise ValueError(f"{self.path}: offset {self.offset}: "
+                             f"{len(self.data) - self.offset} trailing bytes")
 
 
 def save_model(model: CnnModel, path) -> None:
     arch = model.arch
     dims = (arch.num_filters, arch.eff_filter_h, arch.eff_filter_w,
             arch.input_h, arch.input_w, arch.num_classes)
-    blob = _pack_tensors(MODEL_MAGIC, dims,
-                         [model.conv_w, model.conv_b, model.fc_w, model.fc_b])
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_model_file(path, MODEL_MAGIC, dims,
+                     [model.conv_w, model.conv_b, model.fc_w, model.fc_b])
 
 
 def load_model(path) -> CnnModel:
-    data = Path(path).read_bytes()
-    dims, offset = _unpack_tensors(data, MODEL_MAGIC, 6, path)
-    num_filters, fh, fw, input_h, input_w, num_classes = dims
+    f = ModelFileReader(path, MODEL_MAGIC)
+    num_filters, fh, fw, input_h, input_w, num_classes = f.uints(6)
     arch = CnnArch(input_h=input_h, input_w=input_w, num_filters=num_filters,
                    num_classes=num_classes)
     if (arch.eff_filter_h, arch.eff_filter_w) != (fh, fw):
@@ -413,10 +448,7 @@ def load_model(path) -> CnnModel:
             f"{path}: filter dims {fh}x{fw} inconsistent with input "
             f"{input_h}x{input_w}"
         )
-    conv_w, offset = _read_tensor(data, offset, (num_filters, fh, fw), path)
-    conv_b, offset = _read_tensor(data, offset, (num_filters,), path)
-    fc_w, offset = _read_tensor(data, offset, (num_classes, arch.flat_size), path)
-    fc_b, offset = _read_tensor(data, offset, (num_classes,), path)
-    if offset != len(data):
-        raise ValueError(f"{path}: offset {offset}: {len(data) - offset} trailing bytes")
-    return CnnModel(arch, conv_w, conv_b, fc_w, fc_b)
+    model = CnnModel(arch, f.tensor(num_filters, fh, fw), f.tensor(num_filters),
+                     f.tensor(num_classes, arch.flat_size), f.tensor(num_classes))
+    f.expect_end()
+    return model

@@ -114,6 +114,19 @@ class TestWorkflow:
         assert "error" in err
         assert out == ""
 
+    def test_truncated_model_fails_cleanly(self, capsys, tmp_path,
+                                           tiny_config_file):
+        data_dir = tmp_path / "data"
+        run_cli(capsys, "generate", "--config", str(tiny_config_file),
+                "--out", str(data_dir), "--fs", "2000")
+        model_path = tmp_path / "short.bin"
+        model_path.write_bytes(b"SWEC\x01\x00")
+        code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                                 "--data", str(data_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data",
                                str(tmp_path / "nope"),
@@ -153,6 +166,15 @@ class TestSweepAndCompare:
         assert code == 0
         assert out.startswith("file,")
         assert "compare.csv" in out
+
+    def test_compare_bad_config_type_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"cnn": {"epochs": 2.5}}))
+        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "cnn.epochs" in err
 
     def test_report_empty_dir_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path))

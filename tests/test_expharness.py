@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from swec import expharness, synthgrid
+from swec import baselines, expharness, synthgrid, tinycnn
 from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
                              comparison_rows, config_from_json, config_to_json,
                              derive_seed, largest_remainder_counts, load_report,
@@ -106,6 +107,28 @@ class TestConfig:
         path.write_text("{oops")
         with pytest.raises(ConfigError, match="malformed"):
             expharness.load_config(path)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"repeats": "3"}, "repeats"),
+        ({"repeats": True}, "repeats"),
+        ({"fs_list": 5000}, "fs_list"),
+        ({"fs_list": [1250.0, "2500"]}, "fs_list[1]"),
+        ({"cnn": {"epochs": 2.5}}, "cnn.epochs"),
+        ({"jitter": 1}, "jitter"),
+        ({"bus_subsets": [[632, 671.0]]}, "bus_subsets[0][1]"),
+        ({"grids": {"fault_types": "LG"}}, "grids.fault_types"),
+        ({"tmlp": []}, "tmlp"),
+    ])
+    def test_wrong_type_names_field(self, doc, field):
+        with pytest.raises(ConfigError, match=re.escape(field + ":")):
+            config_from_json(doc)
+
+    def test_int_accepted_and_kept_for_float_field(self):
+        cfg = config_from_json({"placement_fs": 5000, "fs_list": [1250, 2500],
+                                "cnn": {"learning_rate": 1}})
+        assert cfg.fs_list == (1250, 2500)
+        assert type(cfg.placement_fs) is int
+        assert type(cfg.cnn.learning_rate) is int
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -217,6 +240,29 @@ class TestArtifacts:
         loaded = expharness.load_model("cnn", tmp_path / "m.bin")
         np.testing.assert_array_equal(loaded.conv_w, res.model.conv_w)
 
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_every_truncation_rejected(self, method, tmp_path):
+        model = {
+            "cnn": tinycnn.init_model(tinycnn.CnnArch(1, 4, num_filters=2), 0),
+            "svm": baselines.LinearOvrSvm(np.ones((4, 3)), np.zeros(4),
+                                          baselines.SvmConfig()),
+            "tmlp": baselines.TaperedMlp((6, 5, 4),
+                                         [np.ones((5, 6)), np.ones((4, 5))],
+                                         [np.zeros(5), np.zeros(4)],
+                                         baselines.MlpConfig()),
+            "autoencoder": baselines.AutoencoderClassifier(
+                np.ones((2, 3)), np.zeros(2), np.ones((3, 2)), np.zeros(3),
+                np.ones((4, 2)), np.zeros(4), baselines.AeConfig()),
+        }[method]
+        path = tmp_path / "m.bin"
+        expharness.save_model(method, model, path)
+        data = path.read_bytes()
+        expharness.load_model(method, path)
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(ValueError, match="offset [0-9]+: truncated"):
+                expharness.load_model(method, path)
+
     def test_comparison_run_directory(self, tmp_path):
         cfg = tiny_config()
         out = write_comparison_run(cfg, tmp_path / "run")
@@ -237,16 +283,3 @@ class TestArtifacts:
                     "models/cnn_r0.bin"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
-
-class TestThreadCap:
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("SWEC_THREADS", "zero")
-        with pytest.raises(ConfigError, match="SWEC_THREADS"):
-            sweep_sampling_rate(tiny_config())
-
-    def test_threaded_sweep_matches_serial(self, monkeypatch):
-        cfg = tiny_config()
-        serial = sweep_sampling_rate(cfg)
-        monkeypatch.setenv("SWEC_THREADS", "2")
-        threaded = sweep_sampling_rate(cfg)
-        assert [r.accuracies for r in serial] == [r.accuracies for r in threaded]

@@ -170,6 +170,18 @@ class TestFeaturize:
         with pytest.raises(ValueError, match="671"):
             featurize(self._window((632,), 32), (632, 671))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_names_bus(self, bad):
+        window = self._window((632, 671), 32, seed=4)
+        window[671][1, 5] = bad
+        with pytest.raises(ValueError, match="bus 671"):
+            featurize(window, (632, 671))
+
+    def test_all_nan_window_rejected(self):
+        window = {632: np.full((3, 32), np.nan)}
+        with pytest.raises(ValueError, match="bus 632.*non-finite"):
+            featurize(window, (632,))
+
     def test_steady_detail_energy_far_below_event(self):
         steady = synthgrid.synth_steady(20000.0, seed=3, snr_db=math.inf)
         spec = synthgrid.EventSpec(

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -245,6 +247,19 @@ class TestPersistence:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
             synthgrid.load_dataset(tmp_path)
+
+    def test_manifest_grids_in_declaration_order(self, tiny_dataset, tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        grids = json.loads((out / "manifest.json").read_text())["grids"]
+        assert list(grids) == [f.name for f in dataclasses.fields(DatasetGrids)]
+
+    def test_manifest_grid_wrong_type(self, tiny_dataset, tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["grids"]["cap_sizes"] = "1"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=r"grids\.cap_sizes"):
+            synthgrid.load_dataset(out)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -173,7 +173,7 @@ class TestSgdm:
         state = zero_state(model)
         grads = {n: np.full_like(p, 2.0) for n, p in model.params().items()}
         cfg = TrainConfig(learning_rate=1e-4, momentum=0.9)
-        sgdm_step(model, grads, state, cfg)
+        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
         assert model.conv_w[0, 0, 0] == pytest.approx(-2e-4, abs=1e-18)
 
     def test_second_step_velocity(self):
@@ -181,8 +181,8 @@ class TestSgdm:
         state = zero_state(model)
         grads = {n: np.full_like(p, 2.0) for n, p in model.params().items()}
         cfg = TrainConfig(learning_rate=1e-4, momentum=0.9)
-        sgdm_step(model, grads, state, cfg)
-        sgdm_step(model, grads, state, cfg)
+        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
+        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
         assert state["conv_w"][0, 0, 0] == pytest.approx(-3.8e-4, abs=1e-18)
 
     def test_zero_learning_rate_is_identity(self):
@@ -191,7 +191,7 @@ class TestSgdm:
         state = zero_state(model)
         grads = {n: np.full_like(p, 7.0) for n, p in model.params().items()}
         cfg = SimpleNamespace(learning_rate=0.0, momentum=0.9)
-        sgdm_step(model, grads, state, cfg)
+        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
         assert model.conv_w[0, 0, 0] == 1.5
 
     def test_config_validation(self):
