@@ -4,7 +4,9 @@ The energy methods collapse each feature row into per-interval statistics
 (mean, sum, Euclidean norm, infinity norm) before classification; the
 tapered MLP consumes the flattened feature matrix directly. All trainers are
 seeded and deterministic, and in a comparison run every method sees exactly
-the same train/test index sets as the convolutional model.
+the same train/test index sets as the convolutional model. The tapered MLP
+and both autoencoder stages are one dense net code trained by the
+convolutional model's minibatch engine (tinycnn.fit_sgdm).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .synthgrid import NUM_CLASSES
-from .tinycnn import (ModelFileReader, central_difference_errors, sgdm_step,
-                      softmax, write_model_file)
+from .tinycnn import (ModelFileReader, central_difference_errors, cross_entropy,
+                      fit_sgdm, mean_loss_and_grads, softmax, write_model_file)
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -122,30 +124,63 @@ def _init_layers(sizes, rng, std):
     return weights, biases
 
 
-def _dense_forward(weights, biases, x, tanh_last: bool):
-    """Returns the per-layer activations, input first. Hidden layers are tanh."""
+def _dense_forward(weights, biases, x):
+    """Returns the per-layer activations, input first. Hidden layers are
+    tanh, the output layer is linear."""
     acts = [np.asarray(x, dtype=float)]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = w @ acts[-1] + b
-        acts.append(np.tanh(z) if (i < last or tanh_last) else z)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.tanh(w @ acts[-1] + b))
+    acts.append(weights[-1] @ acts[-1] + biases[-1])
     return acts
 
 
-def _dense_backward(weights, acts, delta_out, tanh_last: bool):
-    """Backprop from the output-layer delta; returns per-layer (dW, db)."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    delta = delta_out
-    last = len(weights) - 1
-    for i in range(last, -1, -1):
-        if i < last or tanh_last:
-            delta = delta * (1.0 - acts[i + 1] ** 2)
-        grads_w[i] = np.outer(delta, acts[i])
-        grads_b[i] = delta.copy()
+def _dense_backward(weights, acts, delta):
+    """Backprop from the output-layer delta; returns [*dW, *db]."""
+    grads_w, grads_b = [], []
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w.insert(0, np.outer(delta, acts[i]))
+        grads_b.insert(0, delta)
         if i > 0:
-            delta = weights[i].T @ delta
-    return grads_w, grads_b
+            delta = (weights[i].T @ delta) * (1.0 - acts[i] ** 2)
+    return [*grads_w, *grads_b]
+
+
+def _softmax_cross_entropy(out, label):
+    return cross_entropy(softmax(out), label)
+
+
+def _squared_error(out, target):
+    """Mean squared error and its output delta."""
+    err = out - target
+    return float(np.mean(err ** 2)), 2.0 * err / len(target)
+
+
+def _dense_loss_and_grads(weights, biases, batch, head):
+    """Mean loss and gradients ([*dW, *db]) over (input, target) pairs;
+    head(output, target) returns (loss, output delta)."""
+    def example(pair):
+        acts = _dense_forward(weights, biases, pair[0])
+        loss, delta = head(acts[-1], pair[1])
+        return loss, _dense_backward(weights, acts, delta)
+    return mean_loss_and_grads([*weights, *biases], batch, example)
+
+
+def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
+    """Train the dense net in place on (inputs[i], targets[i]) pairs; returns
+    the per-epoch losses."""
+    return fit_sgdm(
+        [*weights, *biases],
+        lambda idx: _dense_loss_and_grads(
+            weights, biases, [(inputs[i], targets[i]) for i in idx], head),
+        len(inputs), epochs, config, rng)
+
+
+def _dense_predict(weights, biases, features) -> np.ndarray:
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    out = np.empty(len(features), dtype=int)
+    for i, x in enumerate(features):
+        out[i] = int(np.argmax(_dense_forward(weights, biases, x)[-1])) + 1
+    return out
 
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
@@ -179,29 +214,10 @@ def _taper(input_dim: int, hidden: tuple) -> tuple:
 
 
 def tmlp_loss_and_grad(model: TaperedMlp, batch):
-    """Mean cross-entropy and exact gradients over (features, class) pairs."""
-    if not batch:
-        raise ValueError("empty batch")
-    total = 0.0
-    gw = [np.zeros_like(w) for w in model.weights]
-    gb = [np.zeros_like(b) for b in model.biases]
-    for x, label in batch:
-        acts = _dense_forward(model.weights, model.biases, x, tanh_last=False)
-        probs = softmax(acts[-1])
-        total -= np.log(probs[label - 1])
-        delta = probs.copy()
-        delta[label - 1] -= 1.0
-        dws, dbs = _dense_backward(model.weights, acts, delta, tanh_last=False)
-        for acc, d in zip(gw, dws):
-            acc += d
-        for acc, d in zip(gb, dbs):
-            acc += d
-    n = len(batch)
-    for g in gw:
-        g /= n
-    for g in gb:
-        g /= n
-    return total / n, (gw, gb)
+    """Mean cross-entropy over (features, class) pairs and its exact
+    gradients, in [*weights, *biases] order."""
+    return _dense_loss_and_grads(model.weights, model.biases, batch,
+                                 _softmax_cross_entropy)
 
 
 def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
@@ -211,37 +227,21 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
     sizes = _taper(features.shape[1], config.hidden)
     rng = np.random.default_rng(config.seed)
     weights, biases = _init_layers(sizes, rng, config.init_std)
-    model = TaperedMlp(sizes, weights, biases, config)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    n = len(labels)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            _, (gw, gb) = tmlp_loss_and_grad(
-                model, [(features[i], labels[i]) for i in idx]
-            )
-            sgdm_step(weights, gw, vel_w, config)
-            sgdm_step(biases, gb, vel_b, config)
-    return model
+    _fit_dense(weights, biases, features, labels, _softmax_cross_entropy,
+               config.epochs, config, rng)
+    return TaperedMlp(sizes, weights, biases, config)
 
 
 def tmlp_predict(model: TaperedMlp, features) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    out = np.empty(len(features), dtype=int)
-    for i, x in enumerate(features):
-        acts = _dense_forward(model.weights, model.biases, x, tanh_last=False)
-        out[i] = int(np.argmax(acts[-1])) + 1
-    return out
+    return _dense_predict(model.weights, model.biases, features)
 
 
 def mlp_grad_check(model: TaperedMlp, x, label: int, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients."""
-    _, (gw, gb) = tmlp_loss_and_grad(model, [(x, label)])
+    _, grads = tmlp_loss_and_grad(model, [(x, label)])
     errors = central_difference_errors(
         lambda: tmlp_loss_and_grad(model, [(x, label)])[0],
-        [*model.weights, *model.biases], [*gw, *gb], h)
+        [*model.weights, *model.biases], grads, h)
     return max(errors)
 
 
@@ -270,19 +270,6 @@ class AutoencoderClassifier:
     config: AeConfig
     recon_trace: list = field(default_factory=list)
 
-    def encode(self, x):
-        return np.tanh(self.enc_w @ x + self.enc_b)
-
-    def reconstruct(self, x):
-        return self.dec_w @ self.encode(x) + self.dec_b
-
-
-def reconstruction_error(model: AutoencoderClassifier, features) -> float:
-    """Mean squared reconstruction error over the feature set."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    errs = [np.mean((model.reconstruct(x) - x) ** 2) for x in features]
-    return float(np.mean(errs))
-
 
 def train_autoencoder_clf(features, labels,
                           config: AeConfig = AeConfig()) -> AutoencoderClassifier:
@@ -290,70 +277,25 @@ def train_autoencoder_clf(features, labels,
     on the frozen code."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if len(features) == 0:
-        raise ValueError("empty training set")
-    n, dim = features.shape
+    dim = features.shape[1]
     rng = np.random.default_rng(config.seed)
-    enc_w = rng.normal(0.0, config.init_std, (config.code_width, dim))
-    enc_b = np.zeros(config.code_width)
-    dec_w = rng.normal(0.0, config.init_std, (dim, config.code_width))
-    dec_b = np.zeros(dim)
-    head_w = rng.normal(0.0, config.init_std, (NUM_CLASSES, config.code_width))
-    head_b = np.zeros(NUM_CLASSES)
-    model = AutoencoderClassifier(enc_w, enc_b, dec_w, dec_b, head_w, head_b, config)
-
-    params = [enc_w, enc_b, dec_w, dec_b]
-    velocity = [np.zeros_like(p) for p in params]
-    for _ in range(config.recon_epochs):
-        order = rng.permutation(n)
-        epoch_err = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            grads = [np.zeros_like(p) for p in params]
-            for i in idx:
-                x = features[i]
-                z = enc_w @ x + enc_b
-                code = np.tanh(z)
-                recon = dec_w @ code + dec_b
-                err = recon - x
-                epoch_err += float(np.mean(err ** 2))
-                dout = 2.0 * err / dim
-                grads[2] += np.outer(dout, code)
-                grads[3] += dout
-                dcode = (dec_w.T @ dout) * (1.0 - code ** 2)
-                grads[0] += np.outer(dcode, x)
-                grads[1] += dcode
-            for g in grads:
-                g /= len(idx)
-            sgdm_step(params, grads, velocity, config)
-        model.recon_trace.append(epoch_err / n)
-
-    head = [head_w, head_b]
-    head_vel = [np.zeros_like(p) for p in head]
-    codes = np.vstack([model.encode(x) for x in features])
-    for _ in range(config.head_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            grads = [np.zeros_like(p) for p in head]
-            for i in idx:
-                probs = softmax(head_w @ codes[i] + head_b)
-                delta = probs.copy()
-                delta[labels[i] - 1] -= 1.0
-                grads[0] += np.outer(delta, codes[i])
-                grads[1] += delta
-            for g in grads:
-                g /= len(idx)
-            sgdm_step(head, grads, head_vel, config)
-    return model
+    (enc_w, dec_w), (enc_b, dec_b) = _init_layers(
+        (dim, config.code_width, dim), rng, config.init_std)
+    (head_w,), (head_b,) = _init_layers(
+        (config.code_width, NUM_CLASSES), rng, config.init_std)
+    recon_trace = _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features,
+                             _squared_error, config.recon_epochs, config, rng)
+    codes = np.vstack([_dense_forward([enc_w, dec_w], [enc_b, dec_b], x)[1]
+                       for x in features])
+    _fit_dense([head_w], [head_b], codes, labels, _softmax_cross_entropy,
+               config.head_epochs, config, rng)
+    return AutoencoderClassifier(enc_w, enc_b, dec_w, dec_b, head_w, head_b,
+                                 config, recon_trace)
 
 
 def ae_predict(model: AutoencoderClassifier, features) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    out = np.empty(len(features), dtype=int)
-    for i, x in enumerate(features):
-        out[i] = int(np.argmax(model.head_w @ model.encode(x) + model.head_b)) + 1
-    return out
+    return _dense_predict([model.enc_w, model.head_w], [model.enc_b, model.head_b],
+                          features)
 
 
 # ── Model files (same header scheme as the CNN, distinct magic) ──────────────
@@ -365,23 +307,24 @@ def save_svm(model: LinearOvrSvm, path) -> None:
 
 def load_svm(path) -> LinearOvrSvm:
     f = ModelFileReader(path, SVM_MAGIC)
-    n_cls, dim = f.uints(2)
+    n_cls = f.class_count()
+    (dim,) = f.uints(1)
     model = LinearOvrSvm(f.tensor(n_cls, dim), f.tensor(n_cls), SvmConfig())
     f.expect_end()
     return model
 
 
 def save_tmlp(model: TaperedMlp, path) -> None:
-    tensors = []
-    for w, b in zip(model.weights, model.biases):
-        tensors += [w, b]
+    tensors = [t for pair in zip(model.weights, model.biases) for t in pair]
     write_model_file(path, TMLP_MAGIC, (len(model.sizes), *model.sizes), tensors)
 
 
 def load_tmlp(path) -> TaperedMlp:
     f = ModelFileReader(path, TMLP_MAGIC)
     (n_sizes,) = f.uints(1)
-    sizes = f.uints(n_sizes)
+    if n_sizes < 2:
+        raise ValueError(f"{path}: offset 8: {n_sizes} layer sizes, expected at least 2")
+    sizes = (*f.uints(n_sizes - 1), f.class_count())
     weights, biases = [], []
     for n_in, n_out in zip(sizes, sizes[1:]):
         weights.append(f.tensor(n_out, n_in))

@@ -149,11 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="timing diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed=True):
-        if config:
-            p.add_argument("--config", help="JSON experiment config")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
+    def common(p):
+        p.add_argument("--config", help="JSON experiment config")
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("generate", help="build and persist a dataset")
     common(p)

@@ -742,7 +742,10 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Inverse of save_dataset; waveform values round-trip bit-identically."""
+    """Inverse of save_dataset; waveform values round-trip bit-identically.
+    Every key save_dataset writes is required, record i must carry index i,
+    and the records' class counts must equal the grid's; a violation is a
+    ValueError naming the manifest and the key or record."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     try:
@@ -751,20 +754,50 @@ def load_dataset(in_dir) -> Dataset:
         raise FileNotFoundError(f"no manifest.json under {root}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+
+    def require(obj, keys, where):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{manifest_path}: {where}expected an object, "
+                             f"got {type(obj).__name__}")
+        for key in keys:
+            if key not in obj:
+                raise ValueError(f"{manifest_path}: {where}missing key {key!r}")
+
+    config_keys = [f.name for f in fields(DatasetConfig)]
+    require(manifest, ["schema_version", *config_keys, "counts", "records"], "")
+    if manifest["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
             f"{manifest_path}: unsupported schema_version "
-            f"{manifest.get('schema_version')!r}"
+            f"{manifest['schema_version']!r}"
         )
-    grids = dataclass_from_json(DatasetGrids, manifest["grids"], "grids")
-    cfg = DatasetConfig(
-        fs=manifest["fs"], seed=manifest["seed"], snr_db=manifest["snr_db"],
-        duration=manifest["duration"], event_time=manifest["event_time"],
-        amplitude=manifest["amplitude"], grids=grids,
-    )
+    require(manifest["grids"], [f.name for f in fields(DatasetGrids)], "grids: ")
+    try:
+        cfg = dataclass_from_json(DatasetConfig, {k: manifest[k] for k in config_keys})
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
+    specs = []
+    for i, entry in enumerate(manifest["records"]):
+        require(entry, ("index", "seed", "spec"), f"record {i}: ")
+        if entry["index"] != i:
+            raise ValueError(f"{manifest_path}: record {i}: index {entry['index']!r}, "
+                             f"expected {i}")
+        if entry["spec"] is not None:
+            require(entry["spec"], ("class", "inception_angle", "location",
+                                    "event_time", "class_params"), f"record {i}: spec: ")
+        try:
+            specs.append(_spec_from_json(entry["spec"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{manifest_path}: record {i}: spec: {exc}") from None
+    counts = cfg.grids.counts
+    found = tuple(sum(s is not None and s.event_class == c for s in specs)
+                  for c in EventClass)
+    if len(specs) != sum(counts) or found != counts or manifest["counts"] != list(counts):
+        raise ValueError(f"{manifest_path}: {len(specs)} records with class counts "
+                         f"{found} and counts {manifest['counts']!r}; the grids "
+                         f"give {counts}")
     records = []
-    for entry in manifest["records"]:
-        path = root / "waveforms" / f"evt_{entry['index']}.csv"
+    for i, (entry, spec) in enumerate(zip(manifest["records"], specs)):
+        path = root / "waveforms" / f"evt_{i}.csv"
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -780,8 +813,5 @@ def load_dataset(in_dir) -> Dataset:
                 except (ValueError, IndexError) as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         data = np.array(rows).T.reshape(len(MONITORED_BUSES), 3, -1)
-        records.append(WaveformRecord(
-            _spec_from_json(entry["spec"]), cfg.fs, cfg.duration,
-            data, entry["seed"],
-        ))
-    return Dataset(records, cfg.fs, cfg.seed, grids.counts, cfg)
+        records.append(WaveformRecord(spec, cfg.fs, cfg.duration, data, entry["seed"]))
+    return Dataset(records, cfg.fs, cfg.seed, counts, cfg)

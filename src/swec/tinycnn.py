@@ -10,6 +10,9 @@ Filter dimensions clamp to the input when a sweep configuration makes the
 feature matrix smaller than the nominal 2x20 filter; the width additionally
 backs off by one column when the valid convolution would leave a single
 column, which would make the 1x2 pool empty.
+
+The minibatch engine (fit_sgdm and its helpers) also trains the dense
+baselines.
 """
 
 from __future__ import annotations
@@ -84,10 +87,6 @@ class CnnModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"conv_w": self.conv_w, "conv_b": self.conv_b,
                 "fc_w": self.fc_w, "fc_b": self.fc_b}
-
-    def copy(self) -> "CnnModel":
-        return CnnModel(self.arch, self.conv_w.copy(), self.conv_b.copy(),
-                        self.fc_w.copy(), self.fc_b.copy())
 
 
 @dataclass(frozen=True)
@@ -169,12 +168,9 @@ def forward(model: CnnModel, x) -> tuple[np.ndarray, dict]:
     return _forward_patches(model, im2col(x, arch))
 
 
-def _backward(model: CnnModel, cache: dict, dlogits: np.ndarray) -> dict:
+def _backward(model: CnnModel, cache: dict, dlogits: np.ndarray) -> list:
+    """Gradients of one example, in params() order."""
     arch = model.arch
-    grads = {
-        "fc_w": np.outer(dlogits, cache["flat"]),
-        "fc_b": dlogits.copy(),
-    }
     dflat = model.fc_w.T @ dlogits
     dpool = dflat.reshape(arch.num_filters, arch.conv_h, arch.pooled_w)
     dtrim = np.zeros(
@@ -187,41 +183,61 @@ def _backward(model: CnnModel, cache: dict, dlogits: np.ndarray) -> dict:
     )
     dpre *= cache["pre"] > 0.0
     dpre_flat = dpre.reshape(arch.num_filters, -1)
-    grads["conv_w"] = (dpre_flat @ cache["patches"]).reshape(model.conv_w.shape)
-    grads["conv_b"] = dpre_flat.sum(axis=1)
-    return grads
+    return [(dpre_flat @ cache["patches"]).reshape(model.conv_w.shape),
+            dpre_flat.sum(axis=1), np.outer(dlogits, cache["flat"]), dlogits]
 
 
-def _accumulate_loss_grads(model: CnnModel, patch_list, labels):
-    total_loss = 0.0
-    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-    for patches, label in zip(patch_list, labels):
-        probs, cache = _forward_patches(model, patches)
-        total_loss -= np.log(probs[label - 1])
-        dlogits = cache["probs"].copy()
-        dlogits[label - 1] -= 1.0
-        for name, g in _backward(model, cache, dlogits).items():
-            grads[name] += g
-    n = len(patch_list)
-    for g in grads.values():
-        g /= n
-    return total_loss / n, grads
+def _cnn_loss_and_grads(model: CnnModel, examples):
+    """Mean cross-entropy and gradients (params() order) over (patches,
+    class code) pairs."""
+    def example(pair):
+        probs, cache = _forward_patches(model, pair[0])
+        loss, dlogits = cross_entropy(probs, pair[1])
+        return loss, _backward(model, cache, dlogits)
+    return mean_loss_and_grads(model.params().values(), examples, example)
 
 
 def loss_and_grad(model: CnnModel, batch) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over (feature matrix, class code) pairs + gradients."""
-    if not batch:
-        raise ValueError("empty batch")
-    patch_list, labels = [], []
+    examples = []
     for x, label in batch:
         x = _as_matrix(x)
         if x.shape != (model.arch.input_h, model.arch.input_w):
             raise ValueError(f"batch item shape {x.shape} does not match arch")
         if not 1 <= int(label) <= model.arch.num_classes:
             raise ValueError(f"class code {label} outside 1..{model.arch.num_classes}")
-        patch_list.append(im2col(x, model.arch))
-        labels.append(int(label))
-    return _accumulate_loss_grads(model, patch_list, labels)
+        examples.append((im2col(x, model.arch), int(label)))
+    loss, grads = _cnn_loss_and_grads(model, examples)
+    return loss, dict(zip(model.params(), grads))
+
+
+# ── Training engine (shared with the dense baselines) ────────────────────────
+
+def cross_entropy(probs: np.ndarray, label: int):
+    """Loss -log p[label] and its logit delta probs - onehot(label), for the
+    softmax output probs and a class code label in 1..len(probs)."""
+    delta = probs.copy()
+    delta[label - 1] -= 1.0
+    return -np.log(probs[label - 1]), delta
+
+
+def mean_loss_and_grads(params, examples, example_loss_grads):
+    """Mean loss and mean gradients over a batch. example_loss_grads(example)
+    returns (loss, gradients parallel to params); the gradients are summed
+    onto zeros in example order, then divided by the batch length."""
+    if not examples:
+        raise ValueError("empty batch")
+    total = 0.0
+    grads = [np.zeros_like(p) for p in params]
+    for example in examples:
+        loss, example_grads = example_loss_grads(example)
+        total += loss
+        for acc, g in zip(grads, example_grads):
+            acc += g
+    n = len(examples)
+    for g in grads:
+        g /= n
+    return total / n, grads
 
 
 def sgdm_step(params, grads, velocity, cfg) -> None:
@@ -234,29 +250,36 @@ def sgdm_step(params, grads, velocity, cfg) -> None:
         p += v
 
 
-def train(model: CnnModel, train_set, cfg: TrainConfig):
-    """Epoch loop with seeded reshuffling; returns (model, per-epoch losses)."""
-    if not train_set:
+def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[float]:
+    """Minibatch SGD with momentum over examples 0..n-1, updating params in
+    place: each epoch cuts one permutation from rng into batches of
+    cfg.batch_size (the last may be short), and batch_loss_grads(indices)
+    returns (mean loss, gradients parallel to params). Returns each epoch's
+    example-weighted mean batch loss."""
+    if n == 0:
         raise ValueError("empty training set")
-    patch_list, labels = [], []
-    for x, label in train_set:
-        patch_list.append(im2col(_as_matrix(x), model.arch))
-        labels.append(int(label))
-    rng = np.random.default_rng(cfg.seed)
-    n = len(patch_list)
+    velocity = [np.zeros_like(p) for p in params]
     losses = []
-    state = zero_state(model)
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = _accumulate_loss_grads(
-                model, [patch_list[i] for i in idx], [labels[i] for i in idx]
-            )
-            sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
+            loss, grads = batch_loss_grads(idx)
+            sgdm_step(params, grads, velocity, cfg)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
+    return losses
+
+
+def train(model: CnnModel, train_set, cfg: TrainConfig):
+    """Epoch loop with seeded reshuffling; returns (model, per-epoch losses)."""
+    examples = [(im2col(_as_matrix(x), model.arch), int(label))
+                for x, label in train_set]
+    losses = fit_sgdm(
+        list(model.params().values()),
+        lambda idx: _cnn_loss_and_grads(model, [examples[i] for i in idx]),
+        len(examples), cfg.epochs, cfg, np.random.default_rng(cfg.seed))
     return model, losses
 
 
@@ -286,20 +309,12 @@ def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheck
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    x = _as_matrix(x)
-    patches = [im2col(x, model.arch)]
-    labels = [label]
-    _, grads = _accumulate_loss_grads(model, patches, labels)
-
-    def loss_at() -> float:
-        total = 0.0
-        for p, lab in zip(patches, labels):
-            probs, _ = _forward_patches(model, p)
-            total -= np.log(probs[lab - 1])
-        return total / len(patches)
-
+    patches = im2col(_as_matrix(x), model.arch)
+    _, grads = _cnn_loss_and_grads(model, [(patches, label)])
     params = model.params()
-    errors = central_difference_errors(loss_at, params.values(), grads.values(), h)
+    errors = central_difference_errors(
+        lambda: cross_entropy(_forward_patches(model, patches)[0], label)[0],
+        params.values(), grads, h)
     per_tensor = dict(zip(params, errors))
     count = sum(p.size for p in params.values())
     return GradCheckReport(max(per_tensor.values()), per_tensor, count)
@@ -418,6 +433,15 @@ class ModelFileReader:
     def uints(self, count: int) -> tuple[int, ...]:
         return struct.unpack_from(f"<{count}I", self.data, self._take(4 * count))
 
+    def class_count(self) -> int:
+        """One u32 class count, which must be NUM_CLASSES."""
+        start = self.offset
+        (count,) = self.uints(1)
+        if count != NUM_CLASSES:
+            raise ValueError(f"{self.path}: offset {start}: {count} classes, "
+                             f"expected {NUM_CLASSES}")
+        return count
+
     def tensor(self, *shape: int) -> np.ndarray:
         count = math.prod(shape)
         start = self._take(8 * count)
@@ -440,7 +464,8 @@ def save_model(model: CnnModel, path) -> None:
 
 def load_model(path) -> CnnModel:
     f = ModelFileReader(path, MODEL_MAGIC)
-    num_filters, fh, fw, input_h, input_w, num_classes = f.uints(6)
+    num_filters, fh, fw, input_h, input_w = f.uints(5)
+    num_classes = f.class_count()
     arch = CnnArch(input_h=input_h, input_w=input_w, num_filters=num_filters,
                    num_classes=num_classes)
     if (arch.eff_filter_h, arch.eff_filter_w) != (fh, fw):

@@ -7,6 +7,7 @@ from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
                             tmlp_predict, train_autoencoder_clf,
                             train_svm_ovr, train_tmlp, tmlp_loss_and_grad)
 from swec.featpipe import FeatureMatrix
+from swec.tinycnn import central_difference_errors
 
 
 def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
@@ -178,6 +179,21 @@ class TestAutoencoder:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             train_autoencoder_clf(np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+    def test_reconstruction_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(22)
+        weights = [rng.normal(0.0, 0.5, (3, 5)), rng.normal(0.0, 0.5, (5, 3))]
+        biases = [rng.normal(0.0, 0.1, 3), rng.normal(0.0, 0.1, 5)]
+        batch = [(x, x) for x in rng.random((2, 5))]
+
+        def loss_and_grads():
+            return baselines._dense_loss_and_grads(weights, biases, batch,
+                                                   baselines._squared_error)
+
+        _, grads = loss_and_grads()
+        errors = central_difference_errors(lambda: loss_and_grads()[0],
+                                           [*weights, *biases], grads, 1e-5)
+        assert max(errors) < 1e-4
 
 
 class TestModelFiles:

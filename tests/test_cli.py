@@ -127,6 +127,30 @@ class TestWorkflow:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("damage", ["drop_fs", "drop_first_record"])
+    def test_inconsistent_manifest_fails_cleanly(self, damage, capsys, tmp_path,
+                                                 tiny_config_file):
+        data_dir = tmp_path / "data"
+        model_path = tmp_path / "model.bin"
+        run_cli(capsys, "generate", "--config", str(tiny_config_file),
+                "--out", str(data_dir), "--fs", "2000")
+        run_cli(capsys, "train", "--config", str(tiny_config_file),
+                "--data", str(data_dir), "--model", str(model_path))
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "drop_fs":
+            del manifest["fs"]
+        else:
+            del manifest["records"][0]
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
+                                 "--model", str(model_path), "--data", str(data_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "manifest.json" in err
+        assert ("'fs'" if damage == "drop_fs" else "record 0") in err
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data",
                                str(tmp_path / "nope"),

@@ -263,6 +263,29 @@ class TestArtifacts:
             with pytest.raises(ValueError, match="offset [0-9]+: truncated"):
                 expharness.load_model(method, path)
 
+    @pytest.mark.parametrize("method", ["cnn", "svm", "tmlp"])
+    def test_wrong_class_count_rejected(self, method, tmp_path):
+        model = {
+            "cnn": tinycnn.init_model(
+                tinycnn.CnnArch(1, 4, num_filters=2, num_classes=3), 0),
+            "svm": baselines.LinearOvrSvm(np.ones((3, 3)), np.zeros(3),
+                                          baselines.SvmConfig()),
+            "tmlp": baselines.TaperedMlp((6, 3), [np.ones((3, 6))], [np.zeros(3)],
+                                         baselines.MlpConfig()),
+        }[method]
+        path = tmp_path / "m.bin"
+        expharness.save_model(method, model, path)
+        with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: 3 classes"):
+            expharness.load_model(method, path)
+
+    @pytest.mark.parametrize("n_sizes", [0, 1])
+    def test_tmlp_without_two_layer_sizes_rejected(self, n_sizes, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"SWML" + np.array([1, n_sizes, 4][:2 + n_sizes],
+                                            dtype="<u4").tobytes())
+        with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*at least 2"):
+            baselines.load_tmlp(path)
+
     def test_comparison_run_directory(self, tmp_path):
         cfg = tiny_config()
         out = write_comparison_run(cfg, tmp_path / "run")

@@ -261,6 +261,25 @@ class TestPersistence:
         with pytest.raises(ConfigError, match=r"grids\.cap_sizes"):
             synthgrid.load_dataset(out)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m["grids"].pop("hif_draws"), "grids: missing key 'hif_draws'"),
+        (lambda m: m["records"][3].pop("seed"), "record 3: missing key 'seed'"),
+        (lambda m: m["records"].pop(), r"7 records with class counts \(2, 2, 2, 1\)"),
+        (lambda m: m["records"][2].update(index=5), "record 2: index 5, expected 2"),
+        (lambda m: m.update(counts=[2, 2, 3, 1]), r"8 records .* counts \[2, 2, 3, 1\]"),
+        (lambda m: m["records"][1]["spec"].update(class_params=5), "record 1: spec"),
+        (lambda m: m["records"][1]["spec"].update({"class": 9}), "record 1: spec"),
+    ], ids=["grid_key", "record_key", "record_dropped", "record_index", "counts",
+            "spec_params_type", "spec_class"])
+    def test_inconsistent_manifest_rejected(self, damage, message, tiny_dataset,
+                                            tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        manifest = json.loads((out / "manifest.json").read_text())
+        damage(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+            synthgrid.load_dataset(out)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             synthgrid.load_dataset(tmp_path)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from swec import tinycnn
-from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, forward, grad_check,
-                          init_model, loss_and_grad, make_gradcheck_case,
-                          predict, sgdm_step, softmax, train, zero_state)
+from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, fit_sgdm, forward,
+                          grad_check, init_model, loss_and_grad,
+                          make_gradcheck_case, predict, sgdm_step, softmax,
+                          train, zero_state)
 
 
 def manual_model(arch, conv_w, conv_b, fc_w, fc_b):
@@ -199,6 +200,28 @@ class TestSgdm:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+class TestFitSgdm:
+    def test_short_last_batch(self):
+        param = np.zeros(1)
+        batches = []
+
+        def batch_loss_grads(idx):
+            batches.append(list(idx))
+            return float(sum(idx)) + 0.5, [np.ones(1)]
+
+        cfg = SimpleNamespace(batch_size=2, learning_rate=0.1, momentum=0.0)
+        losses = fit_sgdm([param], batch_loss_grads, 5, 3, cfg,
+                          np.random.default_rng(0))
+        assert len(losses) == 3 and len(batches) == 9
+        for epoch, loss in enumerate(losses):
+            epoch_batches = batches[3 * epoch:3 * epoch + 3]
+            assert [len(b) for b in epoch_batches] == [2, 2, 1]
+            assert sorted(i for b in epoch_batches for i in b) == [0, 1, 2, 3, 4]
+            weighted = sum((sum(b) + 0.5) * len(b) for b in epoch_batches) / 5
+            assert loss == pytest.approx(weighted, rel=1e-15)
+        assert param[0] == pytest.approx(-0.9, abs=1e-15)  # one step per batch
 
 
 class TestTrain:
