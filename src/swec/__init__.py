@@ -1,12 +1,11 @@
 """Synchro-waveform event cause classification laboratory."""
 
-from . import baselines, cli, expharness, featpipe, metrics, synthgrid, tinycnn
+from . import baselines, expharness, featpipe, metrics, synthgrid, tinycnn
 
 __version__ = "0.1.0"
 
 __all__ = [
     "baselines",
-    "cli",
     "expharness",
     "featpipe",
     "metrics",

@@ -2,11 +2,15 @@
 
 The energy methods collapse each feature row into per-interval statistics
 (mean, sum, Euclidean norm, infinity norm) before classification; the
-tapered MLP consumes the flattened feature matrix directly. All trainers are
+tapered MLP consumes the flattened feature matrix directly. Both take the
+stacked (N, rows, W) features of a whole set at once. All trainers are
 seeded and deterministic, and in a comparison run every method sees exactly
 the same train/test index sets as the convolutional model. The tapered MLP
-and both autoencoder stages are one dense net code trained by the
-convolutional model's minibatch engine (tinycnn.fit_sgdm).
+and both autoencoder stages are one dense net code over (B, d) batches,
+trained by the convolutional model's minibatch engine (tinycnn.fit_sgdm)
+with the same softmax cross-entropy head (tinycnn.cross_entropy) or a
+squared-error head. The SVM's per-sample subgradient loop stays sequential,
+because its result depends on the sample order.
 """
 
 from __future__ import annotations
@@ -17,46 +21,42 @@ import numpy as np
 
 from .synthgrid import NUM_CLASSES
 from .tinycnn import (ModelFileReader, central_difference_errors, cross_entropy,
-                      fit_sgdm, mean_loss_and_grads, softmax, write_model_file)
+                      fit_sgdm, stack_examples, write_model_file)
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
 AE_MAGIC = b"SWAE"
 
 
-def energy_features(fm, num_intervals: int = 8) -> np.ndarray:
-    """Per-interval statistics of each feature row, bus-major interval-minor.
+def energy_feature_set(xs, num_intervals: int = 8) -> np.ndarray:
+    """Per-interval statistics of every feature row of a (N, rows, W) stack,
+    one vector per matrix, bus-major interval-minor.
 
     Each row is cut into num_intervals contiguous segments (the last absorbs
     the remainder); each segment contributes (mean, sum, L2 norm, Linf norm).
     """
-    values = np.asarray(getattr(fm, "values", fm), dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
-    n_rows, width = values.shape
+    xs = np.asarray(xs, dtype=float)
+    width = xs.shape[-1]
     if not 1 <= num_intervals <= width:
         raise ValueError(f"num_intervals {num_intervals} outside 1..{width}")
     seg = width // num_intervals
-    out = np.empty(n_rows * num_intervals * 4)
-    pos = 0
-    for row in values:
-        for i in range(num_intervals):
-            lo = i * seg
-            hi = (i + 1) * seg if i < num_intervals - 1 else width
-            chunk = row[lo:hi]
-            out[pos:pos + 4] = (chunk.mean(), chunk.sum(),
-                                np.linalg.norm(chunk), np.abs(chunk).max())
-            pos += 4
-    return out
+    cut = (num_intervals - 1) * seg
+    segments = (xs[..., :cut].reshape(*xs.shape[:-1], num_intervals - 1, seg),
+                xs[..., None, cut:])
+    stats = [np.stack([s.mean(axis=-1), s.sum(axis=-1), np.linalg.norm(s, axis=-1),
+                       np.abs(s).max(axis=-1)], axis=-1) for s in segments]
+    return np.concatenate(stats, axis=-2).reshape(len(xs), -1)
 
 
-def energy_feature_set(fms, num_intervals: int = 8) -> np.ndarray:
-    return np.vstack([energy_features(fm, num_intervals) for fm in fms])
+def energy_features(fm, num_intervals: int = 8) -> np.ndarray:
+    """energy_feature_set of one feature matrix (or one row)."""
+    values = np.asarray(getattr(fm, "values", fm), dtype=float)
+    return energy_feature_set(values.reshape(1, -1, values.shape[-1]), num_intervals)[0]
 
 
-def flatten_features(fms) -> np.ndarray:
-    return np.vstack([np.asarray(getattr(fm, "values", fm), dtype=float).ravel()
-                      for fm in fms])
+def flatten_features(xs) -> np.ndarray:
+    """One row per feature matrix of a (N, rows, W) stack."""
+    return np.asarray(xs, dtype=float).reshape(len(xs), -1)
 
 
 # ── Linear one-vs-rest SVM ───────────────────────────────────────────────────
@@ -125,44 +125,39 @@ def _init_layers(sizes, rng, std):
 
 
 def _dense_forward(weights, biases, x):
-    """Returns the per-layer activations, input first. Hidden layers are
-    tanh, the output layer is linear."""
-    acts = [np.asarray(x, dtype=float)]
+    """Per-layer activations of a (B, d) batch, input first. Hidden layers
+    are tanh, the output layer is linear."""
+    acts = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        acts.append(np.tanh(w @ acts[-1] + b))
-    acts.append(weights[-1] @ acts[-1] + biases[-1])
+        acts.append(np.tanh(acts[-1] @ w.T + b))
+    acts.append(acts[-1] @ weights[-1].T + biases[-1])
     return acts
 
 
 def _dense_backward(weights, acts, delta):
-    """Backprop from the output-layer delta; returns [*dW, *db]."""
+    """Backprop from the (B, d_out) output delta of the batch loss; returns
+    [*dW, *db]."""
     grads_w, grads_b = [], []
     for i in range(len(weights) - 1, -1, -1):
-        grads_w.insert(0, np.outer(delta, acts[i]))
-        grads_b.insert(0, delta)
+        grads_w.insert(0, delta.T @ acts[i])
+        grads_b.insert(0, delta.sum(axis=0))
         if i > 0:
-            delta = (weights[i].T @ delta) * (1.0 - acts[i] ** 2)
+            delta = (delta @ weights[i]) * (1.0 - acts[i] ** 2)
     return [*grads_w, *grads_b]
 
 
-def _softmax_cross_entropy(out, label):
-    return cross_entropy(softmax(out), label)
-
-
 def _squared_error(out, target):
-    """Mean squared error and its output delta."""
+    """Batch mean of each example's mean squared error, and its output delta."""
     err = out - target
-    return float(np.mean(err ** 2)), 2.0 * err / len(target)
+    return float(np.mean(err ** 2)), 2.0 * err / err.size
 
 
-def _dense_loss_and_grads(weights, biases, batch, head):
-    """Mean loss and gradients ([*dW, *db]) over (input, target) pairs;
-    head(output, target) returns (loss, output delta)."""
-    def example(pair):
-        acts = _dense_forward(weights, biases, pair[0])
-        loss, delta = head(acts[-1], pair[1])
-        return loss, _dense_backward(weights, acts, delta)
-    return mean_loss_and_grads([*weights, *biases], batch, example)
+def _dense_loss_and_grads(weights, biases, x, targets, head):
+    """Mean loss and gradients ([*dW, *db]) over a (B, d) batch;
+    head(output, targets) returns (loss, output delta)."""
+    acts = _dense_forward(weights, biases, x)
+    loss, delta = head(acts[-1], targets)
+    return loss, _dense_backward(weights, acts, delta)
 
 
 def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
@@ -170,17 +165,14 @@ def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
     the per-epoch losses."""
     return fit_sgdm(
         [*weights, *biases],
-        lambda idx: _dense_loss_and_grads(
-            weights, biases, [(inputs[i], targets[i]) for i in idx], head),
+        lambda idx: _dense_loss_and_grads(weights, biases, inputs[idx],
+                                          targets[idx], head),
         len(inputs), epochs, config, rng)
 
 
 def _dense_predict(weights, biases, features) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    out = np.empty(len(features), dtype=int)
-    for i, x in enumerate(features):
-        out[i] = int(np.argmax(_dense_forward(weights, biases, x)[-1])) + 1
-    return out
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    return np.argmax(_dense_forward(weights, biases, x)[-1], axis=1) + 1
 
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
@@ -216,8 +208,8 @@ def _taper(input_dim: int, hidden: tuple) -> tuple:
 def tmlp_loss_and_grad(model: TaperedMlp, batch):
     """Mean cross-entropy over (features, class) pairs and its exact
     gradients, in [*weights, *biases] order."""
-    return _dense_loss_and_grads(model.weights, model.biases, batch,
-                                 _softmax_cross_entropy)
+    return _dense_loss_and_grads(model.weights, model.biases,
+                                 *stack_examples(batch), cross_entropy)
 
 
 def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
@@ -227,8 +219,8 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
     sizes = _taper(features.shape[1], config.hidden)
     rng = np.random.default_rng(config.seed)
     weights, biases = _init_layers(sizes, rng, config.init_std)
-    _fit_dense(weights, biases, features, labels, _softmax_cross_entropy,
-               config.epochs, config, rng)
+    _fit_dense(weights, biases, features, labels, cross_entropy, config.epochs,
+               config, rng)
     return TaperedMlp(sizes, weights, biases, config)
 
 
@@ -285,9 +277,8 @@ def train_autoencoder_clf(features, labels,
         (config.code_width, NUM_CLASSES), rng, config.init_std)
     recon_trace = _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features,
                              _squared_error, config.recon_epochs, config, rng)
-    codes = np.vstack([_dense_forward([enc_w, dec_w], [enc_b, dec_b], x)[1]
-                       for x in features])
-    _fit_dense([head_w], [head_b], codes, labels, _softmax_cross_entropy,
+    codes = _dense_forward([enc_w, dec_w], [enc_b, dec_b], features)[1]
+    _fit_dense([head_w], [head_b], codes, labels, cross_entropy,
                config.head_epochs, config, rng)
     return AutoencoderClassifier(enc_w, enc_b, dec_w, dec_b, head_w, head_b,
                                  config, recon_trace)

@@ -7,7 +7,7 @@ still assemble the same tables, and two executions of the same comparison
 write byte-identical artifacts.
 
 The four methods sit behind one table (METHOD_TABLE): per method, the input
-features it derives from the feature matrices, its trainer and its
+features it derives from the stacked feature matrices, its trainer and its
 predictor. Comparisons, sweeps and the command line all train and evaluate
 through fit_method and evaluate_method. Within one comparison cell every
 method trains and evaluates on the same train/test index sets and the same
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, metrics, synthgrid, tinycnn
-from .featpipe import FeatureMatrix, featurize
+from .featpipe import featurize
 from .synthgrid import (NUM_CLASSES, ConfigError, Dataset, DatasetConfig,
                         DatasetGrids, MONITORED_BUSES, build_dataset,
                         dataclass_from_json, dataclass_to_json, extract_window)
@@ -45,19 +45,19 @@ class Method(NamedTuple):
     """How one classifier is trained and queried. Its trainer config is the
     ExperimentConfig field named after the method."""
 
-    inputs: Callable   # (config, feature matrices) -> model input
+    inputs: Callable   # (config, (N, H, W) features) -> model input
     fit: Callable      # (inputs, labels, trainer config) -> (model, epoch losses)
     predict: Callable  # (model, inputs) -> class codes
 
 
-def _energy(config, fms):
-    return baselines.energy_feature_set(fms, config.num_intervals)
+def _energy(config, xs):
+    return baselines.energy_feature_set(xs, config.num_intervals)
 
 
-def _fit_cnn(fms, labels, cfg):
-    arch = tinycnn.CnnArch(input_h=len(fms[0].buses), input_w=fms[0].width)
+def _fit_cnn(xs, labels, cfg):
+    arch = tinycnn.CnnArch(*xs.shape[1:])
     model = tinycnn.init_model(arch, cfg.seed, cfg.init_std)
-    return tinycnn.train(model, list(zip(fms, labels)), cfg)
+    return tinycnn.train(model, list(zip(xs, labels)), cfg)
 
 
 # The entries look the trainers and predictors up on their modules at call
@@ -73,11 +73,11 @@ METHOD_TABLE = {
         lambda x, y, cfg: (baselines.train_svm_ovr(x, y, cfg), []),
         lambda model, x: baselines.svm_predict(model, x)),
     "tmlp": Method(
-        lambda config, fms: baselines.flatten_features(fms),
+        lambda config, xs: baselines.flatten_features(xs),
         lambda x, y, cfg: (baselines.train_tmlp(x, y, cfg), []),
         lambda model, x: baselines.tmlp_predict(model, x)),
     "cnn": Method(
-        lambda config, fms: fms,
+        lambda config, xs: xs,
         _fit_cnn,
         lambda model, x: tinycnn.predict_batch(model, x)),
 }
@@ -241,14 +241,16 @@ class RunResult:
     model: object
 
 
-def featurize_dataset(dataset: Dataset, buses, jitter: bool = True):
-    """Window + featurize every record; labels ride along on the matrices."""
-    out = []
-    for rec in dataset.records:
-        window = extract_window(rec, jitter=jitter)
-        fm = featurize(window, buses)
-        out.append(FeatureMatrix(fm.values, fm.buses, rec.label))
-    return out
+class Features(NamedTuple):
+    values: np.ndarray  # (N, buses, W) float64, one feature matrix per record
+    labels: np.ndarray  # (N,) class codes
+
+
+def featurize_dataset(dataset: Dataset, buses, jitter: bool = True) -> Features:
+    """Window and featurize every record, stacked in record order."""
+    values = [featurize(extract_window(rec, jitter=jitter), buses).values
+              for rec in dataset.records]
+    return Features(np.stack(values), dataset.labels)
 
 
 def _build(config: ExperimentConfig, fs: float, repeat: int) -> Dataset:
@@ -261,7 +263,7 @@ def _build(config: ExperimentConfig, fs: float, repeat: int) -> Dataset:
 
 def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
                        repeat: int = 0):
-    """Feature matrices of every record plus the repeat's stratified split."""
+    """Features of every record plus the repeat's stratified split."""
     try:
         features = featurize_dataset(dataset, buses, jitter=config.jitter)
     except Exception as exc:
@@ -279,20 +281,19 @@ def _prepare(config: ExperimentConfig, fs: float, buses, repeat: int):
     return features_and_split(config, dataset, buses, repeat)
 
 
-def _subset(features, index):
-    return ([features[i] for i in index],
-            np.array([features[i].label for i in index], dtype=int))
+def _subset(features: Features, index):
+    return features.values[index], features.labels[index]
 
 
 def fit_method(config: ExperimentConfig, method: str, features, split: SplitIndex,
                repeat: int = 0):
     """Train one method on the split's training records with the repeat's
     seed; returns (model, per-epoch losses)."""
-    fms, labels = _subset(features, split.train)
+    xs, labels = _subset(features, split.train)
     seed = derive_seed(config.seed, repeat, _STAGE_TRAIN, METHODS.index(method))
     m = METHOD_TABLE[method]
     try:
-        return m.fit(m.inputs(config, fms), labels,
+        return m.fit(m.inputs(config, xs), labels,
                      replace(getattr(config, method), seed=seed))
     except Exception as exc:
         raise PipelineError(f"train[{method}]", exc) from exc
@@ -301,10 +302,10 @@ def fit_method(config: ExperimentConfig, method: str, features, split: SplitInde
 def evaluate_method(config: ExperimentConfig, method: str, model, features,
                     split: SplitIndex):
     """Metrics report and confusion matrix on the split's test records."""
-    fms, labels = _subset(features, split.test)
+    xs, labels = _subset(features, split.test)
     m = METHOD_TABLE[method]
     try:
-        cm = metrics.confusion(m.predict(model, m.inputs(config, fms)), labels)
+        cm = metrics.confusion(m.predict(model, m.inputs(config, xs)), labels)
         return metrics.aggregate(cm), cm
     except Exception as exc:
         raise PipelineError("evaluate", exc) from exc

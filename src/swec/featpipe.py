@@ -40,13 +40,11 @@ PEAK_EPS = 1e-12
 class FeatureMatrix:
     """Stacked normalized detail-coefficient rows, one per monitored bus.
 
-    values has shape (B, L) with entries in [0, 1]; buses are ascending ids;
-    label is the event class code (1..4) when known, else None.
+    values has shape (B, L) with entries in [0, 1]; buses are ascending ids.
     """
 
     values: np.ndarray
     buses: tuple[int, ...]
-    label: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

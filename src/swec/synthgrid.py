@@ -745,7 +745,9 @@ def load_dataset(in_dir) -> Dataset:
     """Inverse of save_dataset; waveform values round-trip bit-identically.
     Every key save_dataset writes is required, record i must carry index i,
     and the records' class counts must equal the grid's; a violation is a
-    ValueError naming the manifest and the key or record."""
+    ValueError naming the manifest and the key or record. Every waveform
+    file must hold round(fs * duration) rows of 1 + 9 fields after its
+    header; a violation is a ValueError naming the file and the line."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     try:
@@ -795,6 +797,8 @@ def load_dataset(in_dir) -> Dataset:
         raise ValueError(f"{manifest_path}: {len(specs)} records with class counts "
                          f"{found} and counts {manifest['counts']!r}; the grids "
                          f"give {counts}")
+    width = 1 + 3 * len(MONITORED_BUSES)
+    n = round(cfg.fs * cfg.duration)
     records = []
     for i, (entry, spec) in enumerate(zip(manifest["records"], specs)):
         path = root / "waveforms" / f"evt_{i}.csv"
@@ -804,14 +808,20 @@ def load_dataset(in_dir) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise ValueError(f"{path}: empty waveform file")
-            if len(header) != 1 + 3 * len(MONITORED_BUSES):
+            if len(header) != width:
                 raise ValueError(f"{path}: line 1: bad header {header!r}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise ValueError(f"{path}: line {lineno}: {len(row)} fields, "
+                                     f"expected {width}")
                 try:
                     rows.append([float(v) for v in row[1:]])
-                except (ValueError, IndexError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        data = np.array(rows).T.reshape(len(MONITORED_BUSES), 3, -1)
+        if len(rows) != n:
+            raise ValueError(f"{path}: line {min(len(rows), n) + 2}: {len(rows)} "
+                             f"sample rows, expected {n}")
+        data = np.array(rows).T.reshape(len(MONITORED_BUSES), 3, n)
         records.append(WaveformRecord(spec, cfg.fs, cfg.duration, data, entry["seed"]))
     return Dataset(records, cfg.fs, cfg.seed, counts, cfg)

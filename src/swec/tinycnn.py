@@ -1,18 +1,22 @@
 """Minimal convolutional classifier, written out by hand in numpy.
 
 One valid-mode convolutional layer (ten 2x20 filters by default), ReLU,
-1x2 max pooling, one fully connected layer, and a softmax head, trained
-with mini-batch stochastic gradient descent with momentum on the
-cross-entropy loss. Double precision throughout so the finite-difference
-gradient oracle and the bit-determinism contracts are sharp.
+1x2 max pooling (the left column wins ties), one fully connected layer, and
+a softmax head, trained with mini-batch stochastic gradient descent with
+momentum on the cross-entropy loss. Double precision throughout so the
+finite-difference gradient oracle and the bit-determinism contracts are
+sharp.
 
 Filter dimensions clamp to the input when a sweep configuration makes the
 feature matrix smaller than the nominal 2x20 filter; the width additionally
 backs off by one column when the valid convolution would leave a single
 column, which would make the 1x2 pool empty.
 
-The minibatch engine (fit_sgdm and its helpers) also trains the dense
-baselines.
+Training and prediction run one batch at a time: the batch's im2col
+patches sit in one matrix, so the convolution and its weight gradient are one
+GEMM each (Chellapilla, Puri & Simard, 2006). The minibatch engine
+(fit_sgdm) and the batched softmax cross-entropy head (cross_entropy) also
+train the dense baselines.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +44,7 @@ class CnnArch:
     num_filters: int = 10
     filter_h: int = 2
     filter_w: int = 20
-    pool_w: int = 2
+    pool_w: ClassVar[int] = 2  # the batch kernel pools column pairs
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
@@ -124,120 +129,99 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def im2col(x: np.ndarray, arch: CnnArch) -> np.ndarray:
-    """Valid-mode patches, shape (conv_h * conv_w, eff_fh * eff_fw)."""
+def stack_examples(pairs):
+    """Inputs stacked on a new first axis and the (B,) class codes of a
+    sequence of (input, class code) pairs."""
+    if len(pairs) == 0:
+        raise ValueError("no examples")
+    return (np.stack([_as_matrix(x) for x, _ in pairs]),
+            np.array([int(label) for _, label in pairs]))
+
+
+def im2col(xs: np.ndarray, arch: CnnArch) -> np.ndarray:
+    """Valid-mode patches of a (B, H, W) batch, transposed to
+    (eff_fh * eff_fw, B * conv_h * conv_w) so the convolution is one GEMM."""
     fh, fw = arch.eff_filter_h, arch.eff_filter_w
-    windows = np.lib.stride_tricks.sliding_window_view(x, (fh, fw))
-    return windows.reshape(arch.conv_h * arch.conv_w, fh * fw)
+    windows = np.lib.stride_tricks.sliding_window_view(xs, (fh, fw), axis=(1, 2))
+    return windows.transpose(3, 4, 0, 1, 2).reshape(fh * fw, -1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_patches(model: CnnModel, patches: np.ndarray):
+def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
+    """Logits (B, classes) of a (B, H, W) batch, plus the backprop cache.
+
+    Filter-major throughout: the pre-activations are (F, B, conv_h, conv_w).
+    Pooling runs before the ReLU (the two commute) and takes the right
+    column only where it is strictly larger, so ties go to the left one."""
     arch = model.arch
-    w_flat = model.conv_w.reshape(arch.num_filters, -1)
-    pre = (patches @ w_flat.T).T.reshape(arch.num_filters, arch.conv_h, arch.conv_w)
-    pre += model.conv_b[:, None, None]
-    relu = np.maximum(pre, 0.0)
-    trimmed = relu[:, :, : arch.pooled_w * arch.pool_w].reshape(
-        arch.num_filters, arch.conv_h, arch.pooled_w, arch.pool_w
-    )
-    winners = trimmed.argmax(axis=3)
-    pooled = np.take_along_axis(trimmed, winners[..., None], axis=3)[..., 0]
-    flat = pooled.reshape(-1)
-    logits = model.fc_w @ flat + model.fc_b
-    probs = softmax(logits)
-    cache = {"patches": patches, "pre": pre, "winners": winners, "flat": flat,
-             "probs": probs}
-    return probs, cache
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or xs.shape[1:] != (arch.input_h, arch.input_w):
+        raise ValueError(f"input shape {xs.shape[1:]} does not match architecture "
+                         f"{(arch.input_h, arch.input_w)}")
+    f, b = arch.num_filters, len(xs)
+    cols = im2col(xs, arch)
+    pre = (model.conv_w.reshape(f, -1) @ cols).reshape(f, b, arch.conv_h, arch.conv_w)
+    pre += model.conv_b[:, None, None, None]
+    pairs = pre[..., : arch.pooled_w * arch.pool_w].reshape(
+        f, b, arch.conv_h, arch.pooled_w, arch.pool_w)
+    right = pairs[..., 1] > pairs[..., 0]
+    pooled = np.maximum(np.maximum(pairs[..., 0], pairs[..., 1]), 0.0)
+    flat = pooled.transpose(1, 0, 2, 3).reshape(b, -1)
+    logits = flat @ model.fc_w.T + model.fc_b
+    return logits, {"cols": cols, "pre": pre, "right": right, "pooled": pooled,
+                    "flat": flat}
 
 
 def forward(model: CnnModel, x) -> tuple[np.ndarray, dict]:
-    """Class probabilities for one feature matrix, plus the backprop cache."""
-    x = _as_matrix(x)
-    arch = model.arch
-    if x.shape != (arch.input_h, arch.input_w):
-        raise ValueError(
-            f"input shape {x.shape} does not match architecture "
-            f"{(arch.input_h, arch.input_w)}"
-        )
-    return _forward_patches(model, im2col(x, arch))
+    """Class probabilities for one feature matrix, plus its pre-activations
+    (F, conv_h, conv_w) and flattened pooled activations."""
+    logits, cache = _forward_batch(model, _as_matrix(x)[None])
+    return softmax(logits[0]), {"pre": cache["pre"][:, 0], "flat": cache["flat"][0]}
 
 
-def _backward(model: CnnModel, cache: dict, dlogits: np.ndarray) -> list:
-    """Gradients of one example, in params() order."""
+def batch_loss_and_grads(model: CnnModel, xs, labels):
+    """Mean cross-entropy over a (B, H, W) batch with (B,) class codes, and
+    its gradients in params() order."""
     arch = model.arch
-    dflat = model.fc_w.T @ dlogits
-    dpool = dflat.reshape(arch.num_filters, arch.conv_h, arch.pooled_w)
-    dtrim = np.zeros(
-        (arch.num_filters, arch.conv_h, arch.pooled_w, arch.pool_w)
-    )
-    np.put_along_axis(dtrim, cache["winners"][..., None], dpool[..., None], axis=3)
+    f, b = arch.num_filters, len(xs)
+    logits, cache = _forward_batch(model, xs)
+    loss, dlogits = cross_entropy(logits, labels)
+    dpooled = (dlogits @ model.fc_w).reshape(b, f, arch.conv_h, arch.pooled_w)
+    dpooled = dpooled.transpose(1, 0, 2, 3) * (cache["pooled"] > 0.0)
+    to_right = dpooled * cache["right"]
     dpre = np.zeros_like(cache["pre"])
-    dpre[:, :, : arch.pooled_w * arch.pool_w] = dtrim.reshape(
-        arch.num_filters, arch.conv_h, arch.pooled_w * arch.pool_w
-    )
-    dpre *= cache["pre"] > 0.0
-    dpre_flat = dpre.reshape(arch.num_filters, -1)
-    return [(dpre_flat @ cache["patches"]).reshape(model.conv_w.shape),
-            dpre_flat.sum(axis=1), np.outer(dlogits, cache["flat"]), dlogits]
-
-
-def _cnn_loss_and_grads(model: CnnModel, examples):
-    """Mean cross-entropy and gradients (params() order) over (patches,
-    class code) pairs."""
-    def example(pair):
-        probs, cache = _forward_patches(model, pair[0])
-        loss, dlogits = cross_entropy(probs, pair[1])
-        return loss, _backward(model, cache, dlogits)
-    return mean_loss_and_grads(model.params().values(), examples, example)
+    pooled_cols = arch.pooled_w * arch.pool_w
+    dpre[..., 1:pooled_cols:2] = to_right
+    dpre[..., 0:pooled_cols:2] = dpooled - to_right
+    dpre = dpre.reshape(f, -1)
+    return loss, [(dpre @ cache["cols"].T).reshape(model.conv_w.shape),
+                  dpre.sum(axis=1), dlogits.T @ cache["flat"], dlogits.sum(axis=0)]
 
 
 def loss_and_grad(model: CnnModel, batch) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over (feature matrix, class code) pairs + gradients."""
-    examples = []
-    for x, label in batch:
-        x = _as_matrix(x)
-        if x.shape != (model.arch.input_h, model.arch.input_w):
-            raise ValueError(f"batch item shape {x.shape} does not match arch")
-        if not 1 <= int(label) <= model.arch.num_classes:
-            raise ValueError(f"class code {label} outside 1..{model.arch.num_classes}")
-        examples.append((im2col(x, model.arch), int(label)))
-    loss, grads = _cnn_loss_and_grads(model, examples)
+    loss, grads = batch_loss_and_grads(model, *stack_examples(batch))
     return loss, dict(zip(model.params(), grads))
 
 
 # ── Training engine (shared with the dense baselines) ────────────────────────
 
-def cross_entropy(probs: np.ndarray, label: int):
-    """Loss -log p[label] and its logit delta probs - onehot(label), for the
-    softmax output probs and a class code label in 1..len(probs)."""
-    delta = probs.copy()
-    delta[label - 1] -= 1.0
-    return -np.log(probs[label - 1]), delta
-
-
-def mean_loss_and_grads(params, examples, example_loss_grads):
-    """Mean loss and mean gradients over a batch. example_loss_grads(example)
-    returns (loss, gradients parallel to params); the gradients are summed
-    onto zeros in example order, then divided by the batch length."""
-    if not examples:
-        raise ValueError("empty batch")
-    total = 0.0
-    grads = [np.zeros_like(p) for p in params]
-    for example in examples:
-        loss, example_grads = example_loss_grads(example)
-        total += loss
-        for acc, g in zip(grads, example_grads):
-            acc += g
-    n = len(examples)
-    for g in grads:
-        g /= n
-    return total / n, grads
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean loss -log softmax(logits)[label] over a (B, classes) batch with
+    (B,) class codes, and its logit delta (softmax - onehot) / B."""
+    if labels.min() < 1 or labels.max() > logits.shape[1]:
+        raise ValueError(f"class codes {np.unique(labels).tolist()} outside "
+                         f"1..{logits.shape[1]}")
+    probs = softmax(logits)
+    at = np.arange(len(labels)), labels - 1
+    loss = float(-np.log(probs[at]).mean())
+    probs[at] -= 1.0
+    return loss, probs / len(labels)
 
 
 def sgdm_step(params, grads, velocity, cfg) -> None:
@@ -273,24 +257,25 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
 
 
 def train(model: CnnModel, train_set, cfg: TrainConfig):
-    """Epoch loop with seeded reshuffling; returns (model, per-epoch losses)."""
-    examples = [(im2col(_as_matrix(x), model.arch), int(label))
-                for x, label in train_set]
+    """Epoch loop with seeded reshuffling over (feature matrix, class code)
+    pairs, stacked once; returns (model, per-epoch losses)."""
+    xs, labels = stack_examples(train_set)
     losses = fit_sgdm(
         list(model.params().values()),
-        lambda idx: _cnn_loss_and_grads(model, [examples[i] for i in idx]),
-        len(examples), cfg.epochs, cfg, np.random.default_rng(cfg.seed))
+        lambda idx: batch_loss_and_grads(model, xs[idx], labels[idx]),
+        len(xs), cfg.epochs, cfg, np.random.default_rng(cfg.seed))
     return model, losses
 
 
-def predict(model: CnnModel, x) -> int:
-    """Most probable class code; ties resolve to the lowest code."""
-    probs, _ = forward(model, x)
-    return int(np.argmax(probs)) + 1
-
-
 def predict_batch(model: CnnModel, xs) -> np.ndarray:
-    return np.array([predict(model, x) for x in xs], dtype=int)
+    """Most probable class code of each (H, W) input of xs; ties resolve to
+    the lowest code."""
+    return np.argmax(_forward_batch(model, xs)[0], axis=1) + 1
+
+
+def predict(model: CnnModel, x) -> int:
+    """predict_batch of one feature matrix."""
+    return int(predict_batch(model, _as_matrix(x)[None])[0])
 
 
 # ── Finite-difference verification ───────────────────────────────────────────
@@ -309,11 +294,11 @@ def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheck
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    patches = im2col(_as_matrix(x), model.arch)
-    _, grads = _cnn_loss_and_grads(model, [(patches, label)])
+    xs, labels = _as_matrix(x)[None], np.array([label])
+    _, grads = batch_loss_and_grads(model, xs, labels)
     params = model.params()
     errors = central_difference_errors(
-        lambda: cross_entropy(_forward_patches(model, patches)[0], label)[0],
+        lambda: cross_entropy(_forward_batch(model, xs)[0], labels)[0],
         params.values(), grads, h)
     per_tensor = dict(zip(params, errors))
     count = sum(p.size for p in params.values())

@@ -7,6 +7,8 @@ reproducibility of persisted artifacts.
 """
 
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ REFERENCE_CM = np.array([
 ])
 
 FULL_BUSES = (632, 671, 675)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _criterion(num, ok, detail):
@@ -115,6 +119,17 @@ def comparison(default_config):
     return expharness.compare_methods(default_config)
 
 
+@pytest.fixture(scope="module")
+def rate_rows(default_config):
+    return expharness.sweep_sampling_rate(
+        replace(default_config, fs_list=(1250.0, 20000.0)))
+
+
+@pytest.fixture(scope="module")
+def placement_rows(default_config):
+    return expharness.sweep_placement(default_config)
+
+
 class TestCriterion6EndToEnd:
     def test_default_run_accuracy(self, comparison):
         start = time.time()
@@ -126,12 +141,9 @@ class TestCriterion6EndToEnd:
 
 
 class TestCriterion7SamplingRateTrend:
-    def test_rate_gap(self, default_config):
-        from dataclasses import replace
-        cfg = replace(default_config, fs_list=(1250.0, 20000.0))
-        rows = expharness.sweep_sampling_rate(cfg)
-        low = rows[0].mean_accuracy
-        high = rows[-1].mean_accuracy
+    def test_rate_gap(self, rate_rows):
+        low = rate_rows[0].mean_accuracy
+        high = rate_rows[-1].mean_accuracy
         _criterion(7, high - low >= 0.10,
                    f"mean accuracy {high:.3f} @20kHz vs {low:.3f} @1.25kHz")
 
@@ -152,9 +164,8 @@ class TestCriterion8MethodOrdering:
 
 
 class TestCriterion9PlacementTrend:
-    def test_three_units_vs_singles(self, default_config):
-        rows = expharness.sweep_placement(default_config)
-        by_key = {r.key: r.mean_accuracy for r in rows}
+    def test_three_units_vs_singles(self, placement_rows):
+        by_key = {r.key: r.mean_accuracy for r in placement_rows}
         full = by_key[FULL_BUSES]
         singles = {k: v for k, v in by_key.items() if len(k) == 1}
         ok = all(full >= v - 0.02 for v in singles.values())
@@ -178,3 +189,21 @@ class TestCriterion10Determinism:
         _criterion(10, not mismatched,
                    "all artifacts byte-identical" if not mismatched
                    else f"mismatch in {mismatched}")
+
+
+class TestGoldenTables:
+    """The default comparison, placement and sampling-rate tables, exactly as
+    recorded in tests/golden/ (two-decimal percentages). A change to a cell
+    needs a stated cause; re-recording a table to hide one is not a fix."""
+
+    def test_compare_table(self, comparison):
+        assert expharness.comparison_rows(comparison) == \
+            expharness.load_report(GOLDEN / "compare.csv")
+
+    def test_placement_table(self, placement_rows):
+        assert expharness.sweep_rows(placement_rows, "buses") == \
+            expharness.load_report(GOLDEN / "placement.csv")
+
+    def test_sampling_rate_table(self, rate_rows):
+        assert expharness.sweep_rows(rate_rows, "fs") == \
+            expharness.load_report(GOLDEN / "sampling_rate.csv")

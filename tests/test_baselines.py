@@ -7,7 +7,7 @@ from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
                             tmlp_predict, train_autoencoder_clf,
                             train_svm_ovr, train_tmlp, tmlp_loss_and_grad)
 from swec.featpipe import FeatureMatrix
-from swec.tinycnn import central_difference_errors
+from swec.tinycnn import central_difference_errors, cross_entropy
 
 
 def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
@@ -57,6 +57,20 @@ class TestEnergyFeatures:
         half = len(f_top) // 2
         np.testing.assert_allclose(f_top[:half], f_sw[half:])
         np.testing.assert_allclose(f_top[half:], f_sw[:half])
+
+    def test_stack_matches_per_interval_loop(self):
+        xs = np.random.default_rng(2).random((5, 3, 37))
+        bounds = [0, 4, 8, 12, 16, 20, 24, 28, 37]  # the last absorbs 37 % 8
+        want = []
+        for fm in xs:
+            stats = []
+            for row in fm:
+                for lo, hi in zip(bounds, bounds[1:]):
+                    c = row[lo:hi]
+                    stats += [c.mean(), c.sum(), np.sqrt(np.sum(c * c)), np.abs(c).max()]
+            want.append(stats)
+        np.testing.assert_allclose(baselines.energy_feature_set(xs, 8), want,
+                                   rtol=1e-14, atol=0.0)
 
     def test_invalid_interval_count(self):
         fm = FeatureMatrix(np.zeros((1, 8)), (632,))
@@ -136,6 +150,12 @@ class TestTaperedMlp:
         with pytest.raises(ValueError):
             train_tmlp(X, y, MlpConfig(hidden=(8, 8), epochs=1))
 
+    def test_class_code_outside_range_rejected(self):
+        X, y = separable_clouds()
+        y[0] = 0
+        with pytest.raises(ValueError, match="class codes"):
+            train_tmlp(X, y, MlpConfig(epochs=1, seed=1))
+
     def test_empty_batch_rejected(self):
         X, y = separable_clouds()
         model = train_tmlp(X, y, MlpConfig(epochs=1, seed=1))
@@ -184,16 +204,50 @@ class TestAutoencoder:
         rng = np.random.default_rng(22)
         weights = [rng.normal(0.0, 0.5, (3, 5)), rng.normal(0.0, 0.5, (5, 3))]
         biases = [rng.normal(0.0, 0.1, 3), rng.normal(0.0, 0.1, 5)]
-        batch = [(x, x) for x in rng.random((2, 5))]
+        xs = rng.random((2, 5))
 
         def loss_and_grads():
-            return baselines._dense_loss_and_grads(weights, biases, batch,
+            return baselines._dense_loss_and_grads(weights, biases, xs, xs,
                                                    baselines._squared_error)
 
         _, grads = loss_and_grads()
         errors = central_difference_errors(lambda: loss_and_grads()[0],
                                            [*weights, *biases], grads, 1e-5)
         assert max(errors) < 1e-4
+
+
+class TestDenseBatchRelations:
+    """The dense kernel on a batch against its B = 1 calls and against the
+    same batch permuted, for both heads."""
+
+    @pytest.fixture(params=["cross_entropy", "squared_error"])
+    def case(self, request):
+        rng = np.random.default_rng(23)
+        weights = [rng.normal(0.0, 0.3, (6, 12)), rng.normal(0.0, 0.3, (4, 6))]
+        biases = [rng.normal(0.0, 0.1, 6), rng.normal(0.0, 0.1, 4)]
+        xs = rng.random((8, 12))
+        if request.param == "cross_entropy":
+            return weights, biases, xs, rng.integers(1, 5, 8), cross_entropy
+        return weights, biases, xs, rng.random((8, 4)), baselines._squared_error
+
+    def test_batch_equals_mean_of_single_examples(self, case):
+        weights, biases, xs, targets, head = case
+        _, grads = baselines._dense_loss_and_grads(weights, biases, xs, targets, head)
+        singles = [baselines._dense_loss_and_grads(weights, biases, xs[i:i + 1],
+                                                   targets[i:i + 1], head)[1]
+                   for i in range(len(xs))]
+        for k, g in enumerate(grads):
+            mean = np.mean([s[k] for s in singles], axis=0)
+            assert np.abs(g - mean).max() <= 1e-14 * np.abs(g).max()
+
+    def test_permuted_batch_same_gradients(self, case):
+        weights, biases, xs, targets, head = case
+        perm = np.random.default_rng(24).permutation(len(xs))
+        _, grads = baselines._dense_loss_and_grads(weights, biases, xs, targets, head)
+        _, permuted = baselines._dense_loss_and_grads(weights, biases, xs[perm],
+                                                      targets[perm], head)
+        for g, p in zip(grads, permuted):
+            assert np.abs(g - p).max() <= 1e-11 * np.abs(g).max()
 
 
 class TestModelFiles:

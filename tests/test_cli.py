@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swec
 from swec import cli, expharness
 from conftest import tiny_config
 
@@ -23,6 +28,16 @@ def run_cli(capsys, *argv):
 
 
 class TestUsage:
+    def test_module_entry_point_starts_without_warnings(self):
+        src = str(Path(swec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "swec.cli", "--help"],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_no_arguments_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -127,9 +142,14 @@ class TestWorkflow:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("damage", ["drop_fs", "drop_first_record"])
-    def test_inconsistent_manifest_fails_cleanly(self, damage, capsys, tmp_path,
-                                                 tiny_config_file):
+    @pytest.mark.parametrize("damage, where, what", [
+        ("drop_fs", "manifest.json", "'fs'"),
+        ("drop_first_record", "manifest.json", "record 0"),
+        ("cut_waveform", "evt_0.csv", "line 201"),
+        ("drop_field", "evt_0.csv", "line 3"),
+    ], ids=["drop_fs", "drop_first_record", "cut_waveform", "drop_field"])
+    def test_inconsistent_manifest_fails_cleanly(self, damage, where, what, capsys,
+                                                 tmp_path, tiny_config_file):
         data_dir = tmp_path / "data"
         model_path = tmp_path / "model.bin"
         run_cli(capsys, "generate", "--config", str(tiny_config_file),
@@ -140,16 +160,22 @@ class TestWorkflow:
         manifest = json.loads(manifest_path.read_text())
         if damage == "drop_fs":
             del manifest["fs"]
-        else:
+        elif damage == "drop_first_record":
             del manifest["records"][0]
         manifest_path.write_text(json.dumps(manifest))
+        waveform = data_dir / "waveforms" / "evt_0.csv"
+        lines = waveform.read_text().splitlines()
+        if damage == "cut_waveform":
+            lines = lines[:200]
+        elif damage == "drop_field":
+            lines[2] = lines[2].rsplit(",", 1)[0]
+        waveform.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
                                  "--model", str(model_path), "--data", str(data_dir))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "manifest.json" in err
-        assert ("'fs'" if damage == "drop_fs" else "record 0") in err
+        assert where in err and what in err
 
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data",

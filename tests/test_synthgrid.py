@@ -284,6 +284,19 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError):
             synthgrid.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lines: lines[:200], "line 201: 199 sample rows, expected 300"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+         "line 4: 9 fields, expected 10"),
+        (lambda lines: lines + lines[-1:], "line 302: 301 sample rows, expected 300"),
+    ], ids=["cut_rows", "missing_field", "extra_row"])
+    def test_damaged_waveform_rejected(self, damage, message, tiny_dataset, tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        target = out / "waveforms" / "evt_1.csv"
+        target.write_text("\n".join(damage(target.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=r"evt_1\.csv: " + message):
+            synthgrid.load_dataset(out)
+
     def test_corrupt_waveform_line_reports_location(self, tiny_dataset, tmp_path):
         out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
         target = out / "waveforms" / "evt_1.csv"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from swec import tinycnn
-from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, fit_sgdm, forward,
-                          grad_check, init_model, loss_and_grad,
+from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, batch_loss_and_grads,
+                          fit_sgdm, forward, grad_check, init_model, loss_and_grad,
                           make_gradcheck_case, predict, sgdm_step, softmax,
                           train, zero_state)
 
@@ -160,6 +160,51 @@ class TestLossGrad:
         assert set(report.per_tensor) == {"conv_w", "conv_b", "fc_w", "fc_b"}
         expected = sum(p.size for p in model.params().values())
         assert report.num_parameters == expected
+
+
+class TestBatchRelations:
+    """The batch kernel against its B = 1 calls and against the same batch
+    permuted. Permuting reorders the sums inside each GEMM, so it holds to
+    rounding rather than to the last bit."""
+
+    def _case(self):
+        rng = np.random.default_rng(21)
+        model = init_model(CnnArch(3, 166), seed=21, init_std=0.3)
+        return model, rng.random((8, 3, 166)), rng.integers(1, 5, 8)
+
+    def test_batch_equals_mean_of_single_examples(self):
+        model, xs, labels = self._case()
+        _, grads = batch_loss_and_grads(model, xs, labels)
+        singles = [batch_loss_and_grads(model, xs[i:i + 1], labels[i:i + 1])[1]
+                   for i in range(len(xs))]
+        for k, g in enumerate(grads):
+            mean = np.mean([s[k] for s in singles], axis=0)
+            assert np.abs(g - mean).max() <= 1e-14 * np.abs(g).max()
+
+    def test_permuted_batch_same_gradients(self):
+        model, xs, labels = self._case()
+        perm = np.random.default_rng(22).permutation(len(xs))
+        _, grads = batch_loss_and_grads(model, xs, labels)
+        _, permuted = batch_loss_and_grads(model, xs[perm], labels[perm])
+        for g, p in zip(grads, permuted):
+            assert np.abs(g - p).max() <= 1e-11 * np.abs(g).max()
+
+    def test_pool_tie_goes_to_left_column(self):
+        # both pool columns pre-activate to 1.0 but see different patches
+        arch = CnnArch(input_h=1, input_w=3, num_filters=1, filter_h=1, filter_w=2)
+        model = manual_model(arch, np.ones((1, 1, 2)), [0.0],
+                             np.arange(1.0, 5.0)[:, None], np.zeros(4))
+        _, tie = batch_loss_and_grads(model, np.array([[[1.0, 0.0, 1.0]]]),
+                                      np.array([1]))
+        _, left = batch_loss_and_grads(model, np.array([[[1.0, 0.0, 0.5]]]),
+                                       np.array([1]))
+        np.testing.assert_array_equal(tie[0], left[0])
+        assert tie[0][0, 0, 0] != 0.0 and tie[0][0, 0, 1] == 0.0
+
+    def test_class_code_out_of_range_rejected(self):
+        model = init_model(CnnArch(3, 24), seed=0)
+        with pytest.raises(ValueError, match="class codes"):
+            batch_loss_and_grads(model, np.zeros((2, 3, 24)), np.array([1, 5]))
 
 
 class TestSgdm:
