@@ -17,10 +17,11 @@ record generation can be scheduled in any order.
 
 from __future__ import annotations
 
-import csv
+import functools
+import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -355,11 +356,15 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Labeled records whose samples are views into one C-contiguous
+    (records, buses, phases, samples) float64 array, `samples`."""
+
     records: list
     fs: float
     seed: int
     counts: tuple
     config: DatasetConfig
+    samples: np.ndarray
 
     def __len__(self) -> int:
         return len(self.records)
@@ -392,8 +397,10 @@ def _validate_amplitude(amplitude: float):
         raise ValueError(f"amplitude {amplitude} drives buses outside [0.9, 1.1] pu")
 
 
+@functools.lru_cache(maxsize=8)
 def _clean_base(fs: float, duration: float, amplitude: float) -> np.ndarray:
-    """Noiseless balanced steady state, shape (buses, phases, samples)."""
+    """Noiseless balanced steady state, shape (buses, phases, samples);
+    computed once per (fs, duration, amplitude) and returned read-only."""
     n = round(fs * duration)
     t = np.arange(n) / fs
     out = np.empty((len(MONITORED_BUSES), 3, n))
@@ -402,6 +409,7 @@ def _clean_base(fs: float, duration: float, amplitude: float) -> np.ndarray:
             out[b, p] = amplitude * BUS_AMPLITUDE[bus] * np.cos(
                 2.0 * math.pi * F0 * t + phase_off + BUS_PHASE[bus]
             )
+    out.flags.writeable = False
     return out
 
 
@@ -628,16 +636,22 @@ def record_seed(global_seed: int, index: int) -> int:
 
 
 def build_dataset(config: DatasetConfig) -> Dataset:
-    """Expand the configured grids into the full labeled record set."""
+    """Expand the configured grids into the full labeled record set, each
+    record synthesized straight into its slot of one stacked array."""
     specs = config.grids.specs(config.event_time)
+    samples = np.empty((len(specs), len(MONITORED_BUSES), 3,
+                        round(config.fs * config.duration)))
     records = []
     for idx, spec in enumerate(specs):
-        records.append(synth_event(
+        rec = synth_event(
             spec, config.fs, record_seed(config.seed, idx),
             snr_db=config.snr_db, duration=config.duration,
             amplitude=config.amplitude,
-        ))
-    return Dataset(records, config.fs, config.seed, config.grids.counts, config)
+        )
+        samples[idx] = rec.samples
+        records.append(replace(rec, samples=samples[idx]))
+    return Dataset(records, config.fs, config.seed, config.grids.counts, config,
+                   samples)
 
 
 # ── Post-detection window ────────────────────────────────────────────────────
@@ -680,7 +694,8 @@ def extract_window(
 
 # ── Dataset directory persistence ────────────────────────────────────────────
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+WAVEFORMS_FILE = "waveforms.npy"
 
 
 def _spec_to_json(spec: EventSpec | None) -> dict | None:
@@ -705,9 +720,10 @@ def _spec_from_json(obj: dict | None) -> EventSpec | None:
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest.json plus one full-precision CSV per record."""
+    """Write manifest.json plus waveforms.npy, the dataset's stacked samples
+    as one little-endian float64 .npy array whose sha256 the manifest keeps."""
     out = Path(out_dir)
-    (out / "waveforms").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     cfg = dataset.config
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -720,34 +736,31 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         "amplitude": cfg.amplitude,
         "counts": list(dataset.counts),
         "grids": dataclass_to_json(cfg.grids),
+        "waveforms_sha256": waveforms_sha256(dataset.samples),
         "records": [
             {"index": i, "seed": r.seed, "spec": _spec_to_json(r.spec)}
             for i, r in enumerate(dataset.records)
         ],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    header = ["t"]
-    for bus in MONITORED_BUSES:
-        header += [f"{bus}_va", f"{bus}_vb", f"{bus}_vc"]
-    for i, rec in enumerate(dataset.records):
-        n = rec.num_samples
-        flat = rec.samples.reshape(-1, n)  # bus-major, phase-minor rows
-        with open(out / "waveforms" / f"evt_{i}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for j in range(n):
-                writer.writerow([repr(j / rec.fs)]
-                                + [repr(float(v)) for v in flat[:, j]])
+    np.save(out / WAVEFORMS_FILE, dataset.samples)
     return out
+
+
+def waveforms_sha256(samples: np.ndarray) -> str:
+    """sha256 of the little-endian float64 bytes of samples in C order."""
+    return hashlib.sha256(np.ascontiguousarray(samples, dtype="<f8")).hexdigest()
 
 
 def load_dataset(in_dir) -> Dataset:
     """Inverse of save_dataset; waveform values round-trip bit-identically.
-    Every key save_dataset writes is required, record i must carry index i,
-    and the records' class counts must equal the grid's; a violation is a
-    ValueError naming the manifest and the key or record. Every waveform
-    file must hold round(fs * duration) rows of 1 + 9 fields after its
-    header; a violation is a ValueError naming the file and the line."""
+    The schema version is checked first; then every key save_dataset writes
+    is required, record i must carry index i, and the records' class counts
+    must equal the grid's; a violation is a ValueError naming the manifest
+    and the key or record. waveforms.npy must be a readable .npy array of
+    dtype <f8 and shape (records, buses, 3, round(fs * duration)) whose
+    sha256 matches the manifest and whose values are all finite; a violation
+    is a ValueError naming the file (and the record, for a non-finite value)."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     try:
@@ -765,13 +778,15 @@ def load_dataset(in_dir) -> Dataset:
             if key not in obj:
                 raise ValueError(f"{manifest_path}: {where}missing key {key!r}")
 
-    config_keys = [f.name for f in fields(DatasetConfig)]
-    require(manifest, ["schema_version", *config_keys, "counts", "records"], "")
+    require(manifest, ["schema_version"], "")
     if manifest["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
             f"{manifest_path}: unsupported schema_version "
-            f"{manifest['schema_version']!r}"
+            f"{manifest['schema_version']!r} (expected {SCHEMA_VERSION}); "
+            f"re-run `swec generate` to rebuild the dataset from its seed"
         )
+    config_keys = [f.name for f in fields(DatasetConfig)]
+    require(manifest, [*config_keys, "counts", "waveforms_sha256", "records"], "")
     require(manifest["grids"], [f.name for f in fields(DatasetGrids)], "grids: ")
     try:
         cfg = dataclass_from_json(DatasetConfig, {k: manifest[k] for k in config_keys})
@@ -797,31 +812,35 @@ def load_dataset(in_dir) -> Dataset:
         raise ValueError(f"{manifest_path}: {len(specs)} records with class counts "
                          f"{found} and counts {manifest['counts']!r}; the grids "
                          f"give {counts}")
-    width = 1 + 3 * len(MONITORED_BUSES)
-    n = round(cfg.fs * cfg.duration)
-    records = []
-    for i, (entry, spec) in enumerate(zip(manifest["records"], specs)):
-        path = root / "waveforms" / f"evt_{i}.csv"
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty waveform file")
-            if len(header) != width:
-                raise ValueError(f"{path}: line 1: bad header {header!r}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise ValueError(f"{path}: line {lineno}: {len(row)} fields, "
-                                     f"expected {width}")
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        if len(rows) != n:
-            raise ValueError(f"{path}: line {min(len(rows), n) + 2}: {len(rows)} "
-                             f"sample rows, expected {n}")
-        data = np.array(rows).T.reshape(len(MONITORED_BUSES), 3, n)
-        records.append(WaveformRecord(spec, cfg.fs, cfg.duration, data, entry["seed"]))
-    return Dataset(records, cfg.fs, cfg.seed, counts, cfg)
+    samples = _load_waveforms(root / WAVEFORMS_FILE, manifest["waveforms_sha256"],
+                              (len(specs), len(MONITORED_BUSES), 3,
+                               round(cfg.fs * cfg.duration)))
+    records = [WaveformRecord(spec, cfg.fs, cfg.duration, rec_samples, entry["seed"])
+               for entry, spec, rec_samples in zip(manifest["records"], specs, samples)]
+    return Dataset(records, cfg.fs, cfg.seed, counts, cfg, samples)
+
+
+def _load_waveforms(path: Path, sha256: str, shape: tuple) -> np.ndarray:
+    """The stacked samples in path, checked against the manifest's digest
+    and the expected shape; every failure is a ValueError naming path."""
+    try:
+        samples = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: missing waveform array") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: unreadable waveform array: {exc}") from None
+    if not isinstance(samples, np.ndarray):  # an .npz archive
+        samples.close()
+        raise ValueError(f"{path}: not a single .npy array")
+    if samples.dtype != np.dtype("<f8"):
+        raise ValueError(f"{path}: dtype {samples.dtype.str}, expected <f8")
+    if samples.shape != shape:
+        raise ValueError(f"{path}: shape {samples.shape}, expected {shape}")
+    samples = np.ascontiguousarray(samples)
+    if waveforms_sha256(samples) != sha256:
+        raise ValueError(f"{path}: sha256 differs from the manifest's "
+                         f"waveforms_sha256")
+    for i, record in enumerate(samples):
+        if not np.isfinite(record).all():
+            raise ValueError(f"{path}: record {i}: non-finite value")
+    return samples

@@ -33,6 +33,7 @@ from .synthgrid import NUM_CLASSES
 
 MODEL_MAGIC = b"SWEC"
 MODEL_FORMAT_VERSION = 1
+PREDICT_BLOCK = 8  # inputs per forward pass in predict_batch
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,13 @@ def train(model: CnnModel, train_set, cfg: TrainConfig):
 
 def predict_batch(model: CnnModel, xs) -> np.ndarray:
     """Most probable class code of each (H, W) input of xs; ties resolve to
-    the lowest code."""
-    return np.argmax(_forward_batch(model, xs)[0], axis=1) + 1
+    the lowest code. Runs PREDICT_BLOCK inputs per forward pass: the im2col
+    matrix is about 40x its inputs, and blocks the size of a training batch
+    keep it under 1 MB and reuse the GEMM shapes training already ran."""
+    xs = np.asarray(xs, dtype=float)
+    return np.concatenate([
+        np.argmax(_forward_batch(model, xs[start:start + PREDICT_BLOCK])[0], axis=1) + 1
+        for start in range(0, max(len(xs), 1), PREDICT_BLOCK)])
 
 
 def predict(model: CnnModel, x) -> int:

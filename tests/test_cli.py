@@ -145,9 +145,9 @@ class TestWorkflow:
     @pytest.mark.parametrize("damage, where, what", [
         ("drop_fs", "manifest.json", "'fs'"),
         ("drop_first_record", "manifest.json", "record 0"),
-        ("cut_waveform", "evt_0.csv", "line 201"),
-        ("drop_field", "evt_0.csv", "line 3"),
-    ], ids=["drop_fs", "drop_first_record", "cut_waveform", "drop_field"])
+        ("truncated_npy", "waveforms.npy", "unreadable waveform array"),
+        ("flipped_byte", "waveforms.npy", "sha256 differs"),
+    ], ids=["drop_fs", "drop_first_record", "truncated_npy", "flipped_byte"])
     def test_inconsistent_manifest_fails_cleanly(self, damage, where, what, capsys,
                                                  tmp_path, tiny_config_file):
         data_dir = tmp_path / "data"
@@ -163,13 +163,13 @@ class TestWorkflow:
         elif damage == "drop_first_record":
             del manifest["records"][0]
         manifest_path.write_text(json.dumps(manifest))
-        waveform = data_dir / "waveforms" / "evt_0.csv"
-        lines = waveform.read_text().splitlines()
-        if damage == "cut_waveform":
-            lines = lines[:200]
-        elif damage == "drop_field":
-            lines[2] = lines[2].rsplit(",", 1)[0]
-        waveform.write_text("\n".join(lines) + "\n")
+        waveform = data_dir / "waveforms.npy"
+        data = bytearray(waveform.read_bytes())
+        if damage == "truncated_npy":
+            del data[-100:]
+        elif damage == "flipped_byte":
+            data[-100] ^= 0x80
+        waveform.write_bytes(bytes(data))
         code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
                                  "--model", str(model_path), "--data", str(data_dir))
         assert code == 1

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, ConfigError, DatasetConfig
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
                             build_dataset, extract_window, record_seed,
                             synth_event, synth_steady, window_length)
-from conftest import tiny_grids
+from conftest import tiny_config, tiny_grids
+
+REFERENCE_HASHES = (Path(__file__).resolve().parents[1] / "swecbench"
+                    / "reference_hashes.json")
 
 
 def fault_spec(location=632, fault_type="LG", resistance=0, angle=0.0):
@@ -165,6 +170,22 @@ class TestDataset:
         for ra, rb in zip(a.records, b.records):
             np.testing.assert_array_equal(ra.samples, rb.samples)
 
+    def test_records_are_views_of_one_array(self, tiny_dataset):
+        samples = tiny_dataset.samples
+        assert samples.shape == (8, len(MONITORED_BUSES), 3, 300)
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
+        for i, rec in enumerate(tiny_dataset.records):
+            assert rec.samples.base is samples
+            np.testing.assert_array_equal(rec.samples, samples[i])
+            np.testing.assert_array_equal(
+                rec.samples, synth_event(rec.spec, rec.fs, rec.seed).samples)
+
+    def test_clean_base_cached_read_only(self):
+        a = synthgrid._clean_base(5000.0, 0.15, 1.0)
+        assert synthgrid._clean_base(5000.0, 0.15, 1.0) is a
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 0.0
+
     def test_record_seeds_stable_and_distinct(self):
         seeds = [record_seed(42, i) for i in range(50)]
         assert len(set(seeds)) == 50
@@ -237,11 +258,23 @@ class TestPersistence:
             assert ra.seed == rb.seed
             assert ra.spec == rb.spec
 
-    def test_waveform_csv_layout(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        header = (out / "waveforms" / "evt_0.csv").read_text().splitlines()[0]
-        assert header == ("t,632_va,632_vb,632_vc,671_va,671_vb,671_vc,"
-                          "675_va,675_vb,675_vc")
+    def test_waveform_array_layout(self, tmp_path):
+        # the tiny dataset the benchmark's cli-tiny workload builds at seed 5
+        config = tiny_config(seed=5).dataset_config(4000.0, 5)
+        dataset = build_dataset(config)
+        out = synthgrid.save_dataset(dataset, tmp_path / "ds")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                         "waveforms.npy"]
+        stored = np.load(out / "waveforms.npy", allow_pickle=False)
+        assert stored.dtype.str == "<f8" and stored.shape == (8, 3, 3, 600)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["schema_version"] == 2
+        digest = manifest["waveforms_sha256"]
+        assert digest == hashlib.sha256(stored.tobytes()).hexdigest()
+        assert digest == json.loads(REFERENCE_HASHES.read_text())["8@4000/5"]
+        loaded = synthgrid.load_dataset(out)
+        np.testing.assert_array_equal(loaded.samples, dataset.samples)
+        assert all(np.shares_memory(rec.samples, loaded.samples) for rec in loaded.records)
 
     def test_malformed_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
@@ -285,23 +318,66 @@ class TestPersistence:
             synthgrid.load_dataset(tmp_path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda lines: lines[:200], "line 201: 199 sample rows, expected 300"),
-        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
-         "line 4: 9 fields, expected 10"),
-        (lambda lines: lines + lines[-1:], "line 302: 301 sample rows, expected 300"),
-    ], ids=["cut_rows", "missing_field", "extra_row"])
-    def test_damaged_waveform_rejected(self, damage, message, tiny_dataset, tmp_path):
+        (lambda path, m: path.write_bytes(path.read_bytes()[:-8]),
+         "unreadable waveform array: Failed to read all data"),
+        (lambda path, m: path.write_bytes(path.read_bytes().replace(
+            b"(8, 3, 3, 300)", b"(7, 3, 3, 300)", 1)),
+         r"shape \(7, 3, 3, 300\), expected \(8, 3, 3, 300\)"),
+        (lambda path, m: _flip_byte(path, -1000), "sha256 differs"),
+        (lambda path, m: _rewrite(path, m, _with_nan), "record 3: non-finite value"),
+        (lambda path, m: np.save(path, np.load(path).astype(object),
+                                 allow_pickle=True),
+         "unreadable waveform array: Object arrays"),
+        (lambda path, m: path.unlink(), "missing waveform array"),
+        (lambda path, m: _rewrite(path, m, lambda a: a.astype(">f8")),
+         "dtype >f8, expected <f8"),
+        (lambda path, m: _rewrite(path, m, lambda a: a.astype(np.float32)),
+         "dtype <f4, expected <f8"),
+        (lambda path, m: _as_npz(path), "not a single .npy array"),
+    ], ids=["truncated", "header_one_record_short", "flipped_byte", "nan_rehashed",
+            "pickled_object", "missing_file", "big_endian", "float32", "npz_archive"])
+    def test_damaged_waveforms_rejected(self, damage, message, tiny_dataset,
+                                        tmp_path):
         out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        target = out / "waveforms" / "evt_1.csv"
-        target.write_text("\n".join(damage(target.read_text().splitlines())) + "\n")
-        with pytest.raises(ValueError, match=r"evt_1\.csv: " + message):
+        manifest_path = out / "manifest.json"
+        damage(out / "waveforms.npy", manifest_path)
+        with pytest.raises(ValueError, match=r"waveforms\.npy: " + message):
             synthgrid.load_dataset(out)
 
-    def test_corrupt_waveform_line_reports_location(self, tiny_dataset, tmp_path):
+    def test_schema_version_1_rejected_first(self, tiny_dataset, tmp_path):
         out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        target = out / "waveforms" / "evt_1.csv"
-        lines = target.read_text().splitlines()
-        lines[3] = lines[3].replace(",", ",bad,", 1)
-        target.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match="line 4"):
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["schema_version"] = 1
+        del manifest["waveforms_sha256"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "waveforms.npy").unlink()
+        with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
+                           r"schema_version 1 .*re-run `swec generate`"):
             synthgrid.load_dataset(out)
+
+
+def _flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _with_nan(samples):
+    samples = samples.copy()
+    samples[3, 1, 2, 40] = np.nan
+    return samples
+
+
+def _as_npz(path):
+    samples = np.load(path)
+    with path.open("wb") as fh:
+        np.savez(fh, samples=samples)
+
+
+def _rewrite(path, manifest_path, change):
+    """Store change(samples) with a manifest digest recomputed to match."""
+    samples = change(np.load(path))
+    np.save(path, samples)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["waveforms_sha256"] = hashlib.sha256(samples.tobytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))

@@ -334,6 +334,15 @@ class TestPredict:
         model.fc_b += 123.0
         assert predict(model, x) == before
 
+    def test_batch_over_several_blocks_matches_single_predictions(self):
+        arch = CnnArch(3, 24)
+        model = init_model(arch, seed=5, init_std=1.0)
+        xs = np.random.default_rng(5).normal(size=(2 * tinycnn.PREDICT_BLOCK + 5, 3, 24))
+        codes = tinycnn.predict_batch(model, xs)
+        assert codes.shape == (len(xs),)
+        assert len(set(codes.tolist())) > 1
+        assert codes.tolist() == [predict(model, x) for x in xs]
+
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
