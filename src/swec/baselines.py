@@ -21,7 +21,7 @@ import numpy as np
 
 from .synthgrid import NUM_CLASSES
 from .tinycnn import (ModelFileReader, central_difference_errors, cross_entropy,
-                      fit_sgdm, stack_examples, write_model_file)
+                      fit_sgdm, predict_in_blocks, stack_examples, write_model_file)
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -34,8 +34,10 @@ def energy_feature_set(xs, num_intervals: int = 8) -> np.ndarray:
 
     Each row is cut into num_intervals contiguous segments (the last absorbs
     the remainder); each segment contributes (mean, sum, L2 norm, Linf norm).
+    The reductions run on a C-ordered copy, so the result does not depend on
+    the memory layout of xs.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = np.ascontiguousarray(xs, dtype=float)
     width = xs.shape[-1]
     if not 1 <= num_intervals <= width:
         raise ValueError(f"num_intervals {num_intervals} outside 1..{width}")
@@ -50,7 +52,7 @@ def energy_feature_set(xs, num_intervals: int = 8) -> np.ndarray:
 
 def energy_features(fm, num_intervals: int = 8) -> np.ndarray:
     """energy_feature_set of one feature matrix (or one row)."""
-    values = np.asarray(getattr(fm, "values", fm), dtype=float)
+    values = np.asarray(fm, dtype=float)
     return energy_feature_set(values.reshape(1, -1, values.shape[-1]), num_intervals)[0]
 
 
@@ -171,8 +173,8 @@ def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
 
 
 def _dense_predict(weights, biases, features) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    return np.argmax(_dense_forward(weights, biases, x)[-1], axis=1) + 1
+    return predict_in_blocks(lambda block: _dense_forward(weights, biases, block)[-1],
+                             np.atleast_2d(np.asarray(features, dtype=float)))
 
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────

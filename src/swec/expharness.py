@@ -135,6 +135,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"bus subset {subset} not a non-empty subset of {MONITORED_BUSES}"
                 )
+            for i, bus in enumerate(subset):
+                if bus in subset[:i]:
+                    raise ConfigError(f"bus subset {subset} repeats bus {bus}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
@@ -248,7 +251,7 @@ class Features(NamedTuple):
 
 def featurize_dataset(dataset: Dataset, buses, jitter: bool = True) -> Features:
     """Window and featurize every record, stacked in record order."""
-    values = [featurize(extract_window(rec, jitter=jitter), buses).values
+    values = [featurize(extract_window(rec, jitter=jitter), buses)
               for rec in dataset.records]
     return Features(np.stack(values), dataset.labels)
 

@@ -1,17 +1,18 @@
 """Waveform-to-feature pipeline: modal voltage, level-1 db4 DWT, peak normalization.
 
-Each monitored bus contributes one row to the classifier input: the three
-phase voltages are collapsed to the alpha-mode (zero-sequence rejecting)
-signal, decomposed one level with the 8-tap Daubechies wavelet, and the
-absolute detail coefficients are normalized to their peak. Rows are stacked
-in ascending bus-id order.
+Each requested bus contributes one row to the classifier input: the three
+phase voltages of its (3, W) window are collapsed to the alpha-mode
+(zero-sequence rejecting) signal, decomposed one level with the 8-tap
+Daubechies wavelet, and the absolute detail coefficients are normalized to
+their peak. The transforms work along the last axis, so one call covers
+every row; rows come in ascending bus-id order, each W/2 wide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .synthgrid import MONITORED_BUSES
 
 # 8-tap Daubechies scaling filter, 4 vanishing moments. Values from the
 # spectral-factorization construction, exact to double precision
@@ -36,42 +37,18 @@ DB4_WAVELET = (DB4_SCALING[::-1] * np.where(np.arange(8) % 2 == 0, 1.0, -1.0)).c
 PEAK_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Stacked normalized detail-coefficient rows, one per monitored bus.
-
-    values has shape (B, L) with entries in [0, 1]; buses are ascending ids.
-    """
-
-    values: np.ndarray
-    buses: tuple[int, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-D, got shape {v.shape}")
-        if len(self.buses) != v.shape[0]:
-            raise ValueError(
-                f"{len(self.buses)} buses but {v.shape[0]} feature rows"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
 def clarke_mode1(va, vb, vc) -> np.ndarray:
     """Pointwise alpha-mode of three phase signals: (2*va - vb - vc) / 3.
 
     Rejects the zero-sequence (common) component; linear in each phase.
+    The signals may carry leading axes (one row per bus, say).
     """
     va = np.asarray(va, dtype=float)
     vb = np.asarray(vb, dtype=float)
     vc = np.asarray(vc, dtype=float)
-    if not (va.shape == vb.shape == vc.shape) or va.ndim != 1 or va.size < 1:
+    if not (va.shape == vb.shape == vc.shape) or va.ndim < 1 or va.size < 1:
         raise ValueError(
-            f"phase signals must be equal-length 1-D sequences, got "
+            f"phase signals must be equal-shape sequences, got "
             f"{va.shape}/{vb.shape}/{vc.shape}"
         )
     return (2.0 * va - vb - vc) / 3.0
@@ -86,9 +63,9 @@ def _window_indices(n: int) -> np.ndarray:
 def _filter_columns(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
     # Left-to-right accumulation (not a BLAS dot) so the tap-sum identities
     # hold exactly: constant input gives detail == 0 and approx == sqrt(2).
-    acc = windows[:, 0] * taps[0]
+    acc = windows[..., 0] * taps[0]
     for k in range(1, taps.size):
-        acc = acc + windows[:, k] * taps[k]
+        acc = acc + windows[..., k] * taps[k]
     return acc
 
 
@@ -96,17 +73,17 @@ def dwt_db4_level1(x) -> tuple[np.ndarray, np.ndarray]:
     """One-level periodized orthogonal DWT with the 8-tap Daubechies filter.
 
     Circular convolution against the scaling/wavelet filter pair followed by
-    downsampling by 2. Returns (approx, detail), each of length N/2. The
-    transform is orthonormal: energy is preserved and idwt_db4_level1
-    reconstructs exactly (to rounding).
+    downsampling by 2, along the last axis. Returns (approx, detail), each
+    N/2 long. The transform is orthonormal: energy is preserved and
+    idwt_db4_level1 reconstructs exactly (to rounding).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"input must be 1-D, got shape {x.shape}")
-    n = x.size
+    if x.ndim < 1:
+        raise ValueError(f"input must have at least one axis, got shape {x.shape}")
+    n = x.shape[-1]
     if n % 2 != 0 or n < 8:
         raise ValueError(f"input length must be even and >= 8, got {n}")
-    windows = x[_window_indices(n)]
+    windows = np.take(x, _window_indices(n), axis=-1)
     return _filter_columns(windows, DB4_SCALING), _filter_columns(windows, DB4_WAVELET)
 
 
@@ -127,37 +104,39 @@ def idwt_db4_level1(approx, detail) -> np.ndarray:
 
 
 def normalize_abs_peak(coeffs) -> np.ndarray:
-    """Absolute values scaled so the peak is 1; near-zero rows are not divided."""
+    """Absolute values scaled so each row's peak (along the last axis) is 1;
+    near-zero rows are not divided."""
     mags = np.abs(np.asarray(coeffs, dtype=float))
-    peak = mags.max(initial=0.0)
-    if peak <= PEAK_EPS:
-        return mags
-    return mags / peak
+    peak = mags.max(axis=-1, keepdims=True, initial=0.0)
+    return mags / np.where(peak > PEAK_EPS, peak, 1.0)
 
 
-def featurize(window: dict[int, np.ndarray], buses) -> FeatureMatrix:
-    """Build the classifier input matrix from a one-cycle three-phase window.
+def featurize(window, buses) -> np.ndarray:
+    """Classifier input of a one-cycle window: a (len(buses), W/2) array.
 
-    window maps bus id -> (3, W) array of phase voltages (W even). For each
-    requested bus: alpha-mode -> level-1 db4 -> detail coefficients ->
-    peak normalization. Rows stack in ascending bus-id order, width W/2.
-    A NaN or infinite sample raises ValueError naming its bus.
+    window is the (len(MONITORED_BUSES), 3, W) array of phase voltages at
+    every monitored bus, as extract_window returns it (W even). For each
+    requested bus, in ascending bus-id order: alpha-mode -> level-1 db4 ->
+    detail coefficients -> peak normalization. An unknown or repeated bus,
+    a window of another shape and a NaN or infinite sample each raise
+    ValueError naming the bus or the shape.
     """
     buses = tuple(sorted(int(b) for b in buses))
     if not buses:
         raise ValueError("at least one bus required")
-    rows = []
-    for bus in buses:
-        if bus not in window:
-            raise ValueError(f"bus {bus} missing from window")
-        phases = np.asarray(window[bus], dtype=float)
-        if phases.ndim != 2 or phases.shape[0] != 3:
-            raise ValueError(
-                f"bus {bus}: expected (3, W) phase matrix, got {phases.shape}"
-            )
-        if not np.isfinite(phases).all():
-            raise ValueError(f"bus {bus}: window holds non-finite samples")
-        mode1 = clarke_mode1(phases[0], phases[1], phases[2])
-        _, detail = dwt_db4_level1(mode1)
-        rows.append(normalize_abs_peak(detail))
-    return FeatureMatrix(values=np.vstack(rows), buses=buses)
+    for i, bus in enumerate(buses):
+        if bus not in MONITORED_BUSES:
+            raise ValueError(f"bus {bus} is not a monitored bus {MONITORED_BUSES}")
+        if bus in buses[:i]:
+            raise ValueError(f"bus {bus} repeated in {buses}")
+    window = np.asarray(window, dtype=float)
+    if window.ndim != 3 or window.shape[:2] != (len(MONITORED_BUSES), 3):
+        raise ValueError(f"expected a ({len(MONITORED_BUSES)}, 3, W) window, "
+                         f"got shape {window.shape}")
+    phases = window[[MONITORED_BUSES.index(b) for b in buses]]
+    finite = np.isfinite(phases).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"bus {buses[np.argmin(finite)]}: window holds "
+                         f"non-finite samples")
+    _, detail = dwt_db4_level1(clarke_mode1(phases[:, 0], phases[:, 1], phases[:, 2]))
+    return normalize_abs_peak(detail)

@@ -33,7 +33,7 @@ from .synthgrid import NUM_CLASSES
 
 MODEL_MAGIC = b"SWEC"
 MODEL_FORMAT_VERSION = 1
-PREDICT_BLOCK = 8  # inputs per forward pass in predict_batch
+PREDICT_BLOCK = 8  # inputs per forward pass in predict_in_blocks
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,12 @@ def zero_state(model: CnnModel) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(p) for name, p in model.params().items()}
 
 
-def _as_matrix(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    return np.asarray(values, dtype=float)
-
-
 def stack_examples(pairs):
     """Inputs stacked on a new first axis and the (B,) class codes of a
     sequence of (input, class code) pairs."""
     if len(pairs) == 0:
         raise ValueError("no examples")
-    return (np.stack([_as_matrix(x) for x, _ in pairs]),
+    return (np.array([x for x, _ in pairs], dtype=float),
             np.array([int(label) for _, label in pairs]))
 
 
@@ -181,7 +176,7 @@ def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
 def forward(model: CnnModel, x) -> tuple[np.ndarray, dict]:
     """Class probabilities for one feature matrix, plus its pre-activations
     (F, conv_h, conv_w) and flattened pooled activations."""
-    logits, cache = _forward_batch(model, _as_matrix(x)[None])
+    logits, cache = _forward_batch(model, [x])
     return softmax(logits[0]), {"pre": cache["pre"][:, 0], "flat": cache["flat"][0]}
 
 
@@ -268,20 +263,27 @@ def train(model: CnnModel, train_set, cfg: TrainConfig):
     return model, losses
 
 
+def predict_in_blocks(logits, xs) -> np.ndarray:
+    """Most probable class code of each input of the array xs, ties to the
+    lowest code, from logits(block) over PREDICT_BLOCK inputs at a time.
+    Blocks the size of a training batch reuse the GEMM shapes training
+    already ran; a whole-set product can take OpenBLAS's slower threaded
+    path (and the CNN's im2col matrix is about 40x its inputs)."""
+    return np.concatenate([
+        np.argmax(logits(xs[start:start + PREDICT_BLOCK]), axis=1) + 1
+        for start in range(0, max(len(xs), 1), PREDICT_BLOCK)])
+
+
 def predict_batch(model: CnnModel, xs) -> np.ndarray:
     """Most probable class code of each (H, W) input of xs; ties resolve to
-    the lowest code. Runs PREDICT_BLOCK inputs per forward pass: the im2col
-    matrix is about 40x its inputs, and blocks the size of a training batch
-    keep it under 1 MB and reuse the GEMM shapes training already ran."""
-    xs = np.asarray(xs, dtype=float)
-    return np.concatenate([
-        np.argmax(_forward_batch(model, xs[start:start + PREDICT_BLOCK])[0], axis=1) + 1
-        for start in range(0, max(len(xs), 1), PREDICT_BLOCK)])
+    the lowest code."""
+    return predict_in_blocks(lambda block: _forward_batch(model, block)[0],
+                             np.asarray(xs, dtype=float))
 
 
 def predict(model: CnnModel, x) -> int:
     """predict_batch of one feature matrix."""
-    return int(predict_batch(model, _as_matrix(x)[None])[0])
+    return int(predict_batch(model, [x])[0])
 
 
 # ── Finite-difference verification ───────────────────────────────────────────
@@ -300,7 +302,7 @@ def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheck
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    xs, labels = _as_matrix(x)[None], np.array([label])
+    xs, labels = np.asarray([x], dtype=float), np.array([label])
     _, grads = batch_loss_and_grads(model, xs, labels)
     params = model.params()
     errors = central_difference_errors(

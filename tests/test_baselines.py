@@ -6,8 +6,7 @@ from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
                             energy_features, mlp_grad_check, svm_predict,
                             tmlp_predict, train_autoencoder_clf,
                             train_svm_ovr, train_tmlp, tmlp_loss_and_grad)
-from swec.featpipe import FeatureMatrix
-from swec.tinycnn import central_difference_errors, cross_entropy
+from swec.tinycnn import PREDICT_BLOCK, central_difference_errors, cross_entropy
 
 
 def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
@@ -26,21 +25,20 @@ def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
 
 class TestEnergyFeatures:
     def test_single_interval_statistics(self):
-        fm = FeatureMatrix(np.array([[1.0, 1.0, 1.0, 1.0]]), (632,))
+        fm = np.array([[1.0, 1.0, 1.0, 1.0]])
         np.testing.assert_allclose(energy_features(fm, 1), [1.0, 4.0, 2.0, 1.0])
 
     def test_all_zero(self):
-        fm = FeatureMatrix(np.zeros((2, 8)), (632, 671))
+        fm = np.zeros((2, 8))
         assert np.all(energy_features(fm, 2) == 0.0)
 
     def test_length(self):
-        fm = FeatureMatrix(np.random.default_rng(0).random((3, 166)),
-                           (632, 671, 675))
+        fm = np.random.default_rng(0).random((3, 166))
         assert energy_features(fm, 8).shape == (3 * 8 * 4,)
 
     def test_remainder_goes_to_last_interval(self):
         row = np.arange(10.0)
-        fm = FeatureMatrix(row[None, :], (632,))
+        fm = row[None, :]
         feats = energy_features(fm, 3)
         # segments: [0,1,2], [3,4,5], [6,7,8,9]
         assert feats[1 * 4 + 1] == pytest.approx(12.0)   # sum of middle
@@ -50,8 +48,8 @@ class TestEnergyFeatures:
     def test_bus_permutation_covariance(self):
         rng = np.random.default_rng(1)
         a, b = rng.random((2, 12)), rng.random((2, 12))[0]
-        top = FeatureMatrix(np.vstack([a[0], b]), (632, 671))
-        swapped = FeatureMatrix(np.vstack([b, a[0]]), (632, 671))
+        top = np.vstack([a[0], b])
+        swapped = np.vstack([b, a[0]])
         f_top = energy_features(top, 4)
         f_sw = energy_features(swapped, 4)
         half = len(f_top) // 2
@@ -72,8 +70,14 @@ class TestEnergyFeatures:
         np.testing.assert_allclose(baselines.energy_feature_set(xs, 8), want,
                                    rtol=1e-14, atol=0.0)
 
+    def test_independent_of_memory_layout(self):
+        xs = np.random.default_rng(3).random((40, 3, 166))
+        fortran = np.asfortranarray(xs)
+        np.testing.assert_array_equal(baselines.energy_feature_set(fortran, 8),
+                                      baselines.energy_feature_set(xs, 8))
+
     def test_invalid_interval_count(self):
-        fm = FeatureMatrix(np.zeros((1, 8)), (632,))
+        fm = np.zeros((1, 8))
         with pytest.raises(ValueError):
             energy_features(fm, 0)
         with pytest.raises(ValueError):
@@ -293,3 +297,27 @@ class TestModelFiles:
         baselines.save_svm(svm, tmp_path / "svm.bin")
         with pytest.raises(ValueError, match="magic"):
             baselines.load_tmlp(tmp_path / "svm.bin")
+
+
+class TestBlockedPredict:
+    """Dense-net predictions over several PREDICT_BLOCK blocks against one
+    record at a time."""
+
+    def test_tmlp_blocks_match_single_records(self):
+        X, y = separable_clouds(n_per_class=6, seed=25)
+        xs = X[:2 * PREDICT_BLOCK + 5]
+        model = train_tmlp(X, y, MlpConfig(hidden=(6,), epochs=1, init_std=1.0,
+                                           seed=25))
+        codes = tmlp_predict(model, xs)
+        assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
+        assert codes.tolist() == [tmlp_predict(model, x)[0] for x in xs]
+
+    def test_autoencoder_blocks_match_single_records(self):
+        X, y = separable_clouds(n_per_class=6, seed=26)
+        xs = X[:2 * PREDICT_BLOCK + 5]
+        model = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
+                                                     head_epochs=1, init_std=1.0,
+                                                     seed=26))
+        codes = ae_predict(model, xs)
+        assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
+        assert codes.tolist() == [ae_predict(model, x)[0] for x in xs]

@@ -144,10 +144,9 @@ class TestWorkflow:
 
     @pytest.mark.parametrize("damage, where, what", [
         ("drop_fs", "manifest.json", "'fs'"),
-        ("drop_first_record", "manifest.json", "record 0"),
         ("truncated_npy", "waveforms.npy", "unreadable waveform array"),
         ("flipped_byte", "waveforms.npy", "sha256 differs"),
-    ], ids=["drop_fs", "drop_first_record", "truncated_npy", "flipped_byte"])
+    ], ids=["drop_fs", "truncated_npy", "flipped_byte"])
     def test_inconsistent_manifest_fails_cleanly(self, damage, where, what, capsys,
                                                  tmp_path, tiny_config_file):
         data_dir = tmp_path / "data"
@@ -160,8 +159,6 @@ class TestWorkflow:
         manifest = json.loads(manifest_path.read_text())
         if damage == "drop_fs":
             del manifest["fs"]
-        elif damage == "drop_first_record":
-            del manifest["records"][0]
         manifest_path.write_text(json.dumps(manifest))
         waveform = data_dir / "waveforms.npy"
         data = bytearray(waveform.read_bytes())
@@ -176,6 +173,23 @@ class TestWorkflow:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert where in err and what in err
+
+    def test_train_repeated_bus_fails_cleanly(self, capsys, tmp_path,
+                                              tiny_config_file):
+        data_dir = tmp_path / "data"
+        run_cli(capsys, "generate", "--config", str(tiny_config_file),
+                "--out", str(data_dir), "--fs", "2000")
+        model_path = tmp_path / "model.bin"
+        code, out, err = run_cli(
+            capsys, "train", "--config", str(tiny_config_file),
+            "--data", str(data_dir), "--model", str(model_path),
+            "--buses", "632,632",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "bus 632 repeated" in err
+        assert not model_path.exists()
 
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data",

@@ -90,6 +90,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             ExperimentConfig(bus_subsets=((632,), (632,)))
 
+    def test_repeated_bus_in_subset_rejected(self):
+        with pytest.raises(ConfigError, match=r"\(632, 632\) repeats bus 632"):
+            ExperimentConfig(bus_subsets=((632, 632),))
+        with pytest.raises(ConfigError, match="repeats bus 675"):
+            config_from_json({"bus_subsets": [[675, 671, 675]]})
+
     def test_invalid_fraction(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(train_fraction=1.0)

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swec import featpipe, synthgrid
-from swec.featpipe import (DB4_SCALING, DB4_WAVELET, FeatureMatrix,
-                           clarke_mode1, dwt_db4_level1, featurize,
-                           idwt_db4_level1, normalize_abs_peak)
+from swec import synthgrid
+from swec.featpipe import (DB4_SCALING, DB4_WAVELET, clarke_mode1, dwt_db4_level1,
+                           featurize, idwt_db4_level1, normalize_abs_peak)
+from swec.synthgrid import MONITORED_BUSES
+from conftest import tiny_grids
 
 
 def db4_scaling_by_construction():
@@ -143,42 +146,64 @@ class TestNormalize:
 
 class TestFeaturize:
     def _window(self, buses, w, seed=0):
+        """(buses, 3, W) window: each listed bus draws a (3, W) block in list
+        order; the rows of the other buses are NaN, which featurize must
+        not read."""
         rng = np.random.default_rng(seed)
-        return {b: rng.normal(size=(3, w)) for b in buses}
+        window = np.full((len(MONITORED_BUSES), 3, w), np.nan)
+        for b in buses:
+            window[MONITORED_BUSES.index(b)] = rng.normal(size=(3, w))
+        return window
 
     def test_three_bus_20khz_shape(self):
         fm = featurize(self._window((632, 671, 675), 332), (632, 671, 675))
-        assert fm.values.shape == (3, 166)
-        assert fm.buses == (632, 671, 675)
+        assert fm.shape == (3, 166)
+        assert fm.dtype == np.float64 and fm.flags.c_contiguous
 
     def test_single_bus_low_rate_shape(self):
         fm = featurize(self._window((632,), 20), (632,))
-        assert fm.values.shape == (1, 10)
+        assert fm.shape == (1, 10)
 
     def test_values_in_unit_interval(self):
         fm = featurize(self._window((632, 671), 64, seed=3), (632, 671))
-        assert fm.values.min() >= 0.0 and fm.values.max() <= 1.0
+        assert fm.min() >= 0.0 and fm.max() <= 1.0
 
     def test_rows_in_ascending_bus_order(self):
         window = self._window((632, 671, 675), 32, seed=9)
         fm = featurize(window, (675, 632, 671))
-        assert fm.buses == (632, 671, 675)
-        _, det = dwt_db4_level1(clarke_mode1(*window[632]))
-        np.testing.assert_array_equal(fm.values[0], normalize_abs_peak(det))
+        _, det = dwt_db4_level1(clarke_mode1(*window[0]))
+        np.testing.assert_array_equal(fm[0], normalize_abs_peak(det))
 
     def test_missing_bus(self):
         with pytest.raises(ValueError, match="671"):
             featurize(self._window((632,), 32), (632, 671))
 
+    @pytest.mark.parametrize("bus", [634, 680, 0])
+    def test_unknown_bus_named(self, bus):
+        with pytest.raises(ValueError, match=f"bus {bus} is not a monitored bus"):
+            featurize(self._window((632,), 32), (632, bus))
+
+    def test_repeated_bus_named(self):
+        with pytest.raises(ValueError, match=r"bus 632 repeated in \(632, 632\)"):
+            featurize(self._window((632,), 32), (632, 632))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 3, 32), r"\(2, 3, 32\)"), ((3, 32), r"\(3, 32\)"),
+        ((3, 2, 32), r"\(3, 2, 32\)"), ((3, 3, 31), "got 31"),
+    ], ids=["two_buses", "no_phase_axis", "two_phases", "odd_width"])
+    def test_wrong_window_shape_named(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            featurize(np.zeros(shape), (632,))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_window_names_bus(self, bad):
         window = self._window((632, 671), 32, seed=4)
-        window[671][1, 5] = bad
+        window[1, 1, 5] = bad
         with pytest.raises(ValueError, match="bus 671"):
             featurize(window, (632, 671))
 
     def test_all_nan_window_rejected(self):
-        window = {632: np.full((3, 32), np.nan)}
+        window = np.full((3, 3, 32), np.nan)
         with pytest.raises(ValueError, match="bus 632.*non-finite"):
             featurize(window, (632,))
 
@@ -192,16 +217,66 @@ class TestFeaturize:
 
         def detail_energy(record):
             window = synthgrid.extract_window(record, jitter=False)
-            _, det = dwt_db4_level1(clarke_mode1(*window[632]))
+            _, det = dwt_db4_level1(clarke_mode1(*window[0]))
             return float(det @ det)
 
         assert detail_energy(steady) < 0.1 * detail_energy(event)
 
 
-class TestFeatureMatrix:
-    def test_row_count_must_match_buses(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(np.zeros((2, 5)), (632,))
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from((632, 671, 675, 634, 680)), max_size=4))
+def test_bus_list_gives_sorted_rows_or_value_error(buses):
+    window = np.random.default_rng(27).normal(size=(len(MONITORED_BUSES), 3, 32))
+    valid = (0 < len(buses) == len(set(buses))
+             and set(buses) <= set(MONITORED_BUSES))
+    try:
+        rows = featurize(window, buses)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    full = featurize(window, MONITORED_BUSES)
+    np.testing.assert_array_equal(
+        rows, full[[MONITORED_BUSES.index(b) for b in sorted(buses)]])
 
-    def test_width(self):
-        assert FeatureMatrix(np.zeros((1, 7)), (632,)).width == 7
+
+@pytest.fixture(scope="module")
+def event_windows():
+    """One jittered window per record of a tiny 20 kHz dataset, two events
+    of each class."""
+    dataset = synthgrid.build_dataset(
+        synthgrid.DatasetConfig(fs=20000.0, seed=3, grids=tiny_grids()))
+    return [synthgrid.extract_window(rec) for rec in dataset.records]
+
+
+class TestFeaturizeMetamorphic:
+    """Relations between featurize outputs on synthesized event windows
+    whose exact features are unknown."""
+
+    def test_common_mode_signal_rejected(self, event_windows):
+        rng = np.random.default_rng(28)
+        for window in event_windows:
+            common = rng.normal(0.0, 0.5, (len(MONITORED_BUSES), 1, window.shape[-1]))
+            np.testing.assert_allclose(featurize(window + common, MONITORED_BUSES),
+                                       featurize(window, MONITORED_BUSES),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -7, 0.5, 2.0, 2.0 ** 9])
+    def test_power_of_two_scaling_bit_identical(self, event_windows, scale):
+        for window in event_windows:
+            np.testing.assert_array_equal(featurize(scale * window, MONITORED_BUSES),
+                                          featurize(window, MONITORED_BUSES))
+
+    def test_bus_order_irrelevant(self, event_windows):
+        for window in event_windows:
+            for size in (1, 2, 3):
+                for subset in itertools.combinations(MONITORED_BUSES, size):
+                    want = featurize(window, subset)
+                    for order in itertools.permutations(subset):
+                        np.testing.assert_array_equal(featurize(window, order), want)
+
+    def test_single_bus_is_its_row(self, event_windows):
+        for window in event_windows:
+            full = featurize(window, MONITORED_BUSES)
+            for i, bus in enumerate(MONITORED_BUSES):
+                np.testing.assert_array_equal(featurize(window, (bus,)), full[i:i + 1])

@@ -180,6 +180,19 @@ class TestDataset:
             np.testing.assert_array_equal(
                 rec.samples, synth_event(rec.spec, rec.fs, rec.seed).samples)
 
+    def test_dataset_is_config_plus_samples(self, tiny_dataset):
+        assert [f.name for f in dataclasses.fields(synthgrid.Dataset)] == [
+            "config", "samples"]
+        cfg = tiny_dataset.config
+        specs = cfg.grids.specs(cfg.event_time)
+        assert [r.spec for r in tiny_dataset.records] == specs
+        assert [r.seed for r in tiny_dataset.records] == [
+            record_seed(cfg.seed, i) for i in range(len(specs))]
+        assert tiny_dataset.labels.tolist() == [int(s.event_class) for s in specs]
+        assert tiny_dataset.records is tiny_dataset.records
+        assert (tiny_dataset.fs, tiny_dataset.seed, tiny_dataset.counts) == (
+            cfg.fs, cfg.seed, cfg.grids.counts)
+
     def test_clean_base_cached_read_only(self):
         a = synthgrid._clean_base(5000.0, 0.15, 1.0)
         assert synthgrid._clean_base(5000.0, 0.15, 1.0) is a
@@ -203,7 +216,7 @@ class TestWindow:
         start = round(rec.event_time * rec.fs)
         for i, bus in enumerate(MONITORED_BUSES):
             np.testing.assert_array_equal(
-                window[bus], rec.samples[i, :, start:start + 332]
+                window[i], rec.samples[i, :, start:start + 332]
             )
 
     def test_jitter_is_deterministic_and_bounded(self):
@@ -211,11 +224,11 @@ class TestWindow:
         rec = synth_event(spec, 20000.0, seed=17)
         w1 = extract_window(rec)
         w2 = extract_window(rec)
-        np.testing.assert_array_equal(w1[632], w2[632])
+        np.testing.assert_array_equal(w1[0], w2[0])
         base = round(rec.event_time * rec.fs)
         # jittered start within [0, 0.5 ms] of the event sample
         for shift in range(0, 11):
-            if np.array_equal(w1[632], rec.samples[0, :, base + shift:base + shift + 332]):
+            if np.array_equal(w1[0], rec.samples[0, :, base + shift:base + shift + 332]):
                 break
         else:
             pytest.fail("window start outside the jitter bound")
@@ -227,10 +240,11 @@ class TestWindow:
         with pytest.raises(ValueError, match="exceeds"):
             extract_window(short, jitter=False)
 
-    def test_fs_mismatch_rejected(self):
-        rec = synth_steady(20000.0, 0.15, seed=0)
-        with pytest.raises(ValueError):
-            extract_window(rec, fs=10000.0)
+    def test_window_is_a_view_of_the_record(self, tiny_dataset):
+        rec = tiny_dataset.records[3]
+        window = extract_window(rec)
+        assert window.shape == (len(MONITORED_BUSES), 3, window_length(rec.fs))
+        assert window.base is tiny_dataset.samples
 
 
 class TestSeparabilityFloor:
@@ -239,7 +253,7 @@ class TestSeparabilityFloor:
         by_class = {}
         for rec in ds.records:
             fm = featpipe.featurize(extract_window(rec), MONITORED_BUSES)
-            by_class.setdefault(rec.label, []).append(fm.values)
+            by_class.setdefault(rec.label, []).append(fm)
         means = {c: np.mean(v, axis=0) for c, v in by_class.items()}
         codes = sorted(means)
         for i, a in enumerate(codes):
@@ -268,13 +282,20 @@ class TestPersistence:
         stored = np.load(out / "waveforms.npy", allow_pickle=False)
         assert stored.dtype.str == "<f8" and stored.shape == (8, 3, 3, 600)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == 3
         digest = manifest["waveforms_sha256"]
         assert digest == hashlib.sha256(stored.tobytes()).hexdigest()
         assert digest == json.loads(REFERENCE_HASHES.read_text())["8@4000/5"]
         loaded = synthgrid.load_dataset(out)
         np.testing.assert_array_equal(loaded.samples, dataset.samples)
         assert all(np.shares_memory(rec.samples, loaded.samples) for rec in loaded.records)
+
+    def test_manifest_is_config_plus_digest(self, tiny_dataset, tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        manifest = json.loads((out / "manifest.json").read_text())
+        config_keys = [f.name for f in dataclasses.fields(DatasetConfig)]
+        assert list(manifest) == ["schema_version", *config_keys, "waveforms_sha256"]
+        assert synthgrid.load_dataset(out).config == tiny_dataset.config
 
     def test_malformed_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
@@ -296,14 +317,13 @@ class TestPersistence:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda m: m["grids"].pop("hif_draws"), "grids: missing key 'hif_draws'"),
-        (lambda m: m["records"][3].pop("seed"), "record 3: missing key 'seed'"),
-        (lambda m: m["records"].pop(), r"7 records with class counts \(2, 2, 2, 1\)"),
-        (lambda m: m["records"][2].update(index=5), "record 2: index 5, expected 2"),
-        (lambda m: m.update(counts=[2, 2, 3, 1]), r"8 records .* counts \[2, 2, 3, 1\]"),
-        (lambda m: m["records"][1]["spec"].update(class_params=5), "record 1: spec"),
-        (lambda m: m["records"][1]["spec"].update({"class": 9}), "record 1: spec"),
-    ], ids=["grid_key", "record_key", "record_dropped", "record_index", "counts",
-            "spec_params_type", "spec_class"])
+        (lambda m: m.pop("seed"), "missing key 'seed'"),
+        (lambda m: m.pop("waveforms_sha256"), "missing key 'waveforms_sha256'"),
+        (lambda m: m.update(grids=[]), "grids: expected an object, got list"),
+        (lambda m: m["grids"].update(fault_locations=[671]),
+         r"fault location 671 not in \(632, 634, 675, 680\)"),
+    ], ids=["grid_key", "config_key", "digest_key", "grids_not_object",
+            "grid_value"])
     def test_inconsistent_manifest_rejected(self, damage, message, tiny_dataset,
                                             tmp_path):
         out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
@@ -353,6 +373,16 @@ class TestPersistence:
         (out / "waveforms.npy").unlink()
         with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
                            r"schema_version 1 .*re-run `swec generate`"):
+            synthgrid.load_dataset(out)
+
+
+    def test_schema_version_2_rejected(self, tiny_dataset, tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["schema_version"] = 2
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
+                           r"schema_version 2 .*re-run `swec generate`"):
             synthgrid.load_dataset(out)
 
 
