@@ -75,7 +75,6 @@ class SvmConfig:
 class LinearOvrSvm:
     weights: np.ndarray  # (num_classes, dim)
     biases: np.ndarray   # (num_classes,)
-    config: SvmConfig
 
     def decision_values(self, features: np.ndarray) -> np.ndarray:
         return np.atleast_2d(features) @ self.weights.T + self.biases
@@ -108,7 +107,7 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> LinearOv
                 else:
                     w *= 1.0 - eta * lam
         biases[c] = b
-    return LinearOvrSvm(weights, biases, config)
+    return LinearOvrSvm(weights, biases)
 
 
 def svm_predict(model: LinearOvrSvm, features) -> np.ndarray:
@@ -195,7 +194,6 @@ class TaperedMlp:
     sizes: tuple
     weights: list
     biases: list
-    config: MlpConfig
 
 
 def _taper(input_dim: int, hidden: tuple) -> tuple:
@@ -223,7 +221,7 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
     weights, biases = _init_layers(sizes, rng, config.init_std)
     _fit_dense(weights, biases, features, labels, cross_entropy, config.epochs,
                config, rng)
-    return TaperedMlp(sizes, weights, biases, config)
+    return TaperedMlp(sizes, weights, biases)
 
 
 def tmlp_predict(model: TaperedMlp, features) -> np.ndarray:
@@ -261,7 +259,6 @@ class AutoencoderClassifier:
     dec_b: np.ndarray
     head_w: np.ndarray  # (num_classes, code), softmax head
     head_b: np.ndarray
-    config: AeConfig
     recon_trace: list = field(default_factory=list)
 
 
@@ -283,7 +280,7 @@ def train_autoencoder_clf(features, labels,
     _fit_dense([head_w], [head_b], codes, labels, cross_entropy,
                config.head_epochs, config, rng)
     return AutoencoderClassifier(enc_w, enc_b, dec_w, dec_b, head_w, head_b,
-                                 config, recon_trace)
+                                 recon_trace)
 
 
 def ae_predict(model: AutoencoderClassifier, features) -> np.ndarray:
@@ -302,7 +299,7 @@ def load_svm(path) -> LinearOvrSvm:
     f = ModelFileReader(path, SVM_MAGIC)
     n_cls = f.class_count()
     (dim,) = f.uints(1)
-    model = LinearOvrSvm(f.tensor(n_cls, dim), f.tensor(n_cls), SvmConfig())
+    model = LinearOvrSvm(f.tensor(n_cls, dim), f.tensor(n_cls))
     f.expect_end()
     return model
 
@@ -323,7 +320,7 @@ def load_tmlp(path) -> TaperedMlp:
         weights.append(f.tensor(n_out, n_in))
         biases.append(f.tensor(n_out))
     f.expect_end()
-    return TaperedMlp(sizes, weights, biases, MlpConfig())
+    return TaperedMlp(sizes, weights, biases)
 
 
 def save_autoencoder(model: AutoencoderClassifier, path) -> None:
@@ -337,6 +334,6 @@ def load_autoencoder(path) -> AutoencoderClassifier:
     code, dim = f.uints(2)
     model = AutoencoderClassifier(
         f.tensor(code, dim), f.tensor(code), f.tensor(dim, code), f.tensor(dim),
-        f.tensor(NUM_CLASSES, code), f.tensor(NUM_CLASSES), AeConfig())
+        f.tensor(NUM_CLASSES, code), f.tensor(NUM_CLASSES))
     f.expect_end()
     return model

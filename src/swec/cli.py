@@ -86,18 +86,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep_fs(args) -> int:
-    config = _load_config(args)
-    rows = expharness.sweep_rows(expharness.sweep_sampling_rate(config), "fs")
-    if args.out:
-        expharness.save_report(rows, args.out)
-    _emit(rows)
-    return 0
-
-
-def _cmd_sweep_placement(args) -> int:
-    config = _load_config(args)
-    rows = expharness.sweep_rows(expharness.sweep_placement(config), "buses")
+def _cmd_sweep(args) -> int:
+    sweep = getattr(expharness, args.sweep)
+    rows = expharness.sweep_rows(sweep(_load_config(args)), args.key_name)
     if args.out:
         expharness.save_report(rows, args.out)
     _emit(rows)
@@ -174,17 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buses", default=None)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("sweep-fs", help="accuracy vs sampling rate")
-    common(p)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sweep_fs)
-
-    p = sub.add_parser("sweep-placement", help="accuracy vs sensor subsets")
-    common(p)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sweep_placement)
+    for name, help_text, sweep, key_name in (
+            ("sweep-fs", "accuracy vs sampling rate", "sweep_sampling_rate", "fs"),
+            ("sweep-placement", "accuracy vs sensor subsets", "sweep_placement",
+             "buses")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--repeats", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=_cmd_sweep, sweep=sweep, key_name=key_name)
 
     p = sub.add_parser("compare", help="all methods on identical splits")
     common(p)

@@ -9,10 +9,11 @@ write byte-identical artifacts.
 The four methods sit behind one table (METHOD_TABLE): per method, the input
 features it derives from the stacked feature matrices, its trainer and its
 predictor. Comparisons, sweeps and the command line all train and evaluate
-through fit_method and evaluate_method. Within one comparison cell every
-method trains and evaluates on the same train/test index sets and the same
-extracted features; the split fingerprint recorded per row makes that
-checkable after the fact.
+through fit_method and evaluate_method, in one (repeat, fs, buses, method)
+grid (run_grid) whose results the comparison and both sweeps group into
+rows. Each (repeat, fs) builds one dataset; within one (repeat, fs, buses)
+every method sees the same train/test index sets and the same extracted
+features; the split fingerprint recorded per run makes that checkable.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"train fraction {self.train_fraction} outside (0, 1)")
         if not self.fs_list:
             raise ConfigError("fs list must be non-empty")
+        if len(set(self.fs_list)) < len(self.fs_list):
+            raise ConfigError(f"fs list {self.fs_list} repeats a rate")
         if not self.bus_subsets:
             raise ConfigError("bus subsets must be non-empty")
         seen = set()
@@ -141,6 +144,12 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods {self.methods} repeat a method")
+        for m in METHODS:
+            if (seed := getattr(self, m).seed) != 0:
+                raise ConfigError(f"{m}.seed {seed}: trainer seeds derive from the "
+                                  f"top-level seed; set seed instead")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
 
@@ -279,11 +288,6 @@ def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
     return features, split
 
 
-def _prepare(config: ExperimentConfig, fs: float, buses, repeat: int):
-    dataset = _build(config, fs, repeat)
-    return features_and_split(config, dataset, buses, repeat)
-
-
 def _subset(features: Features, index):
     return features.values[index], features.labels[index]
 
@@ -314,67 +318,46 @@ def evaluate_method(config: ExperimentConfig, method: str, model, features,
         raise PipelineError("evaluate", exc) from exc
 
 
-def _train_eval(config: ExperimentConfig, method: str, features, split: SplitIndex,
-                fs: float, buses, repeat: int) -> RunResult:
-    model, _ = fit_method(config, method, features, split, repeat)
-    report, cm = evaluate_method(config, method, model, features, split)
-    return RunResult(method, fs, tuple(buses), repeat, report.accuracy,
-                     report, cm, split.fingerprint(), model)
+def _subset_cells(config: ExperimentConfig, fs: float, bus_subsets, repeat: int):
+    """(buses, features, split) per bus subset, from one dataset at fs."""
+    dataset = _build(config, fs, repeat)
+    for i, buses in enumerate(bus_subsets):
+        features, split = features_and_split(config, dataset, buses, repeat)
+        if i == len(bus_subsets) - 1:
+            del dataset  # freed before the last subset trains: a lower peak RSS
+        yield buses, features, split
 
 
-def run_pipeline(config: ExperimentConfig, fs: float, buses, method: str,
-                 repeat: int = 0) -> RunResult:
-    """One full build -> featurize -> split -> train -> evaluate cell."""
-    features, split = _prepare(config, fs, buses, repeat)
-    return _train_eval(config, method, features, split, fs, buses, repeat)
-
-
-@dataclass
-class SweepRow:
-    key: object
-    accuracies: list
-    mean_accuracy: float
-
-
-def sweep_sampling_rate(config: ExperimentConfig) -> list[SweepRow]:
-    """Accuracy per sampling rate (all monitored buses, convolutional model),
-    averaged over the configured repeat seeds. Rows ascend in rate."""
-    if len(config.fs_list) < 2:
-        raise ConfigError("sampling-rate sweep needs at least 2 rates")
-    buses = MONITORED_BUSES
-    results = [run_pipeline(config, fs, buses, "cnn", r)
-               for fs in sorted(config.fs_list) for r in range(config.repeats)]
-    rows = []
-    for fs in sorted(config.fs_list):
-        accs = [r.accuracy for r in results if r.fs == fs]
-        rows.append(SweepRow(fs, accs, float(np.mean(accs))))
-    return rows
-
-
-def sweep_placement(config: ExperimentConfig) -> list[SweepRow]:
-    """Accuracy per sensor subset at the placement-study sampling rate.
-
-    The dataset is shared across subsets within one repeat (only the
-    featurization differs), matching run_pipeline cell by cell."""
+def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[RunResult]:
+    """Every (repeat, fs, buses, method) cell, repeats outermost; the methods
+    of one (repeat, fs, buses) share its features and split."""
     results = []
     for repeat in range(config.repeats):
-        dataset = _build(config, config.placement_fs, repeat)
-        for subset in config.bus_subsets:
-            features, split = features_and_split(config, dataset, subset, repeat)
-            results.append(_train_eval(config, "cnn", features, split,
-                                       config.placement_fs, subset, repeat))
-    rows = []
-    for subset in config.bus_subsets:
-        accs = [r.accuracy for r in results if r.buses == tuple(subset)]
-        rows.append(SweepRow(tuple(subset), accs, float(np.mean(accs))))
-    return rows
+        for fs in fs_list:
+            for buses, features, split in _subset_cells(config, fs, bus_subsets, repeat):
+                for method in methods:
+                    model, _ = fit_method(config, method, features, split, repeat)
+                    report, cm = evaluate_method(config, method, model, features, split)
+                    results.append(RunResult(method, fs, tuple(buses), repeat,
+                                             report.accuracy, report, cm,
+                                             split.fingerprint(), model))
+    return results
 
 
 @dataclass
-class MethodComparison:
-    method: str
-    runs: list           # RunResult per repeat
-    mean_accuracy: float
+class Row:
+    """The runs of one rate, bus subset or method, in repeat order."""
+
+    key: object
+    runs: list
+
+    @property
+    def accuracies(self) -> list:
+        return [r.accuracy for r in self.runs]
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean(self.accuracies))
 
     def mean_macro(self, attr: str) -> float | None:
         vals = [getattr(r.report, attr) for r in self.runs]
@@ -382,23 +365,37 @@ class MethodComparison:
         return float(np.mean(defined)) if defined else None
 
 
-def compare_methods(config: ExperimentConfig, fs: float | None = None,
-                    buses=MONITORED_BUSES) -> list[MethodComparison]:
-    """All configured methods on identical splits and features, per repeat."""
+def _rows(results: list[RunResult], key: Callable) -> list[Row]:
+    """results grouped by key(result), keys in order of first appearance."""
+    rows = {}
+    for r in results:
+        rows.setdefault(key(r), Row(key(r), [])).runs.append(r)
+    return list(rows.values())
+
+
+def sweep_sampling_rate(config: ExperimentConfig) -> list[Row]:
+    """Accuracy per sampling rate (all monitored buses, convolutional model),
+    over the configured repeats. Rows ascend in rate."""
+    if len(config.fs_list) < 2:
+        raise ConfigError("sampling-rate sweep needs at least 2 rates")
+    results = run_grid(config, sorted(config.fs_list), [MONITORED_BUSES], ["cnn"])
+    return _rows(results, lambda r: r.fs)
+
+
+def sweep_placement(config: ExperimentConfig) -> list[Row]:
+    """Accuracy per sensor subset at the placement-study sampling rate, rows
+    in the config's subset order."""
+    results = run_grid(config, [config.placement_fs], config.bus_subsets, ["cnn"])
+    return _rows(results, lambda r: r.buses)
+
+
+def compare_methods(config: ExperimentConfig) -> list[Row]:
+    """All configured methods at the placement-study rate on all monitored
+    buses, on identical splits and features per repeat."""
     if len(config.methods) < 2:
         raise ConfigError("comparison needs at least 2 methods")
-    fs = config.placement_fs if fs is None else fs
-    per_method = {m: [] for m in config.methods}
-    for repeat in range(config.repeats):
-        features, split = _prepare(config, fs, buses, repeat)
-        for method in config.methods:
-            per_method[method].append(
-                _train_eval(config, method, features, split, fs, buses, repeat)
-            )
-    return [
-        MethodComparison(m, runs, float(np.mean([r.accuracy for r in runs])))
-        for m, runs in per_method.items()
-    ]
+    results = run_grid(config, [config.placement_fs], [MONITORED_BUSES], config.methods)
+    return _rows(results, lambda r: r.method)
 
 
 # ── Artifact persistence ─────────────────────────────────────────────────────
@@ -443,14 +440,14 @@ def load_report(path) -> list[list[str]]:
         raise ValueError(f"{path}: cannot read report: {exc}") from exc
 
 
-def comparison_rows(comparisons: list[MethodComparison]) -> list[list[str]]:
+def comparison_rows(comparisons: list[Row]) -> list[list[str]]:
     """Method-by-metric summary table (repeat means), plus split fingerprints."""
     rows = [["method", "acc", "pre_macro", "rec_macro", "f1_macro", "fpr_macro",
              "split_fingerprints"]]
     for comp in comparisons:
         fingerprints = "+".join(r.fingerprint for r in comp.runs)
         rows.append([
-            comp.method,
+            comp.key,
             metrics.format_percent(comp.mean_accuracy),
             metrics.format_percent(comp.mean_macro("macro_precision")),
             metrics.format_percent(comp.mean_macro("macro_recall")),
@@ -461,7 +458,7 @@ def comparison_rows(comparisons: list[MethodComparison]) -> list[list[str]]:
     return rows
 
 
-def sweep_rows(rows: list[SweepRow], key_name: str) -> list[list[str]]:
+def sweep_rows(rows: list[Row], key_name: str) -> list[list[str]]:
     header = [key_name, "mean_accuracy"]
     header += [f"accuracy_r{i}" for i in range(len(rows[0].accuracies))]
     out = [header]
@@ -484,7 +481,7 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
     manifest = {
         "config": config_to_json(config),
         "results": {
-            comp.method: {
+            comp.key: {
                 "mean_accuracy": comp.mean_accuracy,
                 "accuracies": [r.accuracy for r in comp.runs],
                 "fingerprints": [r.fingerprint for r in comp.runs],
@@ -495,9 +492,9 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     for comp in comparisons:
         for run in comp.runs:
-            tag = f"{comp.method}_r{run.repeat}"
-            save_model(comp.method, run.model, out / "models" / f"{tag}.bin")
-            save_report(metrics.report_rows(comp.method, run.report, run.cm),
+            tag = f"{comp.key}_r{run.repeat}"
+            save_model(comp.key, run.model, out / "models" / f"{tag}.bin")
+            save_report(metrics.report_rows(comp.key, run.report, run.cm),
                         out / "reports" / f"{tag}.csv")
             save_report([[str(int(v)) for v in row] for row in run.cm],
                         out / "confusion" / f"{tag}.csv")

@@ -15,7 +15,7 @@ independent seeded stream, so repeated generation is bit-identical and
 record generation can be scheduled in any order. A Dataset is its
 DatasetConfig plus one stacked (records, buses, phases, samples) array;
 each record's spec and seed derive from the config, so a dataset directory
-stores the config, the array and the array's sha256, and nothing per record.
+stores the config, the array and the sha256 of each, and nothing per record.
 A record's post-detection window is a (buses, phases, W) view of its
 samples.
 """
@@ -712,24 +712,30 @@ def extract_window(record: WaveformRecord, jitter: bool = True) -> np.ndarray:
 
 # ── Dataset directory persistence ────────────────────────────────────────────
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 WAVEFORMS_FILE = "waveforms.npy"
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest.json, the dataset's config plus the sha256 of its
-    samples, and waveforms.npy, the samples as one little-endian float64
-    .npy array."""
+    """Write manifest.json, the dataset's config plus the sha256 of the
+    config and of its samples, and waveforms.npy, the samples as one
+    little-endian float64 .npy array."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         **dataclass_to_json(dataset.config),
+        "config_sha256": config_sha256(dataset.config),
         "waveforms_sha256": waveforms_sha256(dataset.samples),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     np.save(out / WAVEFORMS_FILE, dataset.samples)
     return out
+
+
+def config_sha256(config: DatasetConfig) -> str:
+    """sha256 of the json.dumps text of the config's JSON form."""
+    return hashlib.sha256(json.dumps(dataclass_to_json(config)).encode()).hexdigest()
 
 
 def waveforms_sha256(samples: np.ndarray) -> str:
@@ -740,19 +746,20 @@ def waveforms_sha256(samples: np.ndarray) -> str:
 def load_dataset(in_dir) -> Dataset:
     """Inverse of save_dataset; waveform values round-trip bit-identically.
     The schema version is checked first; then every DatasetConfig key and
-    the digest are required and typed, and the records are derived from the
-    config as build_dataset derives them; a violation is a ValueError naming
-    the manifest and the key. waveforms.npy must be a readable .npy array of
-    dtype <f8 and shape (records, buses, 3, round(fs * duration)) whose
-    sha256 matches the manifest and whose values are all finite; a violation
-    is a ValueError naming the file (and the record, for a non-finite value)."""
+    both digests are required and typed, the records are derived from the
+    config as build_dataset derives them, and the config must match its
+    digest; a violation is a ValueError naming the manifest (and the key).
+    waveforms.npy must be a readable .npy array of dtype <f8 and shape
+    (records, buses, 3, round(fs * duration)) whose sha256 matches the
+    manifest and whose values are all finite; a violation is a ValueError
+    naming the file (and the record, for a non-finite value)."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError:
         raise FileNotFoundError(f"no manifest.json under {root}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
 
     def require(obj, keys, where):
@@ -771,7 +778,7 @@ def load_dataset(in_dir) -> Dataset:
             f"re-run `swec generate` to rebuild the dataset from its seed"
         )
     config_keys = [f.name for f in fields(DatasetConfig)]
-    require(manifest, [*config_keys, "waveforms_sha256"], "")
+    require(manifest, [*config_keys, "config_sha256", "waveforms_sha256"], "")
     require(manifest["grids"], [f.name for f in fields(DatasetGrids)], "grids: ")
     try:
         cfg = dataclass_from_json(DatasetConfig, {k: manifest[k] for k in config_keys})
@@ -784,6 +791,8 @@ def load_dataset(in_dir) -> Dataset:
         dataset.records  # derived now, so that a bad config value names the manifest
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
+    if config_sha256(cfg) != manifest["config_sha256"]:
+        raise ValueError(f"{manifest_path}: config differs from its config_sha256")
     return dataset
 
 

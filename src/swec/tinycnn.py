@@ -395,8 +395,9 @@ class ModelFileReader:
     """Bounds-checked reader of one write_model_file file.
 
     Opening checks the magic and the format version; every read checks the
-    remaining length first, and expect_end() rejects trailing bytes. Each
-    failure is a ValueError naming the path and the byte offset.
+    remaining length first, a tensor must hold only finite values, and
+    expect_end() rejects trailing bytes. Each failure is a ValueError naming
+    the path and the byte offset.
     """
 
     def __init__(self, path, magic: bytes):
@@ -439,6 +440,8 @@ class ModelFileReader:
         count = math.prod(shape)
         start = self._take(8 * count)
         t = np.frombuffer(self.data, dtype="<f8", count=count, offset=start)
+        if not np.isfinite(t).all():
+            raise ValueError(f"{self.path}: offset {start}: non-finite value in tensor")
         return t.reshape(shape).astype(float)
 
     def expect_end(self) -> None:

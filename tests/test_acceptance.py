@@ -141,7 +141,7 @@ def placement_rows(default_config):
 class TestCriterion6EndToEnd:
     def test_default_run_accuracy(self, timed_comparison):
         comparison, elapsed = timed_comparison
-        cnn = next(c for c in comparison if c.method == "cnn")
+        cnn = next(c for c in comparison if c.key == "cnn")
         acc = cnn.runs[0].accuracy
         _criterion(6, acc >= 0.90 and elapsed < 600.0,
                    f"cnn accuracy {acc:.4f} at 20 kHz, 3 buses, "
@@ -158,7 +158,7 @@ class TestCriterion7SamplingRateTrend:
 
 class TestCriterion8MethodOrdering:
     def test_ordering_chain(self, comparison):
-        acc = {c.method: c.mean_accuracy for c in comparison}
+        acc = {c.key: c.mean_accuracy for c in comparison}
         ok = acc["cnn"] >= acc["tmlp"] - 0.02 and acc["tmlp"] >= acc["svm"] - 0.02
         _criterion(8, ok,
                    "mean accuracies " + " ".join(
@@ -166,7 +166,7 @@ class TestCriterion8MethodOrdering:
                        ("cnn", "tmlp", "svm", "autoencoder")))
 
     def test_identical_splits(self, comparison):
-        fingerprints = {c.method: tuple(r.fingerprint for r in c.runs)
+        fingerprints = {c.key: tuple(r.fingerprint for r in c.runs)
                         for c in comparison}
         assert len(set(fingerprints.values())) == 1
 

@@ -120,7 +120,7 @@ class TestSvm:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_tie_breaks_to_lowest_class(self):
-        model = baselines.LinearOvrSvm(np.zeros((4, 3)), np.zeros(4), SvmConfig())
+        model = baselines.LinearOvrSvm(np.zeros((4, 3)), np.zeros(4))
         assert svm_predict(model, np.ones((1, 3)))[0] == 1
 
 

@@ -146,7 +146,8 @@ class TestWorkflow:
         ("drop_fs", "manifest.json", "'fs'"),
         ("truncated_npy", "waveforms.npy", "unreadable waveform array"),
         ("flipped_byte", "waveforms.npy", "sha256 differs"),
-    ], ids=["drop_fs", "truncated_npy", "flipped_byte"])
+        ("edited_grids", "manifest.json", "config differs from its config_sha256"),
+    ], ids=["drop_fs", "truncated_npy", "flipped_byte", "edited_grids"])
     def test_inconsistent_manifest_fails_cleanly(self, damage, where, what, capsys,
                                                  tmp_path, tiny_config_file):
         data_dir = tmp_path / "data"
@@ -159,6 +160,9 @@ class TestWorkflow:
         manifest = json.loads(manifest_path.read_text())
         if damage == "drop_fs":
             del manifest["fs"]
+        elif damage == "edited_grids":
+            manifest["grids"].update(cap_angles=3, xfmr_angles=1,
+                                     declared_counts=[3, 1, 2, 2])
         manifest_path.write_text(json.dumps(manifest))
         waveform = data_dir / "waveforms.npy"
         data = bytearray(waveform.read_bytes())
@@ -173,6 +177,24 @@ class TestWorkflow:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert where in err and what in err
+
+    def test_non_finite_model_fails_cleanly(self, capsys, tmp_path,
+                                            tiny_config_file):
+        data_dir = tmp_path / "data"
+        model_path = tmp_path / "model.bin"
+        run_cli(capsys, "generate", "--config", str(tiny_config_file),
+                "--out", str(data_dir), "--fs", "2000")
+        run_cli(capsys, "train", "--config", str(tiny_config_file),
+                "--data", str(data_dir), "--model", str(model_path))
+        model = expharness.load_model("cnn", model_path)
+        model.fc_b[1] = np.nan
+        expharness.save_model("cnn", model, model_path)
+        code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
+                                 "--model", str(model_path), "--data", str(data_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "model.bin: offset" in err and "non-finite" in err
 
     def test_train_repeated_bus_fails_cleanly(self, capsys, tmp_path,
                                               tiny_config_file):

@@ -1,14 +1,17 @@
 import json
 import re
+import weakref
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swec import baselines, expharness, synthgrid, tinycnn
 from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
                              comparison_rows, config_from_json, config_to_json,
                              derive_seed, largest_remainder_counts, load_report,
-                             run_pipeline, save_report, split_stratified,
+                             run_grid, save_report, split_stratified,
                              sweep_placement, sweep_rows, sweep_sampling_rate,
                              write_comparison_run)
 from swec.synthgrid import ConfigError
@@ -108,6 +111,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("cnn", "forest"))
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match=r"\('cnn', 'cnn'\) repeat a method"):
+            ExperimentConfig(methods=("cnn", "cnn"))
+
+    def test_repeated_rate_rejected(self):
+        with pytest.raises(ConfigError, match=r"\(2000\.0, 4000\.0, 2000\) repeats a rate"):
+            config_from_json({"fs_list": [2000.0, 4000.0, 2000]})
+
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_trainer_seed_rejected(self, method):
+        with pytest.raises(ConfigError, match=re.escape(f"{method}.seed 777: ")
+                           + "trainer seeds derive from the top-level seed"):
+            config_from_json({method: {"seed": 777}})
+
     def test_load_config_malformed_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{oops")
@@ -143,24 +160,24 @@ class TestConfig:
 
 class TestPipeline:
     def test_tiny_run_produces_report(self):
-        res = run_pipeline(tiny_config(), 2000.0, (632, 671, 675), "cnn")
+        res = run_grid(tiny_config(), [2000.0], [(632, 671, 675)], ["cnn"])[0]
         assert res.cm.sum() == 4  # one test record per class
         assert 0.0 <= res.accuracy <= 1.0
         assert res.fingerprint
 
     def test_single_bus_clamped_arch_completes(self):
-        res = run_pipeline(tiny_config(), 2000.0, (632,), "cnn")
+        res = run_grid(tiny_config(), [2000.0], [(632,)], ["cnn"])[0]
         assert res.model.arch.input_h == 1
         assert res.cm.sum() == 4
 
     def test_stage_error_names_stage(self):
         with pytest.raises(PipelineError, match="stage 'dataset'"):
-            run_pipeline(tiny_config(), 500.0, (632,), "cnn")
+            run_grid(tiny_config(), [500.0], [(632,)], ["cnn"])
 
     def test_deterministic_results(self):
         cfg = tiny_config()
-        a = run_pipeline(cfg, 2000.0, (632, 671, 675), "svm")
-        b = run_pipeline(cfg, 2000.0, (632, 671, 675), "svm")
+        a = run_grid(cfg, [2000.0], [(632, 671, 675)], ["svm"])[0]
+        b = run_grid(cfg, [2000.0], [(632, 671, 675)], ["svm"])[0]
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.cm, b.cm)
         assert a.fingerprint == b.fingerprint
@@ -203,7 +220,7 @@ class TestSweeps:
     def test_placement_matches_run_pipeline(self):
         cfg = tiny_config()
         rows = sweep_placement(cfg)
-        direct = run_pipeline(cfg, cfg.placement_fs, (632,), "cnn", 0)
+        direct = run_grid(cfg, [cfg.placement_fs], [(632,)], ["cnn"])[0]
         assert rows[0].accuracies[0] == direct.accuracy
 
     def test_sweep_rows_formatting(self):
@@ -212,17 +229,54 @@ class TestSweeps:
         assert len(rows) == 3
 
 
+class TestDatasetLifetime:
+    """Each (repeat, fs) dataset is released once its last bus subset is
+    featurized, so no two datasets and no training overlap it."""
+
+    @pytest.fixture
+    def alive(self, monkeypatch):
+        """Counts of live datasets, recorded at every build and every fit."""
+        refs, counts = [], {"build": [], "fit": []}
+
+        def live():
+            return sum(ref() is not None for ref in refs)
+
+        def build(config):
+            counts["build"].append(live())
+            dataset = synthgrid.build_dataset(config)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        fit = expharness.fit_method
+
+        def fit_method(*args, **kwargs):
+            counts["fit"].append(live())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(expharness, "build_dataset", build)
+        monkeypatch.setattr(expharness, "fit_method", fit_method)
+        return counts
+
+    def test_placement_builds_with_no_earlier_dataset_alive(self, alive):
+        sweep_placement(tiny_config(repeats=2))
+        assert alive["build"] == [0, 0]
+
+    def test_compare_trains_with_no_dataset_alive(self, alive):
+        compare_methods(tiny_config(repeats=2))
+        assert alive["fit"] == [0, 0, 0, 0]
+
+
 class TestCompare:
     def test_identical_splits_across_methods(self):
         comps = compare_methods(tiny_config())
-        fingerprints = {c.method: [r.fingerprint for r in c.runs] for c in comps}
+        fingerprints = {c.key: [r.fingerprint for r in c.runs] for c in comps}
         reference = next(iter(fingerprints.values()))
         assert all(v == reference for v in fingerprints.values())
 
     def test_methods_in_config_order(self):
         cfg = tiny_config()
         comps = compare_methods(cfg)
-        assert [c.method for c in comps] == list(cfg.methods)
+        assert [c.key for c in comps] == list(cfg.methods)
 
     def test_needs_two_methods(self):
         with pytest.raises(ConfigError):
@@ -241,25 +295,14 @@ class TestArtifacts:
         assert load_report(path) == rows
 
     def test_model_dispatch_round_trip(self, tmp_path):
-        res = run_pipeline(tiny_config(), 2000.0, (632, 671, 675), "cnn")
+        res = run_grid(tiny_config(), [2000.0], [(632, 671, 675)], ["cnn"])[0]
         expharness.save_model("cnn", res.model, tmp_path / "m.bin")
         loaded = expharness.load_model("cnn", tmp_path / "m.bin")
         np.testing.assert_array_equal(loaded.conv_w, res.model.conv_w)
 
     @pytest.mark.parametrize("method", expharness.METHODS)
     def test_every_truncation_rejected(self, method, tmp_path):
-        model = {
-            "cnn": tinycnn.init_model(tinycnn.CnnArch(1, 4, num_filters=2), 0),
-            "svm": baselines.LinearOvrSvm(np.ones((4, 3)), np.zeros(4),
-                                          baselines.SvmConfig()),
-            "tmlp": baselines.TaperedMlp((6, 5, 4),
-                                         [np.ones((5, 6)), np.ones((4, 5))],
-                                         [np.zeros(5), np.zeros(4)],
-                                         baselines.MlpConfig()),
-            "autoencoder": baselines.AutoencoderClassifier(
-                np.ones((2, 3)), np.zeros(2), np.ones((3, 2)), np.zeros(3),
-                np.ones((4, 2)), np.zeros(4), baselines.AeConfig()),
-        }[method]
+        model = _small_model(method)
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path)
         data = path.read_bytes()
@@ -269,15 +312,27 @@ class TestArtifacts:
             with pytest.raises(ValueError, match="offset [0-9]+: truncated"):
                 expharness.load_model(method, path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_non_finite_tensor_rejected(self, method, value, tmp_path):
+        model = _small_model(method)
+        last = {"cnn": lambda m: m.fc_b, "svm": lambda m: m.biases,
+                "tmlp": lambda m: m.biases[-1],
+                "autoencoder": lambda m: m.head_b}[method](model)
+        last[-1] = value
+        path = tmp_path / "m.bin"
+        expharness.save_model(method, model, path)
+        offset = path.stat().st_size - 8 * last.size
+        with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite"):
+            expharness.load_model(method, path)
+
     @pytest.mark.parametrize("method", ["cnn", "svm", "tmlp"])
     def test_wrong_class_count_rejected(self, method, tmp_path):
         model = {
             "cnn": tinycnn.init_model(
                 tinycnn.CnnArch(1, 4, num_filters=2, num_classes=3), 0),
-            "svm": baselines.LinearOvrSvm(np.ones((3, 3)), np.zeros(3),
-                                          baselines.SvmConfig()),
-            "tmlp": baselines.TaperedMlp((6, 3), [np.ones((3, 6))], [np.zeros(3)],
-                                         baselines.MlpConfig()),
+            "svm": baselines.LinearOvrSvm(np.ones((3, 3)), np.zeros(3)),
+            "tmlp": baselines.TaperedMlp((6, 3), [np.ones((3, 6))], [np.zeros(3)]),
         }[method]
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path)
@@ -312,3 +367,60 @@ class TestArtifacts:
                     "models/cnn_r0.bin"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
+
+
+def _small_model(method):
+    """A small model of each type, as its trainer would return it."""
+    return {
+        "cnn": tinycnn.init_model(tinycnn.CnnArch(1, 4, num_filters=2), 0),
+        "svm": baselines.LinearOvrSvm(np.ones((4, 3)), np.zeros(4)),
+        "tmlp": baselines.TaperedMlp((6, 5, 4),
+                                     [np.ones((5, 6)), np.ones((4, 5))],
+                                     [np.zeros(5), np.zeros(4)]),
+        "autoencoder": baselines.AutoencoderClassifier(
+            np.ones((2, 3)), np.zeros(2), np.ones((3, 2)), np.zeros(3),
+            np.ones((4, 2)), np.zeros(4)),
+    }[method]
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+    return st.recursive(scalars, lambda kids: st.lists(kids, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                        max_leaves=6)
+
+
+def _near(like):
+    """Values of the type of the default value `like`, often valid ones."""
+    if is_dataclass(like):
+        return _documents(type(like))
+    if isinstance(like, tuple):
+        return st.lists(_near(like[0]), max_size=4)
+    if isinstance(like, bool):
+        return st.booleans()
+    if isinstance(like, int):
+        return st.sampled_from((0, 1, 2, 4, 632, 671, 675)) | st.integers()
+    if isinstance(like, float):
+        return st.sampled_from((0.5, 2000.0, 20000.0)) | st.floats()
+    return st.sampled_from((*expharness.METHODS, "LG", "LLLG", "forest"))
+
+
+def _documents(cls):
+    """Objects over the fields of cls, each value near its default's type or
+    any JSON value, and sometimes an unknown key."""
+    values = {}
+    for f in fields(cls):
+        default = f.default_factory() if f.default is MISSING else f.default
+        values[f.name] = _near(default) | _json_values()
+    return st.fixed_dictionaries({}, optional={**values, "bogus": st.integers()})
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_documents(ExperimentConfig))
+def test_config_document_gives_config_or_value_error(doc):
+    try:
+        config = config_from_json(doc)
+    except ValueError:
+        return
+    assert isinstance(config, ExperimentConfig)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swec import featpipe, synthgrid
 from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, ConfigError, DatasetConfig,
@@ -282,7 +283,7 @@ class TestPersistence:
         stored = np.load(out / "waveforms.npy", allow_pickle=False)
         assert stored.dtype.str == "<f8" and stored.shape == (8, 3, 3, 600)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         digest = manifest["waveforms_sha256"]
         assert digest == hashlib.sha256(stored.tobytes()).hexdigest()
         assert digest == json.loads(REFERENCE_HASHES.read_text())["8@4000/5"]
@@ -294,12 +295,21 @@ class TestPersistence:
         out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
         manifest = json.loads((out / "manifest.json").read_text())
         config_keys = [f.name for f in dataclasses.fields(DatasetConfig)]
-        assert list(manifest) == ["schema_version", *config_keys, "waveforms_sha256"]
+        assert list(manifest) == ["schema_version", *config_keys, "config_sha256",
+                                  "waveforms_sha256"]
+        config_json = json.dumps(synthgrid.dataclass_to_json(tiny_dataset.config))
+        assert manifest["config_sha256"] == \
+            hashlib.sha256(config_json.encode()).hexdigest()
         assert synthgrid.load_dataset(out).config == tiny_dataset.config
 
     def test_malformed_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
+            synthgrid.load_dataset(tmp_path)
+
+    def test_undecodable_manifest_named(self, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(b'{"schema_version": \xb4}')
+        with pytest.raises(ValueError, match=r"manifest\.json: malformed manifest"):
             synthgrid.load_dataset(tmp_path)
 
     def test_manifest_grids_in_declaration_order(self, tiny_dataset, tmp_path):
@@ -331,6 +341,18 @@ class TestPersistence:
         damage(manifest)
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+            synthgrid.load_dataset(out)
+
+    def test_edited_config_rejected(self, tiny_dataset, tmp_path):
+        # same record count and array shape, but per-class counts that would
+        # relabel records: only the config digest tells
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["grids"].update(cap_angles=3, xfmr_angles=1,
+                                 declared_counts=[3, 1, 2, 2])
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+        with pytest.raises(ValueError, match=r"manifest\.json: config differs "
+                           r"from its config_sha256"):
             synthgrid.load_dataset(out)
 
     def test_missing_manifest(self, tmp_path):
@@ -384,6 +406,64 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
                            r"schema_version 2 .*re-run `swec generate`"):
             synthgrid.load_dataset(out)
+
+    def test_schema_version_3_rejected(self, tiny_dataset, tmp_path):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["schema_version"] = 3
+        del manifest["config_sha256"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
+                           r"schema_version 3 .*re-run `swec generate`"):
+            synthgrid.load_dataset(out)
+
+
+@pytest.fixture(scope="module")
+def saved_tiny_4k(tmp_path_factory):
+    """A tiny 4 kHz dataset directory, its manifest bytes and its config."""
+    config = tiny_config(seed=5).dataset_config(4000.0, 5)
+    out = synthgrid.save_dataset(build_dataset(config),
+                                 tmp_path_factory.mktemp("tiny4k") / "ds")
+    return out, (out / "manifest.json").read_bytes(), config
+
+
+def _number_offsets(text: str) -> list[int]:
+    """Offsets of the characters of the JSON numbers in text."""
+    offsets, in_string = [], False
+    for i, ch in enumerate(text):
+        if ch == '"':
+            in_string = not in_string
+        elif not in_string and ch in "0123456789.-+eE":
+            offsets.append(i)
+    return offsets
+
+
+def _parsed(raw: bytes):
+    try:
+        return json.loads(raw.decode())
+    except ValueError:
+        return None
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data(), bit=st.integers(0, 7))
+def test_manifest_bit_flip_is_harmless_or_rejected(saved_tiny_4k, data, bit):
+    out, raw, config = saved_tiny_4k
+    # half the draws land on a digit of a config value, where a flip most
+    # often still parses
+    offset = data.draw(st.sampled_from(_number_offsets(raw.decode()))
+                       | st.integers(0, len(raw) - 1))
+    flipped = bytearray(raw)
+    flipped[offset] ^= 1 << bit
+    try:
+        (out / "manifest.json").write_bytes(bytes(flipped))
+        if _parsed(bytes(flipped)) == _parsed(raw):
+            assert synthgrid.load_dataset(out).config == config
+        else:
+            with pytest.raises(ValueError):
+                synthgrid.load_dataset(out)
+    finally:
+        (out / "manifest.json").write_bytes(raw)
 
 
 def _flip_byte(path, offset):
