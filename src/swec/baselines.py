@@ -50,12 +50,6 @@ def energy_feature_set(xs, num_intervals: int = 8) -> np.ndarray:
     return np.concatenate(stats, axis=-2).reshape(len(xs), -1)
 
 
-def energy_features(fm, num_intervals: int = 8) -> np.ndarray:
-    """energy_feature_set of one feature matrix (or one row)."""
-    values = np.asarray(fm, dtype=float)
-    return energy_feature_set(values.reshape(1, -1, values.shape[-1]), num_intervals)[0]
-
-
 def flatten_features(xs) -> np.ndarray:
     """One row per feature matrix of a (N, rows, W) stack."""
     return np.asarray(xs, dtype=float).reshape(len(xs), -1)

@@ -11,9 +11,11 @@ features it derives from the stacked feature matrices, its trainer and its
 predictor. Comparisons, sweeps and the command line all train and evaluate
 through fit_method and evaluate_method, in one (repeat, fs, buses, method)
 grid (run_grid) whose results the comparison and both sweeps group into
-rows. Each (repeat, fs) builds one dataset; within one (repeat, fs, buses)
-every method sees the same train/test index sets and the same extracted
-features; the split fingerprint recorded per run makes that checkable.
+rows. Each (repeat, fs) builds one dataset, featurizes it once over the
+union of the subsets' buses and drops it before any cell trains; each bus
+subset takes its rows of those features, and all its methods see the same
+train/test index sets; the split fingerprint recorded per run makes that
+checkable.
 """
 
 from __future__ import annotations
@@ -152,6 +154,7 @@ class ExperimentConfig:
                                   f"top-level seed; set seed instead")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        self.dataset_config(self.placement_fs, self.seed)  # checks the dataset fields
 
     def dataset_config(self, fs: float, seed: int) -> DatasetConfig:
         return DatasetConfig(
@@ -318,26 +321,25 @@ def evaluate_method(config: ExperimentConfig, method: str, model, features,
         raise PipelineError("evaluate", exc) from exc
 
 
-def _subset_cells(config: ExperimentConfig, fs: float, bus_subsets, repeat: int):
-    """(buses, features, split) per bus subset, from one dataset at fs."""
-    dataset = _build(config, fs, repeat)
-    for i, buses in enumerate(bus_subsets):
-        features, split = features_and_split(config, dataset, buses, repeat)
-        if i == len(bus_subsets) - 1:
-            del dataset  # freed before the last subset trains: a lower peak RSS
-        yield buses, features, split
-
-
 def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[RunResult]:
-    """Every (repeat, fs, buses, method) cell, repeats outermost; the methods
-    of one (repeat, fs, buses) share its features and split."""
+    """Every (repeat, fs, buses, method) cell, repeats outermost. Each
+    (repeat, fs) featurizes its dataset once over the union of the subsets'
+    buses, and the dataset is dropped before any cell trains. A subset's
+    features are its rows of that array; its methods share them and the
+    (repeat, fs) split."""
+    watched = sorted(set().union(*bus_subsets))
     results = []
     for repeat in range(config.repeats):
         for fs in fs_list:
-            for buses, features, split in _subset_cells(config, fs, bus_subsets, repeat):
+            features, split = features_and_split(
+                config, _build(config, fs, repeat), watched, repeat)
+            for buses in bus_subsets:
+                # take() keeps the rows C-contiguous, as featurize stacks them
+                rows = [watched.index(b) for b in sorted(buses)]
+                cell = Features(features.values.take(rows, axis=1), features.labels)
                 for method in methods:
-                    model, _ = fit_method(config, method, features, split, repeat)
-                    report, cm = evaluate_method(config, method, model, features, split)
+                    model, _ = fit_method(config, method, cell, split, repeat)
+                    report, cm = evaluate_method(config, method, model, cell, split)
                     results.append(RunResult(method, fs, tuple(buses), repeat,
                                              report.accuracy, report, cm,
                                              split.fingerprint(), model))

@@ -358,6 +358,11 @@ class DatasetConfig:
     amplitude: float = 1.0
     grids: DatasetGrids = field(default_factory=DatasetGrids)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+            raise ConfigError(f"snr_db {self.snr_db}: must be finite or +inf "
+                              f"(noiseless)")
+
 
 @dataclass(frozen=True)
 class Dataset:

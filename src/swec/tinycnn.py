@@ -120,11 +120,6 @@ def init_model(arch: CnnArch, seed: int, init_std: float = 0.01) -> CnnModel:
                     fc_w, np.zeros(arch.num_classes))
 
 
-def zero_state(model: CnnModel) -> dict[str, np.ndarray]:
-    """Momentum velocity buffers, one per parameter tensor, in params() order."""
-    return {name: np.zeros_like(p) for name, p in model.params().items()}
-
-
 def stack_examples(pairs):
     """Inputs stacked on a new first axis and the (B,) class codes of a
     sequence of (input, class code) pairs."""

@@ -3,7 +3,7 @@ import pytest
 
 from swec import baselines
 from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
-                            energy_features, mlp_grad_check, svm_predict,
+                            energy_feature_set, mlp_grad_check, svm_predict,
                             tmlp_predict, train_autoencoder_clf,
                             train_svm_ovr, train_tmlp, tmlp_loss_and_grad)
 from swec.tinycnn import PREDICT_BLOCK, central_difference_errors, cross_entropy
@@ -26,20 +26,20 @@ def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
 class TestEnergyFeatures:
     def test_single_interval_statistics(self):
         fm = np.array([[1.0, 1.0, 1.0, 1.0]])
-        np.testing.assert_allclose(energy_features(fm, 1), [1.0, 4.0, 2.0, 1.0])
+        np.testing.assert_allclose(energy_feature_set(fm[None], 1)[0], [1.0, 4.0, 2.0, 1.0])
 
     def test_all_zero(self):
         fm = np.zeros((2, 8))
-        assert np.all(energy_features(fm, 2) == 0.0)
+        assert np.all(energy_feature_set(fm[None], 2)[0] == 0.0)
 
     def test_length(self):
         fm = np.random.default_rng(0).random((3, 166))
-        assert energy_features(fm, 8).shape == (3 * 8 * 4,)
+        assert energy_feature_set(fm[None], 8)[0].shape == (3 * 8 * 4,)
 
     def test_remainder_goes_to_last_interval(self):
         row = np.arange(10.0)
         fm = row[None, :]
-        feats = energy_features(fm, 3)
+        feats = energy_feature_set(fm[None], 3)[0]
         # segments: [0,1,2], [3,4,5], [6,7,8,9]
         assert feats[1 * 4 + 1] == pytest.approx(12.0)   # sum of middle
         assert feats[2 * 4 + 1] == pytest.approx(30.0)   # sum of last
@@ -50,8 +50,8 @@ class TestEnergyFeatures:
         a, b = rng.random((2, 12)), rng.random((2, 12))[0]
         top = np.vstack([a[0], b])
         swapped = np.vstack([b, a[0]])
-        f_top = energy_features(top, 4)
-        f_sw = energy_features(swapped, 4)
+        f_top = energy_feature_set(top[None], 4)[0]
+        f_sw = energy_feature_set(swapped[None], 4)[0]
         half = len(f_top) // 2
         np.testing.assert_allclose(f_top[:half], f_sw[half:])
         np.testing.assert_allclose(f_top[half:], f_sw[:half])
@@ -79,9 +79,9 @@ class TestEnergyFeatures:
     def test_invalid_interval_count(self):
         fm = np.zeros((1, 8))
         with pytest.raises(ValueError):
-            energy_features(fm, 0)
+            energy_feature_set(fm[None], 0)[0]
         with pytest.raises(ValueError):
-            energy_features(fm, 9)
+            energy_feature_set(fm[None], 9)[0]
 
 
 class TestSvm:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import swec
 from swec import cli, expharness
 from conftest import tiny_config
 
-from swec.expharness import config_to_json
+from swec.expharness import ExperimentConfig, config_to_json
+from swec.synthgrid import ConfigError
 
 
 @pytest.fixture
@@ -261,6 +263,22 @@ class TestSweepAndCompare:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "cnn.epochs" in err
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_non_finite_snr_rejected_before_any_build(self, snr_db, capsys,
+                                                      tmp_path):
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(snr_db=snr_db)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"snr_db": snr_db}))
+        code, out, err = run_cli(capsys, "generate", "--config", str(path),
+                                 "--out", str(tmp_path / "ds"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "snr_db" in err
+        assert not (tmp_path / "ds").exists()
+        assert ExperimentConfig(snr_db=-3.0).snr_db == -3.0
 
     def test_report_empty_dir_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path))

@@ -230,8 +230,9 @@ class TestSweeps:
 
 
 class TestDatasetLifetime:
-    """Each (repeat, fs) dataset is released once its last bus subset is
-    featurized, so no two datasets and no training overlap it."""
+    """Each (repeat, fs) dataset is featurized once, over the union of the
+    bus subsets' buses, and released when that call returns, so no two
+    datasets and no training overlap it."""
 
     @pytest.fixture
     def alive(self, monkeypatch):
@@ -261,9 +262,23 @@ class TestDatasetLifetime:
         sweep_placement(tiny_config(repeats=2))
         assert alive["build"] == [0, 0]
 
-    def test_compare_trains_with_no_dataset_alive(self, alive):
-        compare_methods(tiny_config(repeats=2))
+    @pytest.mark.parametrize("table", ["compare_methods", "sweep_placement",
+                                       "sweep_sampling_rate"])
+    def test_trains_with_no_dataset_alive(self, alive, table):
+        getattr(expharness, table)(tiny_config(repeats=2))
         assert alive["fit"] == [0, 0, 0, 0]
+
+    def test_placement_featurizes_each_record_once(self, monkeypatch):
+        calls = []
+        featurize = expharness.featurize
+
+        def counted(window, buses):
+            calls.append(tuple(buses))
+            return featurize(window, buses)
+
+        monkeypatch.setattr(expharness, "featurize", counted)
+        sweep_placement(tiny_config(repeats=2, bus_subsets=((675,), (675, 632))))
+        assert calls == [(632, 675)] * 16  # 8 records x 2 repeats
 
 
 class TestCompare:

@@ -8,7 +8,7 @@ from swec import tinycnn
 from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, batch_loss_and_grads,
                           fit_sgdm, forward, grad_check, init_model, loss_and_grad,
                           make_gradcheck_case, predict, sgdm_step, softmax,
-                          train, zero_state)
+                          train)
 
 
 def manual_model(arch, conv_w, conv_b, fc_w, fc_b):
@@ -216,7 +216,7 @@ class TestSgdm:
 
     def test_single_step(self):
         model = self._scalarish_model()
-        state = zero_state(model)
+        state = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads = {n: np.full_like(p, 2.0) for n, p in model.params().items()}
         cfg = TrainConfig(learning_rate=1e-4, momentum=0.9)
         sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
@@ -224,7 +224,7 @@ class TestSgdm:
 
     def test_second_step_velocity(self):
         model = self._scalarish_model()
-        state = zero_state(model)
+        state = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads = {n: np.full_like(p, 2.0) for n, p in model.params().items()}
         cfg = TrainConfig(learning_rate=1e-4, momentum=0.9)
         sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
@@ -234,7 +234,7 @@ class TestSgdm:
     def test_zero_learning_rate_is_identity(self):
         model = self._scalarish_model()
         model.conv_w[0, 0, 0] = 1.5
-        state = zero_state(model)
+        state = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads = {n: np.full_like(p, 7.0) for n, p in model.params().items()}
         cfg = SimpleNamespace(learning_rate=0.0, momentum=0.9)
         sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
