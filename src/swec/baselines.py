@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .synthgrid import NUM_CLASSES
-from .tinycnn import (ModelFileReader, central_difference_errors, cross_entropy,
-                      fit_sgdm, predict_in_blocks, stack_examples, write_model_file)
+from .tinycnn import (ModelFileReader, TrainerConfig, central_difference_errors,
+                      cross_entropy, fit_sgdm, predict_in_blocks, stack_examples,
+                      write_model_file)
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -58,7 +59,7 @@ def flatten_features(xs) -> np.ndarray:
 # ── Linear one-vs-rest SVM ───────────────────────────────────────────────────
 
 @dataclass(frozen=True)
-class SvmConfig:
+class SvmConfig(TrainerConfig):
     C: float = 1.0
     epochs: int = 200
     step: float = 1e-3  # decays as step / epoch
@@ -173,7 +174,7 @@ def _dense_predict(weights, biases, features) -> np.ndarray:
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
-class MlpConfig:
+class MlpConfig(TrainerConfig):
     hidden: tuple = (64, 16)
     epochs: int = 50
     batch_size: int = 8
@@ -234,7 +235,7 @@ def mlp_grad_check(model: TaperedMlp, x, label: int, h: float = 1e-5) -> float:
 # ── Autoencoder classifier ───────────────────────────────────────────────────
 
 @dataclass(frozen=True)
-class AeConfig:
+class AeConfig(TrainerConfig):
     code_width: int = 32
     recon_epochs: int = 60
     head_epochs: int = 60
@@ -282,52 +283,48 @@ def ae_predict(model: AutoencoderClassifier, features) -> np.ndarray:
                           features)
 
 
-# ── Model files (same header scheme as the CNN, distinct magic) ──────────────
+# ── Model files (tinycnn's container, one magic per method) ─────────────────
 
-def save_svm(model: LinearOvrSvm, path) -> None:
-    write_model_file(path, SVM_MAGIC, model.weights.shape,
-                     [model.weights, model.biases])
+_SVM_SHAPES = {"weights": ("classes", "dim"), "biases": ("classes",)}
+_AE_SHAPES = {"enc_w": ("code", "dim"), "enc_b": ("code",), "dec_w": ("dim", "code"),
+              "dec_b": ("dim",), "head_w": ("classes", "code"), "head_b": ("classes",)}
+
+
+def save_svm(model: LinearOvrSvm, path, run: dict | None = None) -> None:
+    write_model_file(path, SVM_MAGIC, {"weights": model.weights,
+                                       "biases": model.biases}, run)
 
 
 def load_svm(path) -> LinearOvrSvm:
-    f = ModelFileReader(path, SVM_MAGIC)
-    n_cls = f.class_count()
-    (dim,) = f.uints(1)
-    model = LinearOvrSvm(f.tensor(n_cls, dim), f.tensor(n_cls))
-    f.expect_end()
-    return model
+    return LinearOvrSvm(**ModelFileReader(path, SVM_MAGIC).tensors(**_SVM_SHAPES))
 
 
-def save_tmlp(model: TaperedMlp, path) -> None:
-    tensors = [t for pair in zip(model.weights, model.biases) for t in pair]
-    write_model_file(path, TMLP_MAGIC, (len(model.sizes), *model.sizes), tensors)
+def save_tmlp(model: TaperedMlp, path, run: dict | None = None) -> None:
+    tensors = {}
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        tensors[f"w{i}"], tensors[f"b{i}"] = w, b
+    write_model_file(path, TMLP_MAGIC, tensors, run, sizes=list(model.sizes))
 
 
 def load_tmlp(path) -> TaperedMlp:
     f = ModelFileReader(path, TMLP_MAGIC)
-    (n_sizes,) = f.uints(1)
-    if n_sizes < 2:
-        raise ValueError(f"{path}: offset 8: {n_sizes} layer sizes, expected at least 2")
-    sizes = (*f.uints(n_sizes - 1), f.class_count())
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes, sizes[1:]):
-        weights.append(f.tensor(n_out, n_in))
-        biases.append(f.tensor(n_out))
-    f.expect_end()
-    return TaperedMlp(sizes, weights, biases)
+    sizes = f.field("sizes", list, int)
+    if len(sizes) < 2:
+        raise f.header_error("sizes", f"{len(sizes)} layer sizes, expected at least 2")
+    if sizes[-1] != NUM_CLASSES:
+        raise f.header_error("sizes", f"{sizes[-1]} classes, expected {NUM_CLASSES}")
+    expected = {}
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        expected[f"w{i}"], expected[f"b{i}"] = (n_out, n_in), (n_out,)
+    t = f.tensors(**expected)
+    layers = range(len(sizes) - 1)
+    return TaperedMlp(tuple(sizes), [t[f"w{i}"] for i in layers],
+                      [t[f"b{i}"] for i in layers])
 
 
-def save_autoencoder(model: AutoencoderClassifier, path) -> None:
-    write_model_file(path, AE_MAGIC, model.enc_w.shape,
-                     [model.enc_w, model.enc_b, model.dec_w, model.dec_b,
-                      model.head_w, model.head_b])
+def save_autoencoder(model: AutoencoderClassifier, path, run: dict | None = None) -> None:
+    write_model_file(path, AE_MAGIC, {k: getattr(model, k) for k in _AE_SHAPES}, run)
 
 
 def load_autoencoder(path) -> AutoencoderClassifier:
-    f = ModelFileReader(path, AE_MAGIC)
-    code, dim = f.uints(2)
-    model = AutoencoderClassifier(
-        f.tensor(code, dim), f.tensor(code), f.tensor(dim, code), f.tensor(dim),
-        f.tensor(NUM_CLASSES, code), f.tensor(NUM_CLASSES))
-    f.expect_end()
-    return model
+    return AutoencoderClassifier(**ModelFileReader(path, AE_MAGIC).tensors(**_AE_SHAPES))

@@ -58,12 +58,11 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     dataset = synthgrid.load_dataset(args.data)
-    if args.fs is not None and args.fs != dataset.fs:
-        raise ValueError(f"--fs {args.fs} does not match dataset fs {dataset.fs}")
-    features, split = expharness.features_and_split(
-        config, dataset, _parse_buses(args.buses))
+    buses = _parse_buses(args.buses)
+    features, split = expharness.features_and_split(config, dataset, buses)
     model, losses = expharness.fit_method(config, "cnn", features, split)
-    expharness.save_model("cnn", model, args.model)
+    expharness.save_model("cnn", model, args.model, expharness.ModelRun(
+        buses, dataset.fs, split.fingerprint(), synthgrid.config_sha256(dataset.config)))
     _emit([["model", "train_records", "epochs", "first_loss", "last_loss"],
            [str(args.model), str(len(split.train)), str(config.cnn.epochs),
             repr(float(losses[0])), repr(float(losses[-1]))]])
@@ -74,13 +73,16 @@ def _cmd_eval(args) -> int:
     config = _load_config(args)
     dataset = synthgrid.load_dataset(args.data)
     model = expharness.load_model("cnn", args.model)
-    buses = _parse_buses(args.buses) if args.buses else \
-        synthgrid.MONITORED_BUSES[: model.arch.input_h]
-    if len(buses) != model.arch.input_h:
-        raise ValueError(
-            f"model expects {model.arch.input_h} buses, got {len(buses)}"
-        )
-    features, split = expharness.features_and_split(config, dataset, buses)
+    run = expharness.read_model_run(args.model, tinycnn.MODEL_MAGIC)
+    digest = synthgrid.config_sha256(dataset.config)
+    if digest != run.config_sha256:
+        raise ValueError(f"{args.data}: config_sha256 {digest[:12]} (fs {dataset.fs:g}) "
+                         f"is not {run.config_sha256[:12]} (fs {run.fs:g}) of the "
+                         f"dataset {args.model} was trained on")
+    features, split = expharness.features_and_split(config, dataset, run.buses)
+    if split.fingerprint() != run.split_fingerprint:
+        raise ValueError(f"{args.model}: trained on split {run.split_fingerprint}, not "
+                         f"{split.fingerprint()}; pass the training --seed/--config")
     report, cm = expharness.evaluate_method(config, "cnn", model, features, split)
     _emit(metrics.report_rows("cnn", report, cm))
     return 0
@@ -154,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--buses", default="632,671,675")
-    p.add_argument("--fs", type=float, default=None)
     p.add_argument("--model", required=True)
     p.set_defaults(fn=_cmd_train)
 
@@ -162,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--buses", default=None)
     p.set_defaults(fn=_cmd_eval)
 
     for name, help_text, sweep, key_name in (

@@ -253,6 +253,7 @@ class RunResult:
     report: metrics.MetricsReport
     cm: np.ndarray
     fingerprint: str
+    config_sha256: str  # of the dataset's config
     model: object
 
 
@@ -331,8 +332,10 @@ def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[Ru
     results = []
     for repeat in range(config.repeats):
         for fs in fs_list:
-            features, split = features_and_split(
-                config, _build(config, fs, repeat), watched, repeat)
+            dataset = _build(config, fs, repeat)
+            digest = synthgrid.config_sha256(dataset.config)
+            features, split = features_and_split(config, dataset, watched, repeat)
+            del dataset  # no dataset is alive while a cell trains
             for buses in bus_subsets:
                 # take() keeps the rows C-contiguous, as featurize stacks them
                 rows = [watched.index(b) for b in sorted(buses)]
@@ -342,7 +345,7 @@ def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[Ru
                     report, cm = evaluate_method(config, method, model, cell, split)
                     results.append(RunResult(method, fs, tuple(buses), repeat,
                                              report.accuracy, report, cm,
-                                             split.fingerprint(), model))
+                                             split.fingerprint(), digest, model))
     return results
 
 
@@ -417,12 +420,34 @@ _MODEL_LOADERS = {
 }
 
 
-def save_model(method: str, model, path) -> None:
-    _MODEL_SAVERS[method](model, path)
+class ModelRun(NamedTuple):
+    """What a model was trained on, as its model file records it (every
+    record derives from the dataset's config, so config_sha256 names the data)."""
+
+    buses: tuple
+    fs: float
+    split_fingerprint: str
+    config_sha256: str
+
+
+def save_model(method: str, model, path, run: ModelRun | None = None) -> None:
+    """Write the method's model file, recording run if given, its buses in
+    row order (ascending, as featurize stacks them)."""
+    fields = None if run is None else \
+        run._replace(buses=sorted(run.buses), fs=float(run.fs))._asdict()
+    _MODEL_SAVERS[method](model, path, run=fields)
 
 
 def load_model(method: str, path):
     return _MODEL_LOADERS[method](path)
+
+
+def read_model_run(path, magic: bytes) -> ModelRun:
+    """The run a model file records; a missing or mistyped field is a
+    ValueError naming the file and the key."""
+    f = tinycnn.ModelFileReader(path, magic)
+    return ModelRun(tuple(f.field("buses", list, int)), f.field("fs", float),
+                    f.field("split_fingerprint", str), f.field("config_sha256", str))
 
 
 def save_report(rows, path) -> Path:
@@ -495,7 +520,8 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
     for comp in comparisons:
         for run in comp.runs:
             tag = f"{comp.key}_r{run.repeat}"
-            save_model(comp.key, run.model, out / "models" / f"{tag}.bin")
+            save_model(comp.key, run.model, out / "models" / f"{tag}.bin",
+                       ModelRun(run.buses, run.fs, run.fingerprint, run.config_sha256))
             save_report(metrics.report_rows(comp.key, run.report, run.cm),
                         out / "reports" / f"{tag}.csv")
             save_report([[str(int(v)) for v in row] for row in run.cm],

@@ -236,8 +236,9 @@ def dataclass_to_json(value):
 def dataclass_from_json(cls, obj, where: str = ""):
     """Inverse of dataclass_to_json. Missing fields keep their defaults, and
     each value must have the type of its field's default (an int is accepted
-    and kept where the default is a float); unknown keys and wrong types raise
-    ConfigError naming the dotted field."""
+    and kept where the default is a float); unknown keys, wrong types and
+    values a nested dataclass rejects raise ConfigError naming the dotted
+    field."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or cls.__name__}: expected an object, "
                           f"got {type(obj).__name__}")
@@ -250,7 +251,12 @@ def dataclass_from_json(cls, obj, where: str = ""):
         f = known[name]
         default = f.default_factory() if f.default is MISSING else f.default
         kwargs[name] = _typed(value, default, f"{where}.{name}" if where else name)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        if where:  # a nested dataclass's own check: prefix its field path
+            raise ConfigError(f"{where}.{exc}") from None
+        raise
 
 
 def _typed(value, like, where: str):
@@ -294,15 +300,13 @@ class DatasetGrids:
 
     def __post_init__(self):
         if self.cap_sizes > CAP_SIZE_LEVELS or self.xfmr_taps > TAP_LEVELS:
-            raise ConfigError("grid exceeds the canonical parameter levels")
+            raise ConfigError("cap_sizes or xfmr_taps exceeds the canonical levels")
         if self.fault_resistances > FAULT_RESISTANCE_LEVELS - 1:
-            raise ConfigError("finite fault resistance grid exceeds table columns")
+            raise ConfigError("fault_resistances exceeds the resistance table columns")
         counts = self.counts
         if counts != tuple(self.declared_counts):
-            raise ConfigError(
-                f"grid products {counts} do not match declared counts "
-                f"{tuple(self.declared_counts)}"
-            )
+            raise ConfigError(f"declared_counts {tuple(self.declared_counts)} do not "
+                              f"match the grid products {counts}")
 
     @property
     def counts(self) -> tuple[int, int, int, int]:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import swec
-from swec import cli, expharness
+from swec import cli, expharness, metrics, synthgrid, tinycnn
 from conftest import tiny_config
 
 from swec.expharness import ExperimentConfig, config_to_json
@@ -87,7 +89,7 @@ class TestWorkflow:
         code, out, _ = run_cli(
             capsys, "train", "--config", str(tiny_config_file),
             "--data", str(data_dir), "--model", str(model_path),
-            "--buses", "632,671,675", "--fs", "2000",
+            "--buses", "632,671,675",
         )
         assert code == 0
         assert model_path.is_file()
@@ -95,7 +97,6 @@ class TestWorkflow:
         code, out, _ = run_cli(
             capsys, "eval", "--config", str(tiny_config_file),
             "--model", str(model_path), "--data", str(data_dir),
-            "--buses", "632,671,675",
         )
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()]
@@ -117,19 +118,15 @@ class TestWorkflow:
                              "--model", str(model_path), "--data", str(data_dir))
         assert out1 == out2
 
-    def test_train_fs_mismatch_fails_cleanly(self, capsys, tmp_path,
-                                             tiny_config_file):
-        data_dir = tmp_path / "data"
-        run_cli(capsys, "generate", "--config", str(tiny_config_file),
-                "--out", str(data_dir), "--fs", "2000")
-        code, out, err = run_cli(
-            capsys, "train", "--config", str(tiny_config_file),
-            "--data", str(data_dir), "--model", str(tmp_path / "m.bin"),
-            "--fs", "4000",
-        )
-        assert code == 1
-        assert "error" in err
-        assert out == ""
+    @pytest.mark.parametrize("argv", [
+        ["train", "--fs", "4000"], ["eval", "--buses", "632,671"],
+    ], ids=["train_fs", "eval_buses"])
+    def test_removed_flag_is_usage_error(self, argv, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--data", str(tmp_path / "ds"),
+                      "--model", str(tmp_path / "m.bin")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_truncated_model_fails_cleanly(self, capsys, tmp_path,
                                            tiny_config_file):
@@ -223,6 +220,82 @@ class TestWorkflow:
         assert "error" in err
 
 
+class TestProvenance:
+    """eval takes the buses from the model file and rejects a dataset or a
+    split other than the training one."""
+
+    @pytest.fixture
+    def trained(self, capsys, tmp_path, tiny_config_file):
+        """(config path, dataset dir, model path) of a tiny 4 kHz run; the
+        model is trained by train(*flags)."""
+        data_dir, model_path = tmp_path / "data", tmp_path / "model.bin"
+        run_cli(capsys, "generate", "--config", str(tiny_config_file),
+                "--out", str(data_dir), "--fs", "4000")
+
+        def train(*flags):
+            code, _, _ = run_cli(capsys, "train", "--config", str(tiny_config_file),
+                                 "--data", str(data_dir), "--model", str(model_path),
+                                 *flags)
+            assert code == 0
+            return tiny_config_file, data_dir, model_path
+        return train
+
+    @pytest.mark.parametrize("buses, rows", [("671,675", (671, 675)),
+                                             ("675,632", (632, 675))],
+                             ids=["671,675", "675,632"])
+    def test_eval_scores_the_recorded_buses(self, buses, rows, capsys, trained):
+        config_path, data_dir, model_path = trained("--buses", buses)
+        assert expharness.read_model_run(model_path, tinycnn.MODEL_MAGIC).buses == rows
+        code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
+                                 "--model", str(model_path), "--data", str(data_dir))
+        assert (code, err) == (0, "")
+        config = expharness.load_config(config_path)
+        features, split = expharness.features_and_split(
+            config, synthgrid.load_dataset(data_dir), rows)
+        report, cm = expharness.evaluate_method(
+            config, "cnn", expharness.load_model("cnn", model_path), features, split)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            metrics.report_rows("cnn", report, cm))
+        assert out == expected.getvalue()
+
+    def _assert_rejected(self, capsys, *argv, says):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        for text in says:
+            assert text in err
+
+    def test_other_split_seed_rejected(self, capsys, trained):
+        # seeds 0 and 1 happen to draw the same tiny split; seed 2 does not
+        config_path, data_dir, model_path = trained("--seed", "2")
+        self._assert_rejected(capsys, "--config", str(config_path), "--seed", "0",
+                              "--model", str(model_path), "--data", str(data_dir),
+                              says=["model.bin: trained on split", "--seed/--config"])
+
+    @pytest.mark.parametrize("flag, value, fs", [("--seed", "1", "fs 4000"),
+                                                 ("--fs", "2000", "fs 2000")],
+                             ids=["seed", "fs"])
+    def test_other_dataset_rejected(self, flag, value, fs, capsys, tmp_path,
+                                    trained):
+        config_path, _, model_path = trained()
+        other = tmp_path / "other"
+        run_cli(capsys, "generate", "--config", str(config_path),
+                "--out", str(other), "--fs", "4000", flag, value)
+        self._assert_rejected(capsys, "--config", str(config_path),
+                              "--model", str(model_path), "--data", str(other),
+                              says=["other: config_sha256", f"({fs})", "(fs 4000)",
+                                    "model.bin was trained on"])
+
+    def test_version_1_model_asks_to_retrain(self, capsys, tmp_path, trained):
+        config_path, data_dir, model_path = trained()
+        model_path.write_bytes(b"SWEC\x01\x00\x00\x00" + bytes(64))
+        self._assert_rejected(capsys, "--config", str(config_path),
+                              "--model", str(model_path), "--data", str(data_dir),
+                              says=["model.bin: offset 4: format version 1",
+                                    "re-train"])
+
+
 class TestSweepAndCompare:
     def test_sweep_fs_stdout(self, capsys, tiny_config_file):
         code, out, _ = run_cli(capsys, "sweep-fs", "--config",
@@ -263,6 +336,20 @@ class TestSweepAndCompare:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "cnn.epochs" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"autoencoder": {"code_width": 0}}, "autoencoder.code_width"),
+        ({"tmlp": {"learning_rate": -1.0}}, "tmlp.learning_rate"),
+        ({"svm": {"C": 0}}, "svm.C"),
+    ], ids=["code_width", "learning_rate", "C"])
+    def test_degenerate_trainer_config_fails_cleanly(self, doc, field, capsys,
+                                                     tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{field}: " in err
 
     @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
     def test_non_finite_snr_rejected_before_any_build(self, snr_db, capsys,

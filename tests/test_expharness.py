@@ -125,6 +125,24 @@ class TestConfig:
                            + "trainer seeds derive from the top-level seed"):
             config_from_json({method: {"seed": 777}})
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("cnn", "epochs", 0), ("cnn", "learning_rate", 0.0),
+        ("svm", "epochs", 0), ("svm", "C", 0.0), ("svm", "step", -1e-3),
+        ("tmlp", "epochs", 0), ("tmlp", "batch_size", 0),
+        ("tmlp", "learning_rate", -1.0), ("tmlp", "momentum", -0.5),
+        ("tmlp", "init_std", 0.0), ("tmlp", "hidden", [64, 0]),
+        ("autoencoder", "recon_epochs", 0), ("autoencoder", "head_epochs", 0),
+        ("autoencoder", "batch_size", 0), ("autoencoder", "learning_rate", 0),
+        ("autoencoder", "momentum", -1.0), ("autoencoder", "init_std", -0.1),
+        ("autoencoder", "code_width", 0),
+    ])
+    def test_degenerate_trainer_field_rejected(self, method, key, value):
+        with pytest.raises(ConfigError, match=rf"^{method}\.{key}: "):
+            config_from_json({method: {key: value}})
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            type(getattr(ExperimentConfig(), method))(
+                **{key: tuple(value) if isinstance(value, list) else value})
+
     def test_load_config_malformed_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{oops")
@@ -316,6 +334,20 @@ class TestArtifacts:
         np.testing.assert_array_equal(loaded.conv_w, res.model.conv_w)
 
     @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_every_bit_flip_rejected(self, method, tmp_path):
+        path = tmp_path / "m.bin"
+        run = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32)
+        expharness.save_model(method, _small_model(method), path, run)
+        data = path.read_bytes()
+        assert expharness.read_model_run(path, data[:4]) == run
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << bit % 8
+            path.write_bytes(flipped)
+            with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: "):
+                expharness.load_model(method, path)
+
+    @pytest.mark.parametrize("method", expharness.METHODS)
     def test_every_truncation_rejected(self, method, tmp_path):
         model = _small_model(method)
         path = tmp_path / "m.bin"
@@ -337,7 +369,7 @@ class TestArtifacts:
         last[-1] = value
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path)
-        offset = path.stat().st_size - 8 * last.size
+        offset = path.stat().st_size - tinycnn.DIGEST_BYTES - 8 * last.size
         with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite"):
             expharness.load_model(method, path)
 
@@ -357,8 +389,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("n_sizes", [0, 1])
     def test_tmlp_without_two_layer_sizes_rejected(self, n_sizes, tmp_path):
         path = tmp_path / "m.bin"
-        path.write_bytes(b"SWML" + np.array([1, n_sizes, 4][:2 + n_sizes],
-                                            dtype="<u4").tobytes())
+        tinycnn.write_model_file(path, b"SWML", {}, sizes=[4][:n_sizes])
         with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*at least 2"):
             baselines.load_tmlp(path)
 
@@ -417,7 +448,7 @@ def _near(like):
     if isinstance(like, int):
         return st.sampled_from((0, 1, 2, 4, 632, 671, 675)) | st.integers()
     if isinstance(like, float):
-        return st.sampled_from((0.5, 2000.0, 20000.0)) | st.floats()
+        return st.sampled_from((0.5, 2000.0, 20000.0, 0.0, -1.0)) | st.floats()
     return st.sampled_from((*expharness.METHODS, "LG", "LLLG", "forest"))
 
 
@@ -439,3 +470,12 @@ def test_config_document_gives_config_or_value_error(doc):
     except ValueError:
         return
     assert isinstance(config, ExperimentConfig)
+    for method in expharness.METHODS:
+        cfg = getattr(config, method)
+        at_least_one = [getattr(cfg, k) for k in ("epochs", "recon_epochs",
+                                                  "head_epochs", "batch_size",
+                                                  "code_width") if hasattr(cfg, k)]
+        positive = [getattr(cfg, k) for k in ("learning_rate", "init_std", "C", "step")
+                    if hasattr(cfg, k)]
+        assert min([*at_least_one, *getattr(cfg, "hidden", ())]) >= 1, cfg
+        assert min(positive) > 0 and getattr(cfg, "momentum", 0.0) >= 0, cfg
