@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .synthgrid import NUM_CLASSES
-from .tinycnn import (ModelFileReader, TrainerConfig, central_difference_errors,
-                      cross_entropy, fit_sgdm, predict_in_blocks, stack_examples,
-                      write_model_file)
+from .tinycnn import (ModelFileReader, TrainerConfig, cross_entropy, fit_sgdm,
+                      predict_in_blocks, write_model_file)
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -157,8 +156,8 @@ def _dense_loss_and_grads(weights, biases, x, targets, head):
 
 
 def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
-    """Train the dense net in place on (inputs[i], targets[i]) pairs; returns
-    the per-epoch losses."""
+    """Train the dense net in place on the rows of inputs and targets;
+    returns the per-epoch losses."""
     return fit_sgdm(
         [*weights, *biases],
         lambda idx: _dense_loss_and_grads(weights, biases, inputs[idx],
@@ -200,13 +199,6 @@ def _taper(input_dim: int, hidden: tuple) -> tuple:
     return sizes
 
 
-def tmlp_loss_and_grad(model: TaperedMlp, batch):
-    """Mean cross-entropy over (features, class) pairs and its exact
-    gradients, in [*weights, *biases] order."""
-    return _dense_loss_and_grads(model.weights, model.biases,
-                                 *stack_examples(batch), cross_entropy)
-
-
 def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
     """Same trainer contract as the convolutional model, on flat features."""
     features = np.asarray(features, dtype=float)
@@ -221,15 +213,6 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
 
 def tmlp_predict(model: TaperedMlp, features) -> np.ndarray:
     return _dense_predict(model.weights, model.biases, features)
-
-
-def mlp_grad_check(model: TaperedMlp, x, label: int, h: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
-    _, grads = tmlp_loss_and_grad(model, [(x, label)])
-    errors = central_difference_errors(
-        lambda: tmlp_loss_and_grad(model, [(x, label)])[0],
-        [*model.weights, *model.biases], grads, h)
-    return max(errors)
 
 
 # ── Autoencoder classifier ───────────────────────────────────────────────────

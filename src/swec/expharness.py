@@ -20,6 +20,7 @@ checkable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -34,7 +35,8 @@ from . import baselines, metrics, synthgrid, tinycnn
 from .featpipe import featurize
 from .synthgrid import (NUM_CLASSES, ConfigError, Dataset, DatasetConfig,
                         DatasetGrids, MONITORED_BUSES, build_dataset,
-                        dataclass_from_json, dataclass_to_json, extract_window)
+                        dataclass_from_json, dataclass_to_json, derive_seed,
+                        extract_window)
 
 DEFAULT_BUS_SUBSETS = (
     (675,), (671,), (632,),
@@ -100,6 +102,16 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """The one stage boundary: an exception inside becomes a PipelineError
+    naming the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
@@ -161,12 +173,6 @@ class ExperimentConfig:
             fs=fs, seed=seed, snr_db=self.snr_db, duration=self.duration,
             event_time=self.event_time, amplitude=self.amplitude, grids=self.grids,
         )
-
-
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from integer coordinates (stage, repeat, fs, ...)."""
-    entropy = [int(p) for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 # ── Config file round trip ───────────────────────────────────────────────────
@@ -270,25 +276,19 @@ def featurize_dataset(dataset: Dataset, buses, jitter: bool = True) -> Features:
 
 
 def _build(config: ExperimentConfig, fs: float, repeat: int) -> Dataset:
-    try:
+    with _stage("dataset"):
         ds_seed = derive_seed(config.seed, repeat, _STAGE_DATASET, fs)
         return build_dataset(config.dataset_config(fs, ds_seed))
-    except Exception as exc:
-        raise PipelineError("dataset", exc) from exc
 
 
 def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
                        repeat: int = 0):
     """Features of every record plus the repeat's stratified split."""
-    try:
+    with _stage("featurize"):
         features = featurize_dataset(dataset, buses, jitter=config.jitter)
-    except Exception as exc:
-        raise PipelineError("featurize", exc) from exc
-    try:
+    with _stage("split"):
         split_seed = derive_seed(config.seed, repeat, _STAGE_SPLIT)
         split = split_stratified(dataset, config.train_fraction, split_seed)
-    except Exception as exc:
-        raise PipelineError("split", exc) from exc
     return features, split
 
 
@@ -303,11 +303,9 @@ def fit_method(config: ExperimentConfig, method: str, features, split: SplitInde
     xs, labels = _subset(features, split.train)
     seed = derive_seed(config.seed, repeat, _STAGE_TRAIN, METHODS.index(method))
     m = METHOD_TABLE[method]
-    try:
+    with _stage(f"train[{method}]"):
         return m.fit(m.inputs(config, xs), labels,
                      replace(getattr(config, method), seed=seed))
-    except Exception as exc:
-        raise PipelineError(f"train[{method}]", exc) from exc
 
 
 def evaluate_method(config: ExperimentConfig, method: str, model, features,
@@ -315,11 +313,9 @@ def evaluate_method(config: ExperimentConfig, method: str, model, features,
     """Metrics report and confusion matrix on the split's test records."""
     xs, labels = _subset(features, split.test)
     m = METHOD_TABLE[method]
-    try:
+    with _stage("evaluate"):
         cm = metrics.confusion(m.predict(model, m.inputs(config, xs)), labels)
         return metrics.aggregate(cm), cm
-    except Exception as exc:
-        raise PipelineError("evaluate", exc) from exc
 
 
 def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[RunResult]:

@@ -22,7 +22,7 @@ import numpy as np
 from .synthgrid import NUM_CLASSES
 
 
-def confusion(preds, targets, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion(preds, targets) -> np.ndarray:
     """Count matrix with counts[predicted - 1, target - 1] += 1 per pair."""
     preds = np.asarray(preds, dtype=int)
     targets = np.asarray(targets, dtype=int)
@@ -32,9 +32,9 @@ def confusion(preds, targets, num_classes: int = NUM_CLASSES) -> np.ndarray:
             f"got {preds.shape} and {targets.shape}"
         )
     for name, arr in (("prediction", preds), ("target", targets)):
-        if arr.min() < 1 or arr.max() > num_classes:
-            raise ValueError(f"{name} labels outside 1..{num_classes}")
-    cm = np.zeros((num_classes, num_classes), dtype=int)
+        if arr.min() < 1 or arr.max() > NUM_CLASSES:
+            raise ValueError(f"{name} labels outside 1..{NUM_CLASSES}")
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
     np.add.at(cm, (preds - 1, targets - 1), 1)
     return cm
 
@@ -71,9 +71,6 @@ class MetricsReport:
     macro_f1: float | None
     macro_fpr: float | None
     macro_excluded: dict
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
 
 
 def class_metrics(cm: np.ndarray, class_code: int) -> ClassMetrics:
@@ -103,7 +100,8 @@ def _macro(values) -> tuple[float | None, int]:
 
 
 def aggregate(cm: np.ndarray) -> MetricsReport:
-    """Accuracy plus macro and micro aggregates over all classes."""
+    """Accuracy plus macro aggregates over all classes. (Micro precision,
+    recall and F1 of a single-label confusion matrix all equal accuracy.)"""
     cm = np.asarray(cm)
     total = int(cm.sum())
     if total < 1:
@@ -116,12 +114,6 @@ def aggregate(cm: np.ndarray) -> MetricsReport:
     macro_rec, exc_rec = _macro([m.recall for m in per_class.values()])
     macro_fpr, exc_fpr = _macro([m.fpr for m in per_class.values()])
     macro_f1 = _f1(macro_pre, macro_rec)
-
-    pooled_tp = sum(m.tp for m in per_class.values())
-    pooled_fp = sum(m.fp for m in per_class.values())
-    pooled_fn = sum(m.fn for m in per_class.values())
-    micro_pre = pooled_tp / (pooled_tp + pooled_fp)
-    micro_rec = pooled_tp / (pooled_tp + pooled_fn)
     return MetricsReport(
         total=total,
         accuracy=accuracy,
@@ -131,9 +123,6 @@ def aggregate(cm: np.ndarray) -> MetricsReport:
         macro_f1=macro_f1,
         macro_fpr=macro_fpr,
         macro_excluded={"precision": exc_pre, "recall": exc_rec, "fpr": exc_fpr},
-        micro_precision=micro_pre,
-        micro_recall=micro_rec,
-        micro_f1=_f1(micro_pre, micro_rec) if micro_pre + micro_rec else 0.0,
     )
 
 

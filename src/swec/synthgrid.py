@@ -373,7 +373,7 @@ class Dataset:
     """A config plus its stacked samples: one C-contiguous (records, buses,
     phases, samples) float64 array. Everything per record is derived from
     the config: record i has spec config.grids.specs(event_time)[i] and seed
-    record_seed(config.seed, i), and its samples are the view samples[i]."""
+    derive_seed(config.seed, i), and its samples are the view samples[i]."""
 
     config: DatasetConfig
     samples: np.ndarray
@@ -386,7 +386,7 @@ class Dataset:
         cfg = self.config
         specs = cfg.grids.specs(cfg.event_time)
         return [WaveformRecord(spec, cfg.fs, cfg.duration, samples,
-                               record_seed(cfg.seed, i))
+                               derive_seed(cfg.seed, i))
                 for i, (spec, samples) in enumerate(zip(specs, self.samples,
                                                         strict=True))]
 
@@ -665,9 +665,11 @@ def synth_event(
     return WaveformRecord(spec, fs, duration, samples, seed)
 
 
-def record_seed(global_seed: int, index: int) -> int:
-    """Stable per-record seed; independent of generation order."""
-    return int(np.random.SeedSequence([global_seed, index]).generate_state(1, np.uint64)[0])
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed from integer coordinates: (seed, index) of a
+    dataset record, (seed, repeat, stage, ...) of an experiment stage."""
+    entropy = [int(p) for p in parts]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def build_dataset(config: DatasetConfig) -> Dataset:

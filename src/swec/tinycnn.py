@@ -1,6 +1,7 @@
 """Minimal convolutional classifier, written out by hand in numpy.
 
-One valid-mode convolutional layer (ten 2x20 filters by default), ReLU,
+One valid-mode convolutional layer (ten 2x20 filters by default; only the
+filter count is settable), ReLU,
 1x2 max pooling (the left column wins ties), one fully connected layer, and
 a softmax head, trained with mini-batch stochastic gradient descent with
 momentum on the cross-entropy loss. Double precision throughout so the
@@ -14,7 +15,9 @@ column, which would make the 1x2 pool empty.
 
 Training and prediction run one batch at a time: the batch's im2col
 patches sit in one matrix, so the convolution and its weight gradient are one
-GEMM each (Chellapilla, Puri & Simard, 2006). The minibatch engine
+GEMM each (Chellapilla, Puri & Simard, 2006). Every function takes stacked
+(N, H, W) inputs and (N,) class codes, except train, which stacks its
+(input, class code) pairs once. The minibatch engine
 (fit_sgdm) and the batched softmax cross-entropy head (cross_entropy) also
 train the dense baselines.
 """
@@ -42,15 +45,16 @@ PREDICT_BLOCK = 8  # inputs per forward pass in predict_in_blocks
 
 @dataclass(frozen=True)
 class CnnArch:
-    """Architecture constants plus the input-dependent derived dimensions."""
+    """The input dims and filter count, the paper's constants (2x20 filter,
+    1x2 pool, class count) and the dimensions derived from them."""
 
     input_h: int
     input_w: int
     num_filters: int = 10
-    filter_h: int = 2
-    filter_w: int = 20
+    filter_h: ClassVar[int] = 2
+    filter_w: ClassVar[int] = 20
     pool_w: ClassVar[int] = 2  # the batch kernel pools column pairs
-    num_classes: int = NUM_CLASSES
+    num_classes: ClassVar[int] = NUM_CLASSES
 
     def __post_init__(self):
         if self.input_h < 1 or self.input_w < 2:
@@ -144,15 +148,6 @@ def init_model(arch: CnnArch, seed: int, init_std: float = 0.01) -> CnnModel:
                     fc_w, np.zeros(arch.num_classes))
 
 
-def stack_examples(pairs):
-    """Inputs stacked on a new first axis and the (B,) class codes of a
-    sequence of (input, class code) pairs."""
-    if len(pairs) == 0:
-        raise ValueError("no examples")
-    return (np.array([x for x, _ in pairs], dtype=float),
-            np.array([int(label) for _, label in pairs]))
-
-
 def im2col(xs: np.ndarray, arch: CnnArch) -> np.ndarray:
     """Valid-mode patches of a (B, H, W) batch, transposed to
     (eff_fh * eff_fw, B * conv_h * conv_w) so the convolution is one GEMM."""
@@ -178,6 +173,8 @@ def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
     if xs.ndim != 3 or xs.shape[1:] != (arch.input_h, arch.input_w):
         raise ValueError(f"input shape {xs.shape[1:]} does not match architecture "
                          f"{(arch.input_h, arch.input_w)}")
+    if len(xs) == 0:
+        raise ValueError("empty batch")
     f, b = arch.num_filters, len(xs)
     cols = im2col(xs, arch)
     pre = (model.conv_w.reshape(f, -1) @ cols).reshape(f, b, arch.conv_h, arch.conv_w)
@@ -190,13 +187,6 @@ def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
     logits = flat @ model.fc_w.T + model.fc_b
     return logits, {"cols": cols, "pre": pre, "right": right, "pooled": pooled,
                     "flat": flat}
-
-
-def forward(model: CnnModel, x) -> tuple[np.ndarray, dict]:
-    """Class probabilities for one feature matrix, plus its pre-activations
-    (F, conv_h, conv_w) and flattened pooled activations."""
-    logits, cache = _forward_batch(model, [x])
-    return softmax(logits[0]), {"pre": cache["pre"][:, 0], "flat": cache["flat"][0]}
 
 
 def batch_loss_and_grads(model: CnnModel, xs, labels):
@@ -218,17 +208,13 @@ def batch_loss_and_grads(model: CnnModel, xs, labels):
                   dpre.sum(axis=1), dlogits.T @ cache["flat"], dlogits.sum(axis=0)]
 
 
-def loss_and_grad(model: CnnModel, batch) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over (feature matrix, class code) pairs + gradients."""
-    loss, grads = batch_loss_and_grads(model, *stack_examples(batch))
-    return loss, dict(zip(model.params(), grads))
-
-
 # ── Training engine (shared with the dense baselines) ────────────────────────
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean loss -log softmax(logits)[label] over a (B, classes) batch with
     (B,) class codes, and its logit delta (softmax - onehot) / B."""
+    if len(labels) == 0:
+        raise ValueError("empty batch")
     if labels.min() < 1 or labels.max() > logits.shape[1]:
         raise ValueError(f"class codes {np.unique(labels).tolist()} outside "
                          f"1..{logits.shape[1]}")
@@ -274,7 +260,8 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
 def train(model: CnnModel, train_set, cfg: TrainConfig):
     """Epoch loop with seeded reshuffling over (feature matrix, class code)
     pairs, stacked once; returns (model, per-epoch losses)."""
-    xs, labels = stack_examples(train_set)
+    xs = np.array([x for x, _ in train_set], dtype=float)
+    labels = np.array([int(label) for _, label in train_set])
     losses = fit_sgdm(
         list(model.params().values()),
         lambda idx: batch_loss_and_grads(model, xs[idx], labels[idx]),
@@ -298,11 +285,6 @@ def predict_batch(model: CnnModel, xs) -> np.ndarray:
     the lowest code."""
     return predict_in_blocks(lambda block: _forward_batch(model, block)[0],
                              np.asarray(xs, dtype=float))
-
-
-def predict(model: CnnModel, x) -> int:
-    """predict_batch of one feature matrix."""
-    return int(predict_batch(model, [x])[0])
 
 
 # ── Finite-difference verification ───────────────────────────────────────────
@@ -377,25 +359,18 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
         )
         x = rng.uniform(0.0, 1.0, (input_h, input_w))
         label = int(rng.integers(1, arch.num_classes + 1))
-        _, cache = forward(model, x)
-        pre = cache["pre"]
+        pre = _forward_batch(model, x[None])[1]["pre"]
         if np.abs(pre).min() <= margin:
             continue
-        trimmed = pre[:, :, : arch.pooled_w * arch.pool_w].reshape(
+        trimmed = pre[..., : arch.pooled_w * arch.pool_w].reshape(
             arch.num_filters, arch.conv_h, arch.pooled_w, arch.pool_w
         )
         gaps = np.abs(trimmed[..., 0] - trimmed[..., 1])
         both_dead = (trimmed[..., 0] < 0) & (trimmed[..., 1] < 0)
         if np.any(~both_dead & (gaps <= margin)):
             continue
-        _, grads = loss_and_grad(model, [(x, label)])
-        ok = True
-        for g in grads.values():
-            nz = np.abs(g[g != 0.0])
-            if nz.size and nz.min() <= 1e-6:
-                ok = False
-                break
-        if ok:
+        _, grads = batch_loss_and_grads(model, x[None], np.array([label]))
+        if all(np.abs(g[g != 0.0]).min(initial=np.inf) > 1e-6 for g in grads):
             return model, x, label
     raise RuntimeError(f"no finite-difference-safe case found for seed {seed}")
 

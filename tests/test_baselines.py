@@ -3,9 +3,8 @@ import pytest
 
 from swec import baselines
 from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
-                            energy_feature_set, mlp_grad_check, svm_predict,
-                            tmlp_predict, train_autoencoder_clf,
-                            train_svm_ovr, train_tmlp, tmlp_loss_and_grad)
+                            energy_feature_set, svm_predict, tmlp_predict,
+                            train_autoencoder_clf, train_svm_ovr, train_tmlp)
 from swec.tinycnn import PREDICT_BLOCK, central_difference_errors, cross_entropy
 
 
@@ -129,8 +128,16 @@ class TestTaperedMlp:
         rng = np.random.default_rng(8)
         X, y = separable_clouds(n_per_class=3, seed=8)
         model = train_tmlp(X, y, MlpConfig(hidden=(6, 5), epochs=1, seed=8))
-        err = mlp_grad_check(model, rng.random(X.shape[1]), label=2)
-        assert err < 1e-4
+        xs, labels = rng.random((1, X.shape[1])), np.array([2])
+
+        def loss_and_grads():
+            return baselines._dense_loss_and_grads(model.weights, model.biases, xs,
+                                                   labels, cross_entropy)
+
+        _, grads = loss_and_grads()
+        errors = central_difference_errors(lambda: loss_and_grads()[0],
+                                           [*model.weights, *model.biases], grads, 1e-5)
+        assert max(errors) < 1e-4
 
     def test_separable_clouds_perfect_training_accuracy(self):
         X, y = separable_clouds(seed=9)
@@ -163,8 +170,9 @@ class TestTaperedMlp:
     def test_empty_batch_rejected(self):
         X, y = separable_clouds()
         model = train_tmlp(X, y, MlpConfig(epochs=1, seed=1))
-        with pytest.raises(ValueError):
-            tmlp_loss_and_grad(model, [])
+        with pytest.raises(ValueError, match="empty batch"):
+            baselines._dense_loss_and_grads(model.weights, model.biases, X[:0], y[:0],
+                                            cross_entropy)
 
 
 class TestAutoencoder:

@@ -375,9 +375,10 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("method", ["cnn", "svm", "tmlp"])
     def test_wrong_class_count_rejected(self, method, tmp_path):
+        arch = tinycnn.CnnArch(1, 4, num_filters=2)
         model = {
-            "cnn": tinycnn.init_model(
-                tinycnn.CnnArch(1, 4, num_filters=2, num_classes=3), 0),
+            "cnn": tinycnn.CnnModel(arch, np.ones((2, 1, 3)), np.zeros(2),
+                                    np.ones((3, arch.flat_size)), np.zeros(3)),
             "svm": baselines.LinearOvrSvm(np.ones((3, 3)), np.zeros(3)),
             "tmlp": baselines.TaperedMlp((6, 3), [np.ones((3, 6))], [np.zeros(3)]),
         }[method]

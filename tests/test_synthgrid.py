@@ -12,7 +12,7 @@ from swec import featpipe, synthgrid
 from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, ConfigError, DatasetConfig,
                             DatasetGrids, EventClass, EventSpec, F0,
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
-                            build_dataset, extract_window, record_seed,
+                            build_dataset, derive_seed, extract_window,
                             synth_event, synth_steady, window_length)
 from conftest import tiny_config, tiny_grids
 
@@ -188,7 +188,9 @@ class TestDataset:
         specs = cfg.grids.specs(cfg.event_time)
         assert [r.spec for r in tiny_dataset.records] == specs
         assert [r.seed for r in tiny_dataset.records] == [
-            record_seed(cfg.seed, i) for i in range(len(specs))]
+            derive_seed(cfg.seed, i) for i in range(len(specs))]
+        # pinned: every stored waveform's sha256 depends on these seeds
+        assert tiny_dataset.records[7].seed == 17721808871337596510
         assert tiny_dataset.labels.tolist() == [int(s.event_class) for s in specs]
         assert tiny_dataset.records is tiny_dataset.records
         assert (tiny_dataset.fs, tiny_dataset.seed, tiny_dataset.counts) == (
@@ -201,9 +203,9 @@ class TestDataset:
             a[0, 0, 0] = 0.0
 
     def test_record_seeds_stable_and_distinct(self):
-        seeds = [record_seed(42, i) for i in range(50)]
+        seeds = [derive_seed(42, i) for i in range(50)]
         assert len(set(seeds)) == 50
-        assert seeds[0] == record_seed(42, 0)
+        assert seeds[0] == derive_seed(42, 0)
 
 
 class TestWindow:

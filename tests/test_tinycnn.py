@@ -3,11 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swec import tinycnn
-from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, batch_loss_and_grads,
-                          fit_sgdm, forward, grad_check, init_model, loss_and_grad,
-                          make_gradcheck_case, predict, sgdm_step, softmax,
+from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, _forward_batch,
+                          batch_loss_and_grads, fit_sgdm, grad_check, init_model,
+                          make_gradcheck_case, predict_batch, sgdm_step, softmax,
                           train)
 
 
@@ -16,6 +17,11 @@ def manual_model(arch, conv_w, conv_b, fc_w, fc_b):
                     np.asarray(conv_b, dtype=float),
                     np.asarray(fc_w, dtype=float),
                     np.asarray(fc_b, dtype=float))
+
+
+def probs_of(model, xs):
+    """Class probabilities of each input of xs."""
+    return softmax(_forward_batch(model, xs)[0])
 
 
 class TestArch:
@@ -41,6 +47,12 @@ class TestArch:
         with pytest.raises(ValueError):
             CnnArch(input_h=1, input_w=1)
 
+    def test_filter_dims_and_class_count_are_constants(self):
+        # model files record only input_h, input_w and num_filters
+        for knob in ("filter_h", "filter_w", "num_classes"):
+            with pytest.raises(TypeError):
+                CnnArch(3, 166, **{knob: 10})
+
 
 class TestInit:
     def test_biases_zero(self):
@@ -62,20 +74,23 @@ class TestInit:
 
 class TestForward:
     def test_hand_convolution(self):
-        arch = CnnArch(input_h=2, input_w=3, num_filters=1, filter_h=2,
-                       filter_w=2)
+        arch = CnnArch(input_h=2, input_w=3, num_filters=1)  # 2x2 filter
         model = manual_model(arch, np.ones((1, 2, 2)), [0.0],
                              np.zeros((4, arch.flat_size)), np.zeros(4))
-        _, cache = forward(model, np.ones((2, 3)))
-        np.testing.assert_array_equal(cache["pre"], [[[4.0, 4.0]]])
+        _, cache = _forward_batch(model, np.ones((1, 2, 3)))
+        np.testing.assert_array_equal(cache["pre"], [[[[4.0, 4.0]]]])
 
     def test_max_pool(self):
-        arch = CnnArch(input_h=1, input_w=4, num_filters=1, filter_h=1,
-                       filter_w=1)
-        model = manual_model(arch, np.ones((1, 1, 1)), [0.0],
+        # a 1x20 filter that passes its first tap: pre-activations 1, 3, 2, 5
+        arch = CnnArch(input_h=1, input_w=23, num_filters=1)
+        conv_w = np.zeros((1, 1, 20))
+        conv_w[0, 0, 0] = 1.0
+        model = manual_model(arch, conv_w, [0.0],
                              np.zeros((4, arch.flat_size)), np.zeros(4))
-        _, cache = forward(model, np.array([[1.0, 3.0, 2.0, 5.0]]))
-        np.testing.assert_array_equal(cache["flat"], [3.0, 5.0])
+        x = np.zeros((1, 1, 23))
+        x[0, 0, :4] = [1.0, 3.0, 2.0, 5.0]
+        _, cache = _forward_batch(model, x)
+        np.testing.assert_array_equal(cache["flat"], [[3.0, 5.0]])
 
     def test_zero_logits_uniform(self):
         arch = CnnArch(3, 24)
@@ -83,7 +98,7 @@ class TestForward:
             arch, np.zeros((arch.num_filters, 2, 20)), np.zeros(10),
             np.zeros((4, arch.flat_size)), np.zeros(4),
         )
-        probs, _ = forward(model, np.random.default_rng(0).random((3, 24)))
+        probs = probs_of(model, np.random.default_rng(0).random((1, 3, 24)))
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_softmax_extreme_logits(self):
@@ -94,14 +109,14 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = init_model(CnnArch(3, 24), seed=0)
         with pytest.raises(ValueError):
-            forward(model, np.zeros((2, 24)))
+            _forward_batch(model, np.zeros((1, 2, 24)))
 
     def test_filter_permutation_consistency(self):
         # permuting filters together with the matching FC blocks keeps logits
         arch = CnnArch(3, 30)
         model = init_model(arch, seed=8)
-        x = np.random.default_rng(8).random((3, 30))
-        base, _ = forward(model, x)
+        x = np.random.default_rng(8).random((1, 3, 30))
+        base = probs_of(model, x)
         perm = np.random.default_rng(9).permutation(arch.num_filters)
         block = arch.conv_h * arch.pooled_w
         fc_blocks = model.fc_w.reshape(4, arch.num_filters, block)
@@ -109,7 +124,7 @@ class TestForward:
             arch, model.conv_w[perm], model.conv_b[perm],
             fc_blocks[:, perm, :].reshape(4, -1), model.fc_b,
         )
-        swapped, _ = forward(permuted, x)
+        swapped = probs_of(permuted, x)
         np.testing.assert_allclose(swapped, base, atol=1e-12)
 
 
@@ -121,22 +136,24 @@ class TestLossGrad:
             np.zeros((4, arch.flat_size)), np.zeros(4),
         )
         x = np.random.default_rng(1).random((3, 24))
-        loss, _ = loss_and_grad(model, [(x, 2)])
+        loss, _ = batch_loss_and_grads(model, x[None], np.array([2]))
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_duplicated_batch_invariance(self):
         model = init_model(CnnArch(3, 24), seed=4)
         x = np.random.default_rng(4).random((3, 24))
         y = np.random.default_rng(5).random((3, 24))
-        single, g1 = loss_and_grad(model, [(x, 1), (y, 3)])
-        double, g2 = loss_and_grad(model, [(x, 1), (y, 3), (x, 1), (y, 3)])
+        single, g1 = batch_loss_and_grads(model, np.array([x, y]), np.array([1, 3]))
+        double, g2 = batch_loss_and_grads(model, np.array([x, y, x, y]),
+                                          np.array([1, 3, 1, 3]))
         assert single == pytest.approx(double, abs=1e-12)
-        for name in g1:
-            np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
+        for a, b in zip(g1, g2):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            loss_and_grad(init_model(CnnArch(3, 24), 0), [])
+        with pytest.raises(ValueError, match="empty batch"):
+            batch_loss_and_grads(init_model(CnnArch(3, 24), 0), np.zeros((0, 3, 24)),
+                                 np.zeros(0, dtype=int))
 
     def test_fc_bias_gradient_zero_at_balanced_saddle(self):
         arch = CnnArch(3, 24)
@@ -145,8 +162,9 @@ class TestLossGrad:
             np.zeros((4, arch.flat_size)), np.zeros(4),
         )
         x = np.random.default_rng(2).random((3, 24))
-        _, grads = loss_and_grad(model, [(x, c) for c in (1, 2, 3, 4)])
-        assert np.abs(grads["fc_b"]).max() < 1e-12
+        _, grads = batch_loss_and_grads(model, np.array([x] * 4), np.arange(1, 5))
+        fc_b = grads[list(model.params()).index("fc_b")]
+        assert np.abs(fc_b).max() < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, seed):
@@ -191,7 +209,7 @@ class TestBatchRelations:
 
     def test_pool_tie_goes_to_left_column(self):
         # both pool columns pre-activate to 1.0 but see different patches
-        arch = CnnArch(input_h=1, input_w=3, num_filters=1, filter_h=1, filter_w=2)
+        arch = CnnArch(input_h=1, input_w=3, num_filters=1)  # 1x2 filter
         model = manual_model(arch, np.ones((1, 1, 2)), [0.0],
                              np.arange(1.0, 5.0)[:, None], np.zeros(4))
         _, tie = batch_loss_and_grads(model, np.array([[[1.0, 0.0, 1.0]]]),
@@ -209,9 +227,8 @@ class TestBatchRelations:
 
 class TestSgdm:
     def _scalarish_model(self):
-        arch = CnnArch(input_h=1, input_w=3, num_filters=1, filter_h=1,
-                       filter_w=1)
-        return manual_model(arch, np.zeros((1, 1, 1)), [0.0],
+        arch = CnnArch(input_h=1, input_w=3, num_filters=1)  # 1x2 filter
+        return manual_model(arch, np.zeros((1, 1, 2)), [0.0],
                             np.zeros((4, arch.flat_size)), np.zeros(4))
 
     def test_single_step(self):
@@ -283,8 +300,8 @@ class TestTrain:
         arch = CnnArch(2, 24)
         model = init_model(arch, seed=0)
         model, losses = train(model, data, TrainConfig(seed=0))
-        preds = [predict(model, x) for x, _ in data]
-        assert preds == [label for _, label in data]
+        preds = predict_batch(model, [x for x, _ in data])
+        assert preds.tolist() == [label for _, label in data]
         assert losses[-1] < losses[0]
 
     def test_training_deterministic(self):
@@ -316,7 +333,7 @@ class TestPredict:
             arch, np.zeros((10, 2, 20)), np.zeros(10),
             np.zeros((4, arch.flat_size)), np.log([0.1, 0.7, 0.1, 0.1]),
         )
-        assert predict(model, np.zeros((3, 24))) == 2
+        assert predict_batch(model, np.zeros((1, 3, 24))).tolist() == [2]
 
     def test_exact_tie_takes_lowest_code(self):
         arch = CnnArch(3, 24)
@@ -324,24 +341,24 @@ class TestPredict:
             arch, np.zeros((10, 2, 20)), np.zeros(10),
             np.zeros((4, arch.flat_size)), np.zeros(4),
         )
-        assert predict(model, np.ones((3, 24))) == 1
+        assert predict_batch(model, np.ones((1, 3, 24))).tolist() == [1]
 
     def test_logit_shift_invariance(self):
         arch = CnnArch(3, 24)
-        x = np.random.default_rng(11).random((3, 24))
+        xs = np.random.default_rng(11).random((5, 3, 24))
         model = init_model(arch, seed=11)
-        before = predict(model, x)
+        before = predict_batch(model, xs)
         model.fc_b += 123.0
-        assert predict(model, x) == before
+        np.testing.assert_array_equal(predict_batch(model, xs), before)
 
     def test_batch_over_several_blocks_matches_single_predictions(self):
         arch = CnnArch(3, 24)
         model = init_model(arch, seed=5, init_std=1.0)
         xs = np.random.default_rng(5).normal(size=(2 * tinycnn.PREDICT_BLOCK + 5, 3, 24))
-        codes = tinycnn.predict_batch(model, xs)
+        codes = predict_batch(model, xs)
         assert codes.shape == (len(xs),)
         assert len(set(codes.tolist())) > 1
-        assert codes.tolist() == [predict(model, x) for x in xs]
+        assert codes.tolist() == [predict_batch(model, x[None])[0] for x in xs]
 
 
 class TestModelFile:
@@ -377,3 +394,17 @@ class TestModelFile:
         path.write_bytes(b"XXXX" + data[4:])
         with pytest.raises(ValueError, match="magic"):
             tinycnn.load_model(path)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 200), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_every_arch_round_trips(tmp_path_factory, input_h, input_w, num_filters,
+                                seed):
+    model = init_model(CnnArch(input_h, input_w, num_filters), seed)
+    path = tmp_path_factory.getbasetemp() / "arch_round_trip.bin"
+    tinycnn.save_model(model, path)
+    loaded = tinycnn.load_model(path)
+    assert loaded.arch == model.arch
+    for name, tensor in model.params().items():
+        np.testing.assert_array_equal(loaded.params()[name], tensor)
