@@ -1,6 +1,6 @@
 """Synchro-waveform event cause classification laboratory."""
 
-from . import baselines, expharness, featpipe, metrics, synthgrid, tinycnn
+from . import baselines, expharness, featpipe, metrics, store, synthgrid, tinycnn
 
 __version__ = "0.1.0"
 
@@ -9,6 +9,7 @@ __all__ = [
     "expharness",
     "featpipe",
     "metrics",
+    "store",
     "synthgrid",
     "tinycnn",
     "__version__",

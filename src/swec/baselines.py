@@ -10,7 +10,8 @@ and both autoencoder stages are one dense net code over (B, d) batches,
 trained by the convolutional model's minibatch engine (tinycnn.fit_sgdm)
 with the same softmax cross-entropy head (tinycnn.cross_entropy) or a
 squared-error head. The SVM's per-sample subgradient loop stays sequential,
-because its result depends on the sample order.
+because its result depends on the sample order. Each method's model file is
+a swec.store tensor file under its own magic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .store import TensorFileReader, write_tensor_file
 from .synthgrid import NUM_CLASSES
-from .tinycnn import (ModelFileReader, TrainerConfig, cross_entropy, fit_sgdm,
-                      predict_in_blocks, write_model_file)
+from .tinycnn import TrainerConfig, cross_entropy, fit_sgdm, predict_in_blocks
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -266,7 +267,7 @@ def ae_predict(model: AutoencoderClassifier, features) -> np.ndarray:
                           features)
 
 
-# ── Model files (tinycnn's container, one magic per method) ─────────────────
+# ── Model files (the store's tensor files, one magic per method) ────────────
 
 _SVM_SHAPES = {"weights": ("classes", "dim"), "biases": ("classes",)}
 _AE_SHAPES = {"enc_w": ("code", "dim"), "enc_b": ("code",), "dec_w": ("dim", "code"),
@@ -274,23 +275,24 @@ _AE_SHAPES = {"enc_w": ("code", "dim"), "enc_b": ("code",), "dec_w": ("dim", "co
 
 
 def save_svm(model: LinearOvrSvm, path, run: dict | None = None) -> None:
-    write_model_file(path, SVM_MAGIC, {"weights": model.weights,
-                                       "biases": model.biases}, run)
+    write_tensor_file(path, SVM_MAGIC, {"weights": model.weights,
+                                        "biases": model.biases}, **(run or {}))
 
 
 def load_svm(path) -> LinearOvrSvm:
-    return LinearOvrSvm(**ModelFileReader(path, SVM_MAGIC).tensors(**_SVM_SHAPES))
+    return LinearOvrSvm(**TensorFileReader(path, SVM_MAGIC).tensors(
+        _SVM_SHAPES, classes=NUM_CLASSES))
 
 
 def save_tmlp(model: TaperedMlp, path, run: dict | None = None) -> None:
     tensors = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         tensors[f"w{i}"], tensors[f"b{i}"] = w, b
-    write_model_file(path, TMLP_MAGIC, tensors, run, sizes=list(model.sizes))
+    write_tensor_file(path, TMLP_MAGIC, tensors, **(run or {}), sizes=list(model.sizes))
 
 
 def load_tmlp(path) -> TaperedMlp:
-    f = ModelFileReader(path, TMLP_MAGIC)
+    f = TensorFileReader(path, TMLP_MAGIC)
     sizes = f.field("sizes", list, int)
     if len(sizes) < 2:
         raise f.header_error("sizes", f"{len(sizes)} layer sizes, expected at least 2")
@@ -299,15 +301,17 @@ def load_tmlp(path) -> TaperedMlp:
     expected = {}
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
         expected[f"w{i}"], expected[f"b{i}"] = (n_out, n_in), (n_out,)
-    t = f.tensors(**expected)
+    t = f.tensors(expected)
     layers = range(len(sizes) - 1)
     return TaperedMlp(tuple(sizes), [t[f"w{i}"] for i in layers],
                       [t[f"b{i}"] for i in layers])
 
 
 def save_autoencoder(model: AutoencoderClassifier, path, run: dict | None = None) -> None:
-    write_model_file(path, AE_MAGIC, {k: getattr(model, k) for k in _AE_SHAPES}, run)
+    write_tensor_file(path, AE_MAGIC, {k: getattr(model, k) for k in _AE_SHAPES},
+                      **(run or {}))
 
 
 def load_autoencoder(path) -> AutoencoderClassifier:
-    return AutoencoderClassifier(**ModelFileReader(path, AE_MAGIC).tensors(**_AE_SHAPES))
+    return AutoencoderClassifier(**TensorFileReader(path, AE_MAGIC).tensors(
+        _AE_SHAPES, classes=NUM_CLASSES))

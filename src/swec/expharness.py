@@ -33,6 +33,7 @@ import numpy as np
 
 from . import baselines, metrics, synthgrid, tinycnn
 from .featpipe import featurize
+from .store import TensorFileReader
 from .synthgrid import (NUM_CLASSES, ConfigError, Dataset, DatasetConfig,
                         DatasetGrids, MONITORED_BUSES, build_dataset,
                         dataclass_from_json, dataclass_to_json, derive_seed,
@@ -123,7 +124,6 @@ class ExperimentConfig:
     duration: float = synthgrid.DEFAULT_DURATION
     event_time: float = synthgrid.DEFAULT_EVENT_TIME
     amplitude: float = 1.0
-    jitter: bool = True
     methods: tuple = METHODS
     repeats: int = 3
     num_intervals: int = 8
@@ -166,7 +166,8 @@ class ExperimentConfig:
                                   f"top-level seed; set seed instead")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        self.dataset_config(self.placement_fs, self.seed)  # checks the dataset fields
+        for fs in (self.placement_fs, *self.fs_list):  # checks the dataset fields
+            self.dataset_config(fs, self.seed)
 
     def dataset_config(self, fs: float, seed: int) -> DatasetConfig:
         return DatasetConfig(
@@ -188,11 +189,15 @@ def config_from_json(obj) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in a JSON file; every error names the file."""
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    return config_from_json(obj)
+    try:
+        return config_from_json(obj)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ── Stratified split ─────────────────────────────────────────────────────────
@@ -285,7 +290,7 @@ def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
                        repeat: int = 0):
     """Features of every record plus the repeat's stratified split."""
     with _stage("featurize"):
-        features = featurize_dataset(dataset, buses, jitter=config.jitter)
+        features = featurize_dataset(dataset, buses)
     with _stage("split"):
         split_seed = derive_seed(config.seed, repeat, _STAGE_SPLIT)
         split = split_stratified(dataset, config.train_fraction, split_seed)
@@ -441,7 +446,7 @@ def load_model(method: str, path):
 def read_model_run(path, magic: bytes) -> ModelRun:
     """The run a model file records; a missing or mistyped field is a
     ValueError naming the file and the key."""
-    f = tinycnn.ModelFileReader(path, magic)
+    f = TensorFileReader(path, magic)
     return ModelRun(tuple(f.field("buses", list, int)), f.field("fs", float),
                     f.field("split_fingerprint", str), f.field("config_sha256", str))
 

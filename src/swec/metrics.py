@@ -4,9 +4,9 @@ Matrix orientation is rows = predicted class, columns = target class. Each
 class is scored as a binary problem against the pooled remainder: precision
 TP/(TP+FP), recall TP/(TP+FN), F1 as their harmonic mean, and false positive
 rate FP/(FP+TN). A 0/0 ratio is reported as an explicit undefined (None)
-rather than 0, and undefined classes are excluded from macro means (with an
-exclusion count), mirroring the N/A entries such matrices produce when a
-class is never predicted.
+rather than 0, and undefined classes are excluded from macro means,
+mirroring the N/A entries such matrices produce when a class is never
+predicted.
 
 The macro F1 is the harmonic mean of the macro precision and macro recall,
 not the mean of per-class F1 values.
@@ -63,14 +63,12 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    total: int
     accuracy: float
     per_class: dict
     macro_precision: float | None
     macro_recall: float | None
     macro_f1: float | None
     macro_fpr: float | None
-    macro_excluded: dict
 
 
 def class_metrics(cm: np.ndarray, class_code: int) -> ClassMetrics:
@@ -91,12 +89,10 @@ def class_metrics(cm: np.ndarray, class_code: int) -> ClassMetrics:
                         _f1(precision, recall), _ratio(fp, fp + tn))
 
 
-def _macro(values) -> tuple[float | None, int]:
+def _macro(values) -> float | None:
+    """Mean of the defined values; None if none is defined."""
     defined = [v for v in values if v is not None]
-    excluded = len(values) - len(defined)
-    if not defined:
-        return None, excluded
-    return float(np.mean(defined)), excluded
+    return float(np.mean(defined)) if defined else None
 
 
 def aggregate(cm: np.ndarray) -> MetricsReport:
@@ -110,19 +106,15 @@ def aggregate(cm: np.ndarray) -> MetricsReport:
     per_class = {code: class_metrics(cm, code) for code in range(1, n + 1)}
     accuracy = float(np.trace(cm)) / total
 
-    macro_pre, exc_pre = _macro([m.precision for m in per_class.values()])
-    macro_rec, exc_rec = _macro([m.recall for m in per_class.values()])
-    macro_fpr, exc_fpr = _macro([m.fpr for m in per_class.values()])
-    macro_f1 = _f1(macro_pre, macro_rec)
+    macro_pre = _macro([m.precision for m in per_class.values()])
+    macro_rec = _macro([m.recall for m in per_class.values()])
     return MetricsReport(
-        total=total,
         accuracy=accuracy,
         per_class=per_class,
         macro_precision=macro_pre,
         macro_recall=macro_rec,
-        macro_f1=macro_f1,
-        macro_fpr=macro_fpr,
-        macro_excluded={"precision": exc_pre, "recall": exc_rec, "fpr": exc_fpr},
+        macro_f1=_f1(macro_pre, macro_rec),
+        macro_fpr=_macro([m.fpr for m in per_class.values()]),
     )
 
 

@@ -1,0 +1,135 @@
+"""The one tensor file format, shared by datasets and model files.
+
+A file is a 4-byte magic naming its kind, a u32 format version, a u32
+length and a canonical JSON header (sorted keys, no whitespace, padded with
+spaces so the tensors start 8-byte aligned), the tensors as little-endian
+float64 in the order of the header's "tensors" list of [name, shape] pairs,
+and the sha256 of everything before it. Writing streams each part into the
+file and the digest; reading takes the file into one buffer and returns the
+tensors as writable views of it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import struct
+
+import numpy as np
+
+FORMAT_VERSION = 2
+HEADER_OFFSET = 8  # the header's length and text follow the magic and version
+DIGEST_BYTES = 32
+
+
+def write_tensor_file(path, magic: bytes, tensors: dict, **fields) -> None:
+    """Write tensors (name -> array) under a header holding fields plus each
+    tensor's [name, shape] under "tensors"."""
+    header = {**fields,
+              "tensors": [[name, list(np.shape(t))] for name, t in tensors.items()]}
+    block = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    block += b" " * (-(len(magic) + 8 + len(block)) % 8)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in (magic, struct.pack("<II", FORMAT_VERSION, len(block)), block,
+                     *(memoryview(np.ascontiguousarray(t, dtype="<f8")).cast("B")
+                       for t in tensors.values())):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
+
+
+class TensorFileReader:
+    """A checked write_tensor_file file. Opening checks, in order, the magic,
+    the format version (a mismatch tells the user to `remedy`), the header,
+    the length its tensor shapes imply and the sha256 digest; field() and
+    tensors() then check header values and each tensor. Every failure is a
+    ValueError naming the path and the byte offset, and the key of a header
+    value."""
+
+    def __init__(self, path, magic: bytes, remedy: str = "re-train the model"):
+        self.path, self.offset = path, 0
+        with open(path, "rb") as fh:  # one uninitialized buffer, no bytes copy
+            self.data = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+            self.data = self.data[:fh.readinto(self.data)]
+        if len(self.data) >= len(magic) and self.data[:len(magic)].tobytes() != magic:
+            raise ValueError(f"{path}: offset 0: bad magic "
+                             f"{self.data[:len(magic)].tobytes()!r}, expected {magic!r}")
+        self._take(len(magic))
+        version, length = struct.unpack_from("<II", self.data, self._take(8))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: offset 4: format version {version}, expected "
+                             f"{FORMAT_VERSION}; {remedy}")
+        start = self._take(length)
+        try:  # JSON (UTF-8) whose "tensors" are [name, shape] pairs
+            self.header = json.loads(self.data[start:self.offset].tobytes())
+            self.shapes = {name: tuple(shape) for name, shape in self.header["tensors"]}
+            if len(self.shapes) != len(self.header["tensors"]) or not all(
+                    type(n) is int and n >= 0 for s in self.shapes.values() for n in s):
+                raise ValueError("tensors are not distinct [name, shape] pairs")
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: offset {HEADER_OFFSET}: bad header: "
+                             f"{exc}") from None
+        self.body = self.offset
+        end = self.body + 8 * sum(math.prod(s) for s in self.shapes.values())
+        self._take(end - self.body + DIGEST_BYTES)
+        if self.offset != len(self.data):
+            raise ValueError(f"{path}: offset {self.offset}: "
+                             f"{len(self.data) - self.offset} trailing bytes")
+        if hashlib.sha256(self.data[:end]).digest() != self.data[end:].tobytes():
+            raise ValueError(f"{path}: offset {end}: sha256 differs from the contents")
+
+    def _take(self, nbytes: int) -> int:
+        start = self.offset
+        if start + nbytes > len(self.data):
+            raise ValueError(
+                f"{self.path}: offset {start}: truncated file, expected {nbytes} "
+                f"bytes, {len(self.data) - start} left"
+            )
+        self.offset += nbytes
+        return start
+
+    def header_error(self, key: str, message: str) -> ValueError:
+        return ValueError(f"{self.path}: offset {HEADER_OFFSET}: {message} "
+                          f"(header key {key!r})")
+
+    def field(self, key: str, kind: type, item: type | None = None):
+        """The header value at key, which must be a kind (a list of item)."""
+        value = self.header.get(key)
+        if type(value) is not kind or item and any(type(v) is not item for v in value):
+            what = kind.__name__ + (f" of {item.__name__}" if item else "")
+            raise self.header_error(key, f"{value!r} is not a {what}")
+        return value
+
+    def tensors(self, expected: dict, **axes) -> dict[str, np.ndarray]:
+        """The tensors, named as in expected and in its order, each of shape
+        expected[name] with only finite values, as views of the file's
+        buffer. An axis of an expected shape is a size or a name; a name
+        takes its size from axes if given there, or else from the first axis
+        so named."""
+        if list(self.shapes) != list(expected):
+            raise self.header_error("tensors", f"{list(self.shapes)}, expected "
+                                    f"{list(expected)}")
+        sizes, out, start = dict(axes), {}, self.body
+        for name, want in expected.items():
+            shape = self.shapes[name]
+            if len(shape) != len(want) or shape != tuple(
+                    sizes.setdefault(a, n) if isinstance(a, str) else a
+                    for a, n in zip(want, shape)):
+                bad = [f"{n} {a}, expected {axes[a]}" for a, n in zip(want, shape)
+                       if a in axes and n != axes[a]]
+                raise ValueError(f"{self.path}: offset {start}: " + (
+                    bad[0] if bad else f"tensor {name!r} has shape {shape}, "
+                                       f"expected {want}"))
+            nbytes = 8 * math.prod(shape)
+            t = self.data[start:start + nbytes].view("<f8").reshape(shape)
+            # one leading-axis row at a time: no whole-tensor boolean temporary
+            for i, row in enumerate(t if t.ndim > 1 else t[None]):
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{self.path}: offset {start + i * row.nbytes}: "
+                                     f"non-finite value in tensor {name!r}")
+            out[name] = t
+            start += nbytes
+        return out

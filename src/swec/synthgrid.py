@@ -14,9 +14,9 @@ the arc randomness, and the window-detection jitter each consume an
 independent seeded stream, so repeated generation is bit-identical and
 record generation can be scheduled in any order. A Dataset is its
 DatasetConfig plus one stacked (records, buses, phases, samples) array;
-each record's spec and seed derive from the config, so a dataset directory
-stores the config, the array and the sha256 of each, and nothing per record.
-A record's post-detection window is a (buses, phases, W) view of its
+each record's spec and seed derive from the config, so a dataset file (one
+swec.store tensor file) holds the config and the array, and nothing per
+record. A record's post-detection window is a (buses, phases, W) view of its
 samples.
 """
 
@@ -31,6 +31,8 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
+
+from .store import TensorFileReader, write_tensor_file
 
 F0 = 60.0  # nominal system frequency, Hz
 
@@ -366,6 +368,10 @@ class DatasetConfig:
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ConfigError(f"snr_db {self.snr_db}: must be finite or +inf "
                               f"(noiseless)")
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} is negative")
+        _validate_timing(self.fs, self.duration, self.event_time)
+        _validate_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -412,15 +418,18 @@ class Dataset:
 # ── Generation ───────────────────────────────────────────────────────────────
 
 def _validate_timing(fs: float, duration: float, event_time: float | None = None):
-    if fs < 1000.0:
-        raise ValueError(f"sampling rate {fs} Hz below the 1 kHz minimum")
-    if duration < 0.1:
-        raise ValueError(f"duration {duration} s below the 0.1 s minimum")
+    """ConfigError naming the field unless 1 kHz <= fs, 0.1 s <= duration
+    (both finite) and, if given, event_time leaves one cycle before and two
+    after it."""
+    if not 1000.0 <= fs < math.inf:
+        raise ConfigError(f"fs: sampling rate {fs} Hz outside [1000, inf)")
+    if not 0.1 <= duration < math.inf:
+        raise ConfigError(f"duration: {duration} s outside [0.1, inf)")
     if event_time is not None:
         cycle = 1.0 / F0
         if not cycle < event_time < duration - 2.0 * cycle:
-            raise ValueError(
-                f"event time {event_time} s outside ({cycle:.4f}, "
+            raise ConfigError(
+                f"event_time: {event_time} s outside ({cycle:.4f}, "
                 f"{duration - 2 * cycle:.4f})"
             )
 
@@ -429,7 +438,8 @@ def _validate_amplitude(amplitude: float):
     low = amplitude * min(BUS_AMPLITUDE.values())
     high = amplitude * max(BUS_AMPLITUDE.values())
     if not (0.9 <= low and high <= 1.1):
-        raise ValueError(f"amplitude {amplitude} drives buses outside [0.9, 1.1] pu")
+        raise ConfigError(f"amplitude: {amplitude} drives buses outside "
+                          f"[0.9, 1.1] pu")
 
 
 @functools.lru_cache(maxsize=8)
@@ -721,27 +731,21 @@ def extract_window(record: WaveformRecord, jitter: bool = True) -> np.ndarray:
     return record.samples[:, :, start:start + w]
 
 
-# ── Dataset directory persistence ────────────────────────────────────────────
+# ── Dataset file ─────────────────────────────────────────────────────────────
 
-SCHEMA_VERSION = 4
-WAVEFORMS_FILE = "waveforms.npy"
+DATASET_MAGIC = b"SWDS"
+_REGENERATE = "re-run `swec generate` to rebuild the dataset from its seed"
 
 
-def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest.json, the dataset's config plus the sha256 of the
-    config and of its samples, and waveforms.npy, the samples as one
-    little-endian float64 .npy array."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        **dataclass_to_json(dataset.config),
-        "config_sha256": config_sha256(dataset.config),
-        "waveforms_sha256": waveforms_sha256(dataset.samples),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    np.save(out / WAVEFORMS_FILE, dataset.samples)
-    return out
+def save_dataset(dataset: Dataset, path) -> Path:
+    """Write the dataset as one tensor file (swec.store): its config's JSON
+    form under the header key "config" and its samples as the tensor
+    "samples". Returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_tensor_file(path, DATASET_MAGIC, {"samples": dataset.samples},
+                      config=dataclass_to_json(dataset.config))
+    return path
 
 
 def config_sha256(config: DatasetConfig) -> str:
@@ -749,85 +753,34 @@ def config_sha256(config: DatasetConfig) -> str:
     return hashlib.sha256(json.dumps(dataclass_to_json(config)).encode()).hexdigest()
 
 
-def waveforms_sha256(samples: np.ndarray) -> str:
-    """sha256 of the little-endian float64 bytes of samples in C order."""
-    return hashlib.sha256(np.ascontiguousarray(samples, dtype="<f8")).hexdigest()
-
-
-def load_dataset(in_dir) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Inverse of save_dataset; waveform values round-trip bit-identically.
-    The schema version is checked first; then every DatasetConfig key and
-    both digests are required and typed, the records are derived from the
-    config as build_dataset derives them, and the config must match its
-    digest; a violation is a ValueError naming the manifest (and the key).
-    waveforms.npy must be a readable .npy array of dtype <f8 and shape
-    (records, buses, 3, round(fs * duration)) whose sha256 matches the
-    manifest and whose values are all finite; a violation is a ValueError
-    naming the file (and the record, for a non-finite value)."""
-    root = Path(in_dir)
-    manifest_path = root / "manifest.json"
+    Beyond the store's checks (magic, version, header, length, sha256,
+    finite values), the header's config must set every DatasetConfig field
+    to a valid value and the samples must have the shape it implies; the
+    records are derived from it as build_dataset derives them. Every
+    failure names the file: an OSError if it cannot be read, else a
+    ValueError. A directory, the earlier dataset store, asks for the
+    dataset to be generated again."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path}: a dataset directory of an earlier format; "
+                         f"{_REGENERATE}")
+    f = TensorFileReader(path, DATASET_MAGIC, _REGENERATE)
+    doc = f.header.get("config")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no manifest.json under {root}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
-
-    def require(obj, keys, where):
-        if not isinstance(obj, dict):
-            raise ValueError(f"{manifest_path}: {where}expected an object, "
-                             f"got {type(obj).__name__}")
-        for key in keys:
-            if key not in obj:
-                raise ValueError(f"{manifest_path}: {where}missing key {key!r}")
-
-    require(manifest, ["schema_version"], "")
-    if manifest["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"{manifest_path}: unsupported schema_version "
-            f"{manifest['schema_version']!r} (expected {SCHEMA_VERSION}); "
-            f"re-run `swec generate` to rebuild the dataset from its seed"
-        )
-    config_keys = [f.name for f in fields(DatasetConfig)]
-    require(manifest, [*config_keys, "config_sha256", "waveforms_sha256"], "")
-    require(manifest["grids"], [f.name for f in fields(DatasetGrids)], "grids: ")
-    try:
-        cfg = dataclass_from_json(DatasetConfig, {k: manifest[k] for k in config_keys})
+        cfg = dataclass_from_json(DatasetConfig, doc, "config")
+        full = dataclass_to_json(cfg)
+        if full != doc:  # a key that fell back to its default
+            grids = doc.get("grids", full["grids"])
+            missing = [k for k in full if k not in doc] + [
+                f"grids.{k}" for k in full["grids"] if k not in grids]
+            raise ConfigError(f"config: missing keys {missing}")
     except ConfigError as exc:
-        raise ConfigError(f"{manifest_path}: {exc}") from None
-    dataset = Dataset(cfg, _load_waveforms(root / WAVEFORMS_FILE,
-                                           manifest["waveforms_sha256"],
-                                           _samples_shape(cfg)))
+        raise f.header_error("config", str(exc)) from None
+    dataset = Dataset(cfg, f.tensors({"samples": _samples_shape(cfg)})["samples"])
     try:
-        dataset.records  # derived now, so that a bad config value names the manifest
+        dataset.records  # derived now, so that a bad grid value names the file
     except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    if config_sha256(cfg) != manifest["config_sha256"]:
-        raise ValueError(f"{manifest_path}: config differs from its config_sha256")
+        raise f.header_error("config", str(exc)) from None
     return dataset
-
-
-def _load_waveforms(path: Path, sha256: str, shape: tuple) -> np.ndarray:
-    """The stacked samples in path, checked against the manifest's digest
-    and the expected shape; every failure is a ValueError naming path."""
-    try:
-        samples = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(f"{path}: missing waveform array") from None
-    except (OSError, ValueError, EOFError) as exc:
-        raise ValueError(f"{path}: unreadable waveform array: {exc}") from None
-    if not isinstance(samples, np.ndarray):  # an .npz archive
-        samples.close()
-        raise ValueError(f"{path}: not a single .npy array")
-    if samples.dtype != np.dtype("<f8"):
-        raise ValueError(f"{path}: dtype {samples.dtype.str}, expected <f8")
-    if samples.shape != shape:
-        raise ValueError(f"{path}: shape {samples.shape}, expected {shape}")
-    samples = np.ascontiguousarray(samples)
-    if waveforms_sha256(samples) != sha256:
-        raise ValueError(f"{path}: sha256 differs from the manifest's "
-                         f"waveforms_sha256")
-    for i, record in enumerate(samples):
-        if not np.isfinite(record).all():
-            raise ValueError(f"{path}: record {i}: non-finite value")
-    return samples

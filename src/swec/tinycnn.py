@@ -19,27 +19,21 @@ GEMM each (Chellapilla, Puri & Simard, 2006). Every function takes stacked
 (N, H, W) inputs and (N,) class codes, except train, which stacks its
 (input, class code) pairs once. The minibatch engine
 (fit_sgdm) and the batched softmax cross-entropy head (cross_entropy) also
-train the dense baselines.
+train the dense baselines. A model file is a swec.store tensor file.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
+from .store import HEADER_OFFSET, TensorFileReader, write_tensor_file
 from .synthgrid import NUM_CLASSES, ConfigError
 
 MODEL_MAGIC = b"SWEC"
-MODEL_FORMAT_VERSION = 2
-HEADER_OFFSET = 8  # a model file's header follows its magic and version
-DIGEST_BYTES = 32
 PREDICT_BLOCK = 8  # inputs per forward pass in predict_in_blocks
 
 
@@ -375,124 +369,23 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
     raise RuntimeError(f"no finite-difference-safe case found for seed {seed}")
 
 
-# ── Model file format ────────────────────────────────────────────────────────
-
-def write_model_file(path, magic: bytes, tensors: dict, run: dict | None = None,
-                     **fields) -> None:
-    """Magic, u32 format version, u32 length and canonical JSON header (the
-    run fields, the method's constructor fields and each tensor's [name,
-    shape] under "tensors"), the tensors as little-endian float64, then the
-    sha256 of all of that."""
-    header = {**(run or {}), **fields,
-              "tensors": [[name, list(np.shape(t))] for name, t in tensors.items()]}
-    block = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    data = b"".join([magic, struct.pack("<II", MODEL_FORMAT_VERSION, len(block)),
-                     block, *(np.ascontiguousarray(t, dtype="<f8").tobytes()
-                              for t in tensors.values())])
-    Path(path).write_bytes(data + hashlib.sha256(data).digest())
-
-
-class ModelFileReader:
-    """A checked write_model_file file. Opening checks, in order, the magic,
-    the format version (a version-1 file predates the header: re-train it),
-    the header, the length its tensor shapes imply and the sha256 digest;
-    field() and tensors() then check header values and each tensor. Every
-    failure is a ValueError naming the path and the byte offset, and the key
-    of a header value."""
-
-    def __init__(self, path, magic: bytes):
-        self.path, self.data, self.offset = path, Path(path).read_bytes(), 0
-        if len(self.data) >= len(magic) and self.data[:len(magic)] != magic:
-            raise ValueError(f"{path}: offset 0: bad magic "
-                             f"{self.data[:len(magic)]!r}, expected {magic!r}")
-        self._take(len(magic))
-        version, length = struct.unpack_from("<II", self.data, self._take(8))
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"{path}: offset 4: format version {version}, expected "
-                             f"{MODEL_FORMAT_VERSION}; re-train the model")
-        start = self._take(length)
-        try:  # JSON (UTF-8) whose "tensors" are [name, shape] pairs
-            self.header = json.loads(self.data[start:self.offset])
-            self.shapes = {name: tuple(shape) for name, shape in self.header["tensors"]}
-            if len(self.shapes) != len(self.header["tensors"]) or not all(
-                    type(n) is int and n >= 0 for s in self.shapes.values() for n in s):
-                raise ValueError("tensors are not distinct [name, shape] pairs")
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ValueError(f"{path}: offset {HEADER_OFFSET}: bad header: "
-                             f"{exc}") from None
-        self.body = self.offset
-        end = self.body + 8 * sum(math.prod(s) for s in self.shapes.values())
-        self._take(end - self.body + DIGEST_BYTES)
-        if self.offset != len(self.data):
-            raise ValueError(f"{path}: offset {self.offset}: "
-                             f"{len(self.data) - self.offset} trailing bytes")
-        if hashlib.sha256(self.data[:end]).digest() != self.data[end:]:
-            raise ValueError(f"{path}: offset {end}: sha256 differs from the contents")
-
-    def _take(self, nbytes: int) -> int:
-        start = self.offset
-        if start + nbytes > len(self.data):
-            raise ValueError(
-                f"{self.path}: offset {start}: truncated file, expected {nbytes} "
-                f"bytes, {len(self.data) - start} left"
-            )
-        self.offset += nbytes
-        return start
-
-    def header_error(self, key: str, message: str) -> ValueError:
-        return ValueError(f"{self.path}: offset {HEADER_OFFSET}: {message} "
-                          f"(header key {key!r})")
-
-    def field(self, key: str, kind: type, item: type | None = None):
-        """The header value at key, which must be a kind (a list of item)."""
-        value = self.header.get(key)
-        if type(value) is not kind or item and any(type(v) is not item for v in value):
-            what = kind.__name__ + (f" of {item.__name__}" if item else "")
-            raise self.header_error(key, f"{value!r} is not a {what}")
-        return value
-
-    def tensors(self, **expected) -> dict[str, np.ndarray]:
-        """The tensors, named as in expected and in its order, each of shape
-        expected[name] with only finite values. An axis of an expected shape
-        is a size or a name: "classes" is NUM_CLASSES, and any other name
-        takes the size of the first axis so named."""
-        if list(self.shapes) != list(expected):
-            raise self.header_error("tensors", f"{list(self.shapes)}, expected "
-                                    f"{list(expected)}")
-        sizes, out, start = {"classes": NUM_CLASSES}, {}, self.body
-        for name, want in expected.items():
-            shape = self.shapes[name]
-            if len(shape) != len(want) or shape != tuple(
-                    sizes.setdefault(a, n) if isinstance(a, str) else a
-                    for a, n in zip(want, shape)):
-                bad = [n for a, n in zip(want, shape) if a == "classes"
-                       and n != NUM_CLASSES]
-                raise ValueError(f"{self.path}: offset {start}: " + (
-                    f"{bad[0]} classes, expected {NUM_CLASSES}" if bad else
-                    f"tensor {name!r} has shape {shape}, expected {want}"))
-            t = np.frombuffer(self.data, "<f8", math.prod(shape), start)
-            if not np.isfinite(t).all():
-                raise ValueError(f"{self.path}: offset {start}: non-finite value in "
-                                 f"tensor {name!r}")
-            out[name] = t.reshape(shape).astype(float)
-            start += t.nbytes
-        return out
-
+# ── Model file ───────────────────────────────────────────────────────────────
 
 def save_model(model: CnnModel, path, run: dict | None = None) -> None:
     arch = model.arch
-    write_model_file(path, MODEL_MAGIC, model.params(), run, input_h=arch.input_h,
-                     input_w=arch.input_w, num_filters=arch.num_filters)
+    write_tensor_file(path, MODEL_MAGIC, model.params(), **(run or {}),
+                      input_h=arch.input_h, input_w=arch.input_w,
+                      num_filters=arch.num_filters)
 
 
 def load_model(path) -> CnnModel:
-    f = ModelFileReader(path, MODEL_MAGIC)
+    f = TensorFileReader(path, MODEL_MAGIC)
     dims = [f.field(k, int) for k in ("input_h", "input_w", "num_filters")]
     try:
         arch = CnnArch(*dims)
     except ValueError as exc:
         raise ValueError(f"{path}: offset {HEADER_OFFSET}: {exc}") from None
-    return CnnModel(arch, **f.tensors(
-        conv_w=(arch.num_filters, arch.eff_filter_h, arch.eff_filter_w),
-        conv_b=(arch.num_filters,), fc_w=("classes", arch.flat_size),
-        fc_b=("classes",)))
+    return CnnModel(arch, **f.tensors({
+        "conv_w": (arch.num_filters, arch.eff_filter_h, arch.eff_filter_w),
+        "conv_b": (arch.num_filters,), "fc_w": ("classes", arch.flat_size),
+        "fc_b": ("classes",)}, classes=NUM_CLASSES))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import swec
-from swec import cli, expharness, metrics, synthgrid, tinycnn
+from swec import cli, expharness, metrics, store, synthgrid, tinycnn
 from conftest import tiny_config
 
 from swec.expharness import ExperimentConfig, config_to_json
@@ -83,7 +83,7 @@ class TestWorkflow:
             "--out", str(data_dir), "--fs", "2000",
         )
         assert code == 0
-        assert (data_dir / "manifest.json").is_file()
+        assert data_dir.read_bytes()[:4] == synthgrid.DATASET_MAGIC
 
         model_path = tmp_path / "model.bin"
         code, out, _ = run_cli(
@@ -141,41 +141,45 @@ class TestWorkflow:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("damage, where, what", [
-        ("drop_fs", "manifest.json", "'fs'"),
-        ("truncated_npy", "waveforms.npy", "unreadable waveform array"),
-        ("flipped_byte", "waveforms.npy", "sha256 differs"),
-        ("edited_grids", "manifest.json", "config differs from its config_sha256"),
+    @pytest.mark.parametrize("damage, what", [
+        ("drop_fs", "offset 8: config: missing keys ['fs']"),
+        ("truncated_npy", "truncated file"),
+        ("flipped_byte", "sha256 differs"),
+        ("edited_grids", "sha256 differs"),
     ], ids=["drop_fs", "truncated_npy", "flipped_byte", "edited_grids"])
-    def test_inconsistent_manifest_fails_cleanly(self, damage, where, what, capsys,
+    def test_inconsistent_manifest_fails_cleanly(self, damage, what, capsys,
                                                  tmp_path, tiny_config_file):
-        data_dir = tmp_path / "data"
+        data_path = tmp_path / "data.bin"
         model_path = tmp_path / "model.bin"
         run_cli(capsys, "generate", "--config", str(tiny_config_file),
-                "--out", str(data_dir), "--fs", "2000")
+                "--out", str(data_path), "--fs", "2000")
         run_cli(capsys, "train", "--config", str(tiny_config_file),
-                "--data", str(data_dir), "--model", str(model_path))
-        manifest_path = data_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        if damage == "drop_fs":
-            del manifest["fs"]
-        elif damage == "edited_grids":
-            manifest["grids"].update(cap_angles=3, xfmr_angles=1,
-                                     declared_counts=[3, 1, 2, 2])
-        manifest_path.write_text(json.dumps(manifest))
-        waveform = data_dir / "waveforms.npy"
-        data = bytearray(waveform.read_bytes())
-        if damage == "truncated_npy":
+                "--data", str(data_path), "--model", str(model_path))
+        data = bytearray(data_path.read_bytes())
+        if damage == "drop_fs":  # re-digested, so only the config check tells
+            dataset = synthgrid.load_dataset(data_path)
+            config = synthgrid.dataclass_to_json(dataset.config)
+            del config["fs"]
+            store.write_tensor_file(data_path, synthgrid.DATASET_MAGIC,
+                                    {"samples": dataset.samples}, config=config)
+            data = bytearray(data_path.read_bytes())
+        elif damage == "edited_grids":  # relabels records, keeps the shape
+            for old, new in ((b'"cap_angles":2', b'"cap_angles":3'),
+                             (b'"xfmr_angles":2', b'"xfmr_angles":1'),
+                             (b'"declared_counts":[2,2,2,2]',
+                              b'"declared_counts":[3,1,2,2]')):
+                data = data.replace(old, new)
+        elif damage == "truncated_npy":
             del data[-100:]
         elif damage == "flipped_byte":
             data[-100] ^= 0x80
-        waveform.write_bytes(bytes(data))
+        data_path.write_bytes(bytes(data))
         code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
-                                 "--model", str(model_path), "--data", str(data_dir))
+                                 "--model", str(model_path), "--data", str(data_path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert where in err and what in err
+        assert "data.bin: offset" in err and what in err
 
     def test_non_finite_model_fails_cleanly(self, capsys, tmp_path,
                                             tiny_config_file):
@@ -366,6 +370,33 @@ class TestSweepAndCompare:
         assert "snr_db" in err
         assert not (tmp_path / "ds").exists()
         assert ExperimentConfig(snr_db=-3.0).snr_db == -3.0
+
+    @pytest.mark.parametrize("content, says", [
+        (b'{"seed": \xb4}', "malformed JSON"),
+        (b"[1]", "ExperimentConfig: expected an object, got list"),
+        (b'{"svm": {"C": 0}}', "svm.C: 0 is not > 0"),
+    ], ids=["undecodable", "not_object", "bad_value"])
+    def test_config_file_error_names_the_file(self, content, says, capsys,
+                                              tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path}: " in err and says in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--fs", "inf"], "fs: "), (["--fs", "nan"], "fs: "),
+        (["--seed", "-1"], "seed: "),
+    ], ids=["fs_inf", "fs_nan", "seed_negative"])
+    def test_bad_rate_or_seed_names_the_field(self, flags, field, capsys,
+                                              tmp_path):
+        out_path = tmp_path / "ds.bin"
+        code, out, err = run_cli(capsys, "generate", "--out", str(out_path), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert field in err
+        assert not out_path.exists()
 
     def test_report_empty_dir_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swec import baselines, expharness, synthgrid, tinycnn
+from swec import baselines, expharness, store, synthgrid, tinycnn
 from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
                              comparison_rows, config_from_json, config_to_json,
                              derive_seed, largest_remainder_counts, load_report,
@@ -155,13 +155,26 @@ class TestConfig:
         ({"fs_list": 5000}, "fs_list"),
         ({"fs_list": [1250.0, "2500"]}, "fs_list[1]"),
         ({"cnn": {"epochs": 2.5}}, "cnn.epochs"),
-        ({"jitter": 1}, "jitter"),
+        ({"placement_fs": None}, "placement_fs"),
         ({"bus_subsets": [[632, 671.0]]}, "bus_subsets[0][1]"),
         ({"grids": {"fault_types": "LG"}}, "grids.fault_types"),
         ({"tmlp": []}, "tmlp"),
     ])
     def test_wrong_type_names_field(self, doc, field):
         with pytest.raises(ConfigError, match=re.escape(field + ":")):
+            config_from_json(doc)
+
+    def test_removed_jitter_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown keys \['jitter'\]"):
+            config_from_json({"jitter": False})
+
+    @pytest.mark.parametrize("doc, says", [
+        ({"fs_list": [2000.0, 500.0]}, "fs: sampling rate 500.0 Hz"),
+        ({"fs_list": [2000.0, float("nan")]}, "fs: sampling rate nan Hz"),
+        ({"seed": -1}, "seed: -1 is negative"),
+    ], ids=["low_rate", "nan_rate", "negative_seed"])
+    def test_every_rate_and_the_seed_checked(self, doc, says):
+        with pytest.raises(ConfigError, match=re.escape(says)):
             config_from_json(doc)
 
     def test_int_accepted_and_kept_for_float_field(self):
@@ -369,7 +382,7 @@ class TestArtifacts:
         last[-1] = value
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path)
-        offset = path.stat().st_size - tinycnn.DIGEST_BYTES - 8 * last.size
+        offset = path.stat().st_size - store.DIGEST_BYTES - 8 * last.size
         with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite"):
             expharness.load_model(method, path)
 
@@ -390,7 +403,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("n_sizes", [0, 1])
     def test_tmlp_without_two_layer_sizes_rejected(self, n_sizes, tmp_path):
         path = tmp_path / "m.bin"
-        tinycnn.write_model_file(path, b"SWML", {}, sizes=[4][:n_sizes])
+        store.write_tensor_file(path, b"SWML", {}, sizes=[4][:n_sizes])
         with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*at least 2"):
             baselines.load_tmlp(path)
 

@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swec import featpipe, synthgrid
+from swec import featpipe, store, synthgrid
 from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, ConfigError, DatasetConfig,
                             DatasetGrids, EventClass, EventSpec, F0,
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
@@ -158,6 +159,13 @@ class TestDataset:
         assert len(specs) == 600
         assert [labels.count(c) for c in (1, 2, 3, 4)] == [64, 144, 320, 72]
 
+    @pytest.mark.parametrize("field, value", [
+        ("fs", math.inf), ("fs", math.nan), ("fs", 999.0), ("duration", math.nan),
+        ("event_time", 0.2), ("amplitude", 2.0), ("seed", -1)])
+    def test_config_checked_when_built(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field}: "):
+            DatasetConfig(**{field: value})
+
     def test_grid_product_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             DatasetGrids(cap_sizes=7)
@@ -266,7 +274,7 @@ class TestSeparabilityFloor:
 
 class TestPersistence:
     def test_round_trip_bit_identical(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
         loaded = synthgrid.load_dataset(out)
         assert loaded.counts == tiny_dataset.counts
         assert loaded.fs == tiny_dataset.fs
@@ -279,193 +287,194 @@ class TestPersistence:
         # the tiny dataset the benchmark's cli-tiny workload builds at seed 5
         config = tiny_config(seed=5).dataset_config(4000.0, 5)
         dataset = build_dataset(config)
-        out = synthgrid.save_dataset(dataset, tmp_path / "ds")
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
-                                                         "waveforms.npy"]
-        stored = np.load(out / "waveforms.npy", allow_pickle=False)
-        assert stored.dtype.str == "<f8" and stored.shape == (8, 3, 3, 600)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema_version"] == 4
-        digest = manifest["waveforms_sha256"]
-        assert digest == hashlib.sha256(stored.tobytes()).hexdigest()
-        assert digest == json.loads(REFERENCE_HASHES.read_text())["8@4000/5"]
+        out = synthgrid.save_dataset(dataset, tmp_path / "ds.bin")
+        raw = out.read_bytes()
+        assert raw[:8] == b"SWDS" + struct.pack("<I", 2)
+        body = _body_offset(raw)
+        assert body % 8 == 0 and raw[12:body].rstrip(b" ").endswith(b"}")
+        samples = raw[body:-32]
+        assert len(samples) == 8 * 8 * 3 * 3 * 600
+        assert hashlib.sha256(samples).hexdigest() == \
+            json.loads(REFERENCE_HASHES.read_text())["8@4000/5"]
+        assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
         loaded = synthgrid.load_dataset(out)
         np.testing.assert_array_equal(loaded.samples, dataset.samples)
+        assert loaded.samples.flags.writeable and loaded.samples.flags.c_contiguous
         assert all(np.shares_memory(rec.samples, loaded.samples) for rec in loaded.records)
 
     def test_manifest_is_config_plus_digest(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        config_keys = [f.name for f in dataclasses.fields(DatasetConfig)]
-        assert list(manifest) == ["schema_version", *config_keys, "config_sha256",
-                                  "waveforms_sha256"]
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+        raw = out.read_bytes()
+        header = json.loads(raw[12:_body_offset(raw)])
+        assert header == {
+            "config": synthgrid.dataclass_to_json(tiny_dataset.config),
+            "tensors": [["samples", list(tiny_dataset.samples.shape)]]}
         config_json = json.dumps(synthgrid.dataclass_to_json(tiny_dataset.config))
-        assert manifest["config_sha256"] == \
+        assert synthgrid.config_sha256(tiny_dataset.config) == \
             hashlib.sha256(config_json.encode()).hexdigest()
         assert synthgrid.load_dataset(out).config == tiny_dataset.config
 
     def test_malformed_manifest(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(ValueError, match="malformed"):
-            synthgrid.load_dataset(tmp_path)
+        path = tmp_path / "ds.bin"
+        path.write_bytes(b"SWDS" + struct.pack("<II", 2, 9) + b"{not json")
+        with pytest.raises(ValueError, match=r"ds\.bin: offset 8: bad header"):
+            synthgrid.load_dataset(path)
 
     def test_undecodable_manifest_named(self, tmp_path):
-        (tmp_path / "manifest.json").write_bytes(b'{"schema_version": \xb4}')
-        with pytest.raises(ValueError, match=r"manifest\.json: malformed manifest"):
-            synthgrid.load_dataset(tmp_path)
+        path = tmp_path / "ds.bin"
+        path.write_bytes(b"SWDS" + struct.pack("<II", 2, 12) + b'{"config":\xb4}')
+        with pytest.raises(ValueError, match=r"ds\.bin: offset 8: bad header"):
+            synthgrid.load_dataset(path)
 
     def test_manifest_grids_in_declaration_order(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        grids = json.loads((out / "manifest.json").read_text())["grids"]
+        # the header sorts its keys; config_sha256 hashes declaration order,
+        # which the loaded config has again
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+        loaded = synthgrid.load_dataset(out).config
+        grids = synthgrid.dataclass_to_json(loaded)["grids"]
         assert list(grids) == [f.name for f in dataclasses.fields(DatasetGrids)]
+        assert synthgrid.config_sha256(loaded) == \
+            synthgrid.config_sha256(tiny_dataset.config)
 
     def test_manifest_grid_wrong_type(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["grids"]["cap_sizes"] = "1"
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError, match=r"grids\.cap_sizes"):
-            synthgrid.load_dataset(out)
+        path = _resave(tiny_dataset, tmp_path,
+                       lambda c: c["grids"].update(cap_sizes="1"))
+        with pytest.raises(ValueError, match=r"ds\.bin: offset 8: "
+                           r"config\.grids\.cap_sizes: expected int"):
+            synthgrid.load_dataset(path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda m: m["grids"].pop("hif_draws"), "grids: missing key 'hif_draws'"),
-        (lambda m: m.pop("seed"), "missing key 'seed'"),
-        (lambda m: m.pop("waveforms_sha256"), "missing key 'waveforms_sha256'"),
-        (lambda m: m.update(grids=[]), "grids: expected an object, got list"),
-        (lambda m: m["grids"].update(fault_locations=[671]),
+        (lambda c: c["grids"].pop("cap_amplitude"),
+         r"config: missing keys \['grids\.cap_amplitude'\]"),
+        (lambda c: c.pop("seed"), r"config: missing keys \['seed'\]"),
+        (None, "truncated file"),
+        (lambda c: c.update(grids=[]), "config.grids: expected an object, got list"),
+        (lambda c: c["grids"].update(fault_locations=[671]),
          r"fault location 671 not in \(632, 634, 675, 680\)"),
+        (lambda c: c.update(fs=math.inf), r"config\.fs: sampling rate inf Hz"),
     ], ids=["grid_key", "config_key", "digest_key", "grids_not_object",
-            "grid_value"])
+            "grid_value", "infinite_fs"])
     def test_inconsistent_manifest_rejected(self, damage, message, tiny_dataset,
                                             tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        damage(manifest)
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"manifest\.json: " + message):
-            synthgrid.load_dataset(out)
+        if damage is None:  # the file without its digest
+            path = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+            path.write_bytes(path.read_bytes()[:-32])
+        else:  # a re-digested file whose header holds the damaged config
+            path = _resave(tiny_dataset, tmp_path, damage)
+        with pytest.raises(ValueError, match=r"ds\.bin: offset [0-9]+: " + message):
+            synthgrid.load_dataset(path)
 
     def test_edited_config_rejected(self, tiny_dataset, tmp_path):
         # same record count and array shape, but per-class counts that would
-        # relabel records: only the config digest tells
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["grids"].update(cap_angles=3, xfmr_angles=1,
-                                 declared_counts=[3, 1, 2, 2])
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-        with pytest.raises(ValueError, match=r"manifest\.json: config differs "
-                           r"from its config_sha256"):
+        # relabel records: only the digest tells
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+        raw = out.read_bytes()
+        for old, new in ((b'"cap_angles":2', b'"cap_angles":3'),
+                         (b'"xfmr_angles":2', b'"xfmr_angles":1'),
+                         (b'"declared_counts":[2,2,2,2]',
+                          b'"declared_counts":[3,1,2,2]')):
+            assert raw.count(old) == 1
+            raw = raw.replace(old, new)
+        out.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"ds\.bin: offset [0-9]+: sha256 "
+                           r"differs from the contents"):
             synthgrid.load_dataset(out)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            synthgrid.load_dataset(tmp_path)
+        with pytest.raises(FileNotFoundError, match=r"ds\.bin"):
+            synthgrid.load_dataset(tmp_path / "ds.bin")
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda path, m: path.write_bytes(path.read_bytes()[:-8]),
-         "unreadable waveform array: Failed to read all data"),
-        (lambda path, m: path.write_bytes(path.read_bytes().replace(
-            b"(8, 3, 3, 300)", b"(7, 3, 3, 300)", 1)),
-         r"shape \(7, 3, 3, 300\), expected \(8, 3, 3, 300\)"),
-        (lambda path, m: _flip_byte(path, -1000), "sha256 differs"),
-        (lambda path, m: _rewrite(path, m, _with_nan), "record 3: non-finite value"),
-        (lambda path, m: np.save(path, np.load(path).astype(object),
-                                 allow_pickle=True),
-         "unreadable waveform array: Object arrays"),
-        (lambda path, m: path.unlink(), "missing waveform array"),
-        (lambda path, m: _rewrite(path, m, lambda a: a.astype(">f8")),
-         "dtype >f8, expected <f8"),
-        (lambda path, m: _rewrite(path, m, lambda a: a.astype(np.float32)),
-         "dtype <f4, expected <f8"),
-        (lambda path, m: _as_npz(path), "not a single .npy array"),
+        (lambda path, ds: path.write_bytes(path.read_bytes()[:-8]),
+         r"ds\.bin: offset [0-9]+: truncated file"),
+        (lambda path, ds: _resave(ds, path.parent, samples=ds.samples[:-1]),
+         r"ds\.bin: offset [0-9]+: tensor 'samples' has shape \(7, 3, 3, 300\), "
+         r"expected \(8, 3, 3, 300\)"),
+        (lambda path, ds: _flip_byte(path, -1000),
+         r"ds\.bin: offset [0-9]+: sha256 differs"),
+        (lambda path, ds: _resave(ds, path.parent, samples=_with_nan(ds.samples)),
+         r"ds\.bin: offset [0-9]+: non-finite value in tensor 'samples'"),
+        (lambda path, ds: path.unlink(), r"No such file or directory: '.*ds\.bin'"),
     ], ids=["truncated", "header_one_record_short", "flipped_byte", "nan_rehashed",
-            "pickled_object", "missing_file", "big_endian", "float32", "npz_archive"])
+            "missing_file"])
     def test_damaged_waveforms_rejected(self, damage, message, tiny_dataset,
                                         tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest_path = out / "manifest.json"
-        damage(out / "waveforms.npy", manifest_path)
-        with pytest.raises(ValueError, match=r"waveforms\.npy: " + message):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+        damage(out, tiny_dataset)
+        with pytest.raises((ValueError, OSError), match=message):
             synthgrid.load_dataset(out)
 
-    def test_schema_version_1_rejected_first(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["schema_version"] = 1
-        del manifest["waveforms_sha256"]
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        (out / "waveforms.npy").unlink()
-        with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
-                           r"schema_version 1 .*re-run `swec generate`"):
-            synthgrid.load_dataset(out)
+    def test_non_finite_record_offset(self, tiny_dataset, tmp_path):
+        path = _resave(tiny_dataset, tmp_path, samples=_with_nan(tiny_dataset.samples))
+        record = _body_offset(path.read_bytes()) + 3 * tiny_dataset.samples[0].nbytes
+        with pytest.raises(ValueError, match=rf"offset {record}: non-finite"):
+            synthgrid.load_dataset(path)
 
-
-    def test_schema_version_2_rejected(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["schema_version"] = 2
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
-                           r"schema_version 2 .*re-run `swec generate`"):
-            synthgrid.load_dataset(out)
+    def test_schema_version_1_rejected_first(self, tmp_path):
+        # a dataset directory of any earlier schema, down to the CSV store
+        old = tmp_path / "ds"
+        old.mkdir()
+        (old / "manifest.json").write_text('{"schema_version": 1}')
+        with pytest.raises(ValueError, match=r"ds: a dataset directory of an "
+                           r"earlier format; re-run `swec generate`"):
+            synthgrid.load_dataset(old)
 
     def test_schema_version_3_rejected(self, tiny_dataset, tmp_path):
-        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["schema_version"] = 3
-        del manifest["config_sha256"]
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"manifest\.json: unsupported "
-                           r"schema_version 3 .*re-run `swec generate`"):
+        out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+        raw = bytearray(out.read_bytes())
+        raw[4:8] = struct.pack("<I", 3)
+        out.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"ds\.bin: offset 4: format version 3, "
+                           r"expected 2; re-run `swec generate`"):
             synthgrid.load_dataset(out)
 
 
 @pytest.fixture(scope="module")
 def saved_tiny_4k(tmp_path_factory):
-    """A tiny 4 kHz dataset directory, its manifest bytes and its config."""
+    """A tiny 4 kHz dataset file and its bytes."""
     config = tiny_config(seed=5).dataset_config(4000.0, 5)
     out = synthgrid.save_dataset(build_dataset(config),
-                                 tmp_path_factory.mktemp("tiny4k") / "ds")
-    return out, (out / "manifest.json").read_bytes(), config
-
-
-def _number_offsets(text: str) -> list[int]:
-    """Offsets of the characters of the JSON numbers in text."""
-    offsets, in_string = [], False
-    for i, ch in enumerate(text):
-        if ch == '"':
-            in_string = not in_string
-        elif not in_string and ch in "0123456789.-+eE":
-            offsets.append(i)
-    return offsets
-
-
-def _parsed(raw: bytes):
-    try:
-        return json.loads(raw.decode())
-    except ValueError:
-        return None
+                                 tmp_path_factory.mktemp("tiny4k") / "ds.bin")
+    return out, out.read_bytes()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(data=st.data(), bit=st.integers(0, 7))
 def test_manifest_bit_flip_is_harmless_or_rejected(saved_tiny_4k, data, bit):
-    out, raw, config = saved_tiny_4k
-    # half the draws land on a digit of a config value, where a flip most
-    # often still parses
-    offset = data.draw(st.sampled_from(_number_offsets(raw.decode()))
-                       | st.integers(0, len(raw) - 1))
+    """Every flipped bit is rejected, naming the file and an offset: the
+    draws cover the magic, the version, the header length, the header, the
+    samples and the digest."""
+    out, raw = saved_tiny_4k
+    body = _body_offset(raw)
+    regions = [(0, 4), (4, 8), (8, 12), (12, body), (body, len(raw) - 32),
+               (len(raw) - 32, len(raw))]
+    offset = data.draw(st.one_of(*(st.integers(a, b - 1) for a, b in regions)))
     flipped = bytearray(raw)
     flipped[offset] ^= 1 << bit
     try:
-        (out / "manifest.json").write_bytes(bytes(flipped))
-        if _parsed(bytes(flipped)) == _parsed(raw):
-            assert synthgrid.load_dataset(out).config == config
-        else:
-            with pytest.raises(ValueError):
-                synthgrid.load_dataset(out)
+        out.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match=r"ds\.bin: offset [0-9]+: "):
+            synthgrid.load_dataset(out)
     finally:
-        (out / "manifest.json").write_bytes(raw)
+        out.write_bytes(raw)
+
+
+def _body_offset(raw: bytes) -> int:
+    """Offset of the first tensor of a tensor file."""
+    return 12 + struct.unpack_from("<I", raw, 8)[0]
+
+
+def _resave(dataset, folder, change_config=None, samples=None):
+    """folder/ds.bin holding dataset's config, changed in place by
+    change_config, and samples (the dataset's by default), digest
+    recomputed to match."""
+    config = synthgrid.dataclass_to_json(dataset.config)
+    if change_config is not None:
+        change_config(config)
+    path = folder / "ds.bin"
+    store.write_tensor_file(path, synthgrid.DATASET_MAGIC, {
+        "samples": dataset.samples if samples is None else samples}, config=config)
+    return path
 
 
 def _flip_byte(path, offset):
@@ -478,18 +487,3 @@ def _with_nan(samples):
     samples = samples.copy()
     samples[3, 1, 2, 40] = np.nan
     return samples
-
-
-def _as_npz(path):
-    samples = np.load(path)
-    with path.open("wb") as fh:
-        np.savez(fh, samples=samples)
-
-
-def _rewrite(path, manifest_path, change):
-    """Store change(samples) with a manifest digest recomputed to match."""
-    samples = change(np.load(path))
-    np.save(path, samples)
-    manifest = json.loads(manifest_path.read_text())
-    manifest["waveforms_sha256"] = hashlib.sha256(samples.tobytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
