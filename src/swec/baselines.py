@@ -10,8 +10,12 @@ and both autoencoder stages are one dense net code over (B, d) batches,
 trained by the convolutional model's minibatch engine (tinycnn.fit_sgdm)
 with the same softmax cross-entropy head (tinycnn.cross_entropy) or a
 squared-error head. The SVM's per-sample subgradient loop stays sequential,
-because its result depends on the sample order. Each method's model file is
-a swec.store tensor file under its own magic.
+because its result depends on the sample order. It holds w as scale * v and
+every training row's v . x in margins, so a step outside the margin
+multiplies one scalar and a step inside it costs one (n, dim) product; scale
+is folded into v and margins once |scale| <= 1e-100, which includes the 0
+of a shrink factor of 0. Each method's model file is a swec.store tensor
+file under its own magic.
 """
 
 from __future__ import annotations
@@ -89,18 +93,23 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> LinearOv
     biases = np.zeros(NUM_CLASSES)
     rng = np.random.default_rng(config.seed)
     for c in range(NUM_CLASSES):
-        y = np.where(labels == c + 1, 1.0, -1.0)
-        w = weights[c]
-        b = 0.0
+        y = np.where(labels == c + 1, 1.0, -1.0).tolist()
+        v, margins = np.zeros(dim), np.zeros(n)  # w = scale * v; margins = X @ v
+        scale, b = 1.0, 0.0
         for epoch in range(1, config.epochs + 1):
             eta = config.step / epoch
-            for i in rng.permutation(n):
-                if y[i] * (w @ features[i] + b) < 1.0:
-                    w *= 1.0 - eta * lam
-                    w += eta * y[i] * features[i]
+            shrink = 1.0 - eta * lam
+            for i in rng.permutation(n).tolist():
+                hinge = y[i] * (scale * margins.item(i) + b) < 1.0
+                scale *= shrink
+                if abs(scale) <= 1e-100:  # far above underflow
+                    v, margins, scale = scale * v, scale * margins, 1.0
+                if hinge:
+                    dv = (eta * y[i] / scale) * features[i]
+                    v += dv
+                    margins += features @ dv
                     b += eta * y[i]
-                else:
-                    w *= 1.0 - eta * lam
+        weights[c] = scale * v
         biases[c] = b
     return LinearOvrSvm(weights, biases)
 

@@ -168,6 +168,12 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         for fs in (self.placement_fs, *self.fs_list):  # checks the dataset fields
             self.dataset_config(fs, self.seed)
+        # a feature row holds half a window: featurize's level-1 detail
+        fs = min(self.placement_fs, *self.fs_list)
+        width = synthgrid.window_length(fs) // 2
+        if not 1 <= self.num_intervals <= width:
+            raise ConfigError(f"num_intervals: {self.num_intervals} outside 1..{width}, "
+                              f"the feature width at {fs:g} Hz")
 
     def dataset_config(self, fs: float, seed: int) -> DatasetConfig:
         return DatasetConfig(

@@ -24,18 +24,33 @@ HEADER_OFFSET = 8  # the header's length and text follow the magic and version
 DIGEST_BYTES = 32
 
 
+def _check_finite(path, name: str, t: np.ndarray, start: int) -> None:
+    """Reject a NaN or infinity in tensor t, stored from byte start, naming
+    the offset of its leading-axis row; row by row, so no whole-tensor
+    boolean temporary."""
+    for i, row in enumerate(t if t.ndim > 1 else t[None]):
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: offset {start + i * row.nbytes}: "
+                             f"non-finite value in tensor {name!r}")
+
+
 def write_tensor_file(path, magic: bytes, tensors: dict, **fields) -> None:
     """Write tensors (name -> array) under a header holding fields plus each
-    tensor's [name, shape] under "tensors"."""
+    tensor's [name, shape] under "tensors"; a non-finite tensor is refused
+    before the file is opened."""
     header = {**fields,
               "tensors": [[name, list(np.shape(t))] for name, t in tensors.items()]}
     block = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     block += b" " * (-(len(magic) + 8 + len(block)) % 8)
+    arrays = {name: np.ascontiguousarray(t, dtype="<f8") for name, t in tensors.items()}
+    start = len(magic) + 8 + len(block)
+    for name, t in arrays.items():
+        _check_finite(path, name, t, start)
+        start += t.nbytes
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in (magic, struct.pack("<II", FORMAT_VERSION, len(block)), block,
-                     *(memoryview(np.ascontiguousarray(t, dtype="<f8")).cast("B")
-                       for t in tensors.values())):
+                     *(memoryview(t).cast("B") for t in arrays.values())):
             digest.update(part)
             fh.write(part)
         fh.write(digest.digest())
@@ -125,11 +140,7 @@ class TensorFileReader:
                                        f"expected {want}"))
             nbytes = 8 * math.prod(shape)
             t = self.data[start:start + nbytes].view("<f8").reshape(shape)
-            # one leading-axis row at a time: no whole-tensor boolean temporary
-            for i, row in enumerate(t if t.ndim > 1 else t[None]):
-                if not np.isfinite(row).all():
-                    raise ValueError(f"{self.path}: offset {start + i * row.nbytes}: "
-                                     f"non-finite value in tensor {name!r}")
+            _check_finite(self.path, name, t, start)
             out[name] = t
             start += nbytes
         return out

@@ -458,6 +458,18 @@ def _clean_base(fs: float, duration: float, amplitude: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _hif_arc_terms(fs: float, duration: float, amplitude: float):
+    """HIF's (asymmetry, odd-harmonic shape) of the per-bus normalized clean
+    base; cached and read-only like _clean_base."""
+    bus_amps = np.array([amplitude * BUS_AMPLITUDE[b] for b in MONITORED_BUSES])
+    v_norm = _clean_base(fs, duration, amplitude) / bus_amps[:, None, None]
+    shape = 0.6 * v_norm ** 3 + 0.4 * v_norm ** 5
+    asym = np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR)
+    asym.flags.writeable = shape.flags.writeable = False
+    return asym, shape
+
+
 def _noise(seed: int, snr_db: float, amplitude: float, n: int) -> np.ndarray:
     """Additive white Gaussian noise sized to the per-bus signal power."""
     if math.isinf(snr_db):
@@ -591,7 +603,7 @@ def _apply_fault(clean, spec, t, seed):
     return out
 
 
-def _apply_hif(clean, spec, t, seed, amplitude):
+def _apply_hif(clean, spec, t, seed, asym, shape):
     p = spec.class_params
     draw = p["draw_index"]
     theta = math.radians(spec.inception_angle)
@@ -611,12 +623,6 @@ def _apply_hif(clean, spec, t, seed, amplitude):
     amp_d = HIF_DISTORTION_BASE + HIF_DISTORTION_SPAN * (draw % HIF_DRAW_LEVELS) / (
         HIF_DRAW_LEVELS - 1
     )
-    bus_amps = np.array(
-        [amplitude * BUS_AMPLITUDE[b] for b in MONITORED_BUSES]
-    )[:, None, None]
-    v_norm = clean / bus_amps
-    shape = 0.6 * v_norm ** 3 + 0.4 * v_norm ** 5
-    asym = np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR)
     # a downed or leaning conductor arcs on one phase
     phase_mask = np.zeros((1, 3, 1))
     phase_mask[0, 0, 0] = 1.0
@@ -666,7 +672,8 @@ def synth_event(
     elif cls is EventClass.FAULT:
         disturbed = _apply_fault(clean, spec, t, seed)
     else:
-        disturbed = _apply_hif(clean, spec, t, seed, amplitude)
+        disturbed = _apply_hif(clean, spec, t, seed,
+                               *_hif_arc_terms(fs, duration, amplitude))
 
     severity = np.random.default_rng([seed, _STREAM_SEVERITY]).uniform(
         *SEVERITY_RANGE

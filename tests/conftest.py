@@ -1,6 +1,11 @@
+import hashlib
+import math
+import struct
+from pathlib import Path
+
 import pytest
 
-from swec import baselines, expharness, synthgrid, tinycnn
+from swec import baselines, expharness, store, synthgrid, tinycnn
 
 TINY_COUNTS = (2, 2, 2, 2)
 
@@ -42,3 +47,13 @@ def tiny_dataset():
     return synthgrid.build_dataset(
         synthgrid.DatasetConfig(fs=2000.0, seed=11, grids=tiny_grids())
     )
+
+
+def write_non_finite(path, offset: int, value: float = math.nan) -> None:
+    """Overwrite the float64 at byte offset of a tensor file with value and
+    recompute the file's digest: a file that write_tensor_file refuses to
+    write, as damage on disk can leave it."""
+    raw = bytearray(Path(path).read_bytes())
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    raw[-store.DIGEST_BYTES:] = hashlib.sha256(raw[:-store.DIGEST_BYTES]).digest()
+    Path(path).write_bytes(bytes(raw))

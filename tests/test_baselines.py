@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from swec import baselines
+from swec import baselines, expharness
 from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
                             energy_feature_set, svm_predict, tmlp_predict,
                             train_autoencoder_clf, train_svm_ovr, train_tmlp)
+from swec.synthgrid import MONITORED_BUSES, NUM_CLASSES
 from swec.tinycnn import PREDICT_BLOCK, central_difference_errors, cross_entropy
+from conftest import tiny_config
 
 
 def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
@@ -121,6 +128,94 @@ class TestSvm:
     def test_tie_breaks_to_lowest_class(self):
         model = baselines.LinearOvrSvm(np.zeros((4, 3)), np.zeros(4))
         assert svm_predict(model, np.ones((1, 3)))[0] == 1
+
+
+def _sequential_svm(features, labels, config: SvmConfig = SvmConfig()):
+    """Reference trainer: the step-by-step loop that shrinks and updates the
+    weight vector itself at every sample."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n, dim = features.shape
+    present = set(labels.tolist())
+    missing = [c for c in range(1, NUM_CLASSES + 1) if c not in present]
+    if missing:
+        raise ValueError(f"no training examples for classes {missing}")
+    lam = 1.0 / (config.C * n)
+    weights = np.zeros((NUM_CLASSES, dim))
+    biases = np.zeros(NUM_CLASSES)
+    rng = np.random.default_rng(config.seed)
+    for c in range(NUM_CLASSES):
+        y = np.where(labels == c + 1, 1.0, -1.0)
+        w = weights[c]
+        b = 0.0
+        for epoch in range(1, config.epochs + 1):
+            eta = config.step / epoch
+            for i in rng.permutation(n):
+                if y[i] * (w @ features[i] + b) < 1.0:
+                    w *= 1.0 - eta * lam
+                    w += eta * y[i] * features[i]
+                    b += eta * y[i]
+                else:
+                    w *= 1.0 - eta * lam
+        biases[c] = b
+    return baselines.LinearOvrSvm(weights, biases)
+
+
+def _compare_tiny_energy_features():
+    """Energy features and labels of the compare-tiny training split."""
+    config = tiny_config()
+    dataset = expharness._build(config, 4000.0, 0)
+    features, split = expharness.features_and_split(config, dataset, MONITORED_BUSES)
+    xs, labels = features.values[split.train], features.labels[split.train]
+    return energy_feature_set(xs, config.num_intervals), labels
+
+
+def _random_set(n=200, dim=96, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, dim)), np.resize([1, 2, 3, 4], n)
+
+
+class TestSvmAgainstSequential:
+    """train_svm_ovr against the per-step loop: the same hinge-active steps
+    (equal biases and predictions) and weights equal to rounding."""
+
+    @pytest.mark.parametrize("data, config", [
+        (_compare_tiny_energy_features, SvmConfig(seed=3)),
+        (_compare_tiny_energy_features, SvmConfig(epochs=5, seed=4)),
+        (_random_set, SvmConfig(epochs=40, seed=5)),
+        # step / (C n) = 1.5: a shrink factor of -0.5 in epoch 1, 0.25 in 2
+        (_random_set, SvmConfig(C=1.0, step=300.0, epochs=6, seed=6)),
+        # step / (C n) = 1: a shrink factor of exactly 0 in epoch 1
+        (_random_set, SvmConfig(C=1.0, step=200.0, epochs=3, seed=7)),
+        # step / (C n) = 0.99: a shrink factor of 0.01 in epoch 1, whose
+        # product passes the fold point every 50 steps and underflows to 0
+        # within the epoch
+        (_random_set, SvmConfig(C=1.0, step=198.0, epochs=3, seed=8)),
+    ], ids=["compare_tiny", "compare_tiny_5_epochs", "random", "shrink_negative",
+            "shrink_zero", "scale_folded"])
+    def test_matches_sequential_loop(self, data, config):
+        X, y = data()
+        got, want = train_svm_ovr(X, y, config), _sequential_svm(X, y, config)
+        np.testing.assert_array_equal(got.biases, want.biases)
+        np.testing.assert_array_equal(svm_predict(got, X), svm_predict(want, X))
+        scale = np.abs(want.weights).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got.weights - want.weights) <= 1e-12 * scale)
+
+    def test_model_file_independent_of_blas_threads(self, tmp_path):
+        script = ("import sys, numpy as np; from swec import baselines as b; "
+                  "rng = np.random.default_rng(9); "
+                  "x = rng.standard_normal((480, 96)); y = np.resize([1, 2, 3, 4], 480); "
+                  "b.save_svm(b.train_svm_ovr(x, y, b.SvmConfig(epochs=20, seed=9)), "
+                  "sys.argv[1])")
+        src = str(Path(baselines.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        files = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            files.append(tmp_path / f"svm{threads}.bin")
+            subprocess.run([sys.executable, "-c", script, str(files[-1])], env=env,
+                           check=True, timeout=300)
+        assert files[0].read_bytes() == files[1].read_bytes()
 
 
 class TestTaperedMlp:

@@ -12,7 +12,7 @@ import pytest
 
 import swec
 from swec import cli, expharness, metrics, store, synthgrid, tinycnn
-from conftest import tiny_config
+from conftest import tiny_config, write_non_finite
 
 from swec.expharness import ExperimentConfig, config_to_json
 from swec.synthgrid import ConfigError
@@ -189,9 +189,9 @@ class TestWorkflow:
                 "--out", str(data_dir), "--fs", "2000")
         run_cli(capsys, "train", "--config", str(tiny_config_file),
                 "--data", str(data_dir), "--model", str(model_path))
-        model = expharness.load_model("cnn", model_path)
-        model.fc_b[1] = np.nan
-        expharness.save_model("cnn", model, model_path)
+        fc_b = expharness.load_model("cnn", model_path).fc_b
+        write_non_finite(model_path, model_path.stat().st_size - store.DIGEST_BYTES
+                         - fc_b.nbytes + 8)
         code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
                                  "--model", str(model_path), "--data", str(data_dir))
         assert code == 1
@@ -396,6 +396,20 @@ class TestSweepAndCompare:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert field in err
+        assert not out_path.exists()
+
+    def test_non_finite_dataset_not_written(self, capsys, tmp_path):
+        config = config_to_json(tiny_config())
+        config["grids"]["cap_amplitude"] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out_path = tmp_path / "ds.bin"
+        code, out, err = run_cli(capsys, "generate", "--config", str(path),
+                                 "--out", str(out_path), "--fs", "2000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{out_path}: offset " in err
+        assert "non-finite value in tensor 'samples'" in err
         assert not out_path.exists()
 
     def test_report_empty_dir_fails(self, capsys, tmp_path):

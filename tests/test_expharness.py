@@ -15,7 +15,7 @@ from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
                              sweep_placement, sweep_rows, sweep_sampling_rate,
                              write_comparison_run)
 from swec.synthgrid import ConfigError
-from conftest import tiny_config
+from conftest import tiny_config, write_non_finite
 
 DEFAULT_LABELS = np.repeat([1, 2, 3, 4], [64, 144, 320, 72])
 
@@ -176,6 +176,20 @@ class TestConfig:
     def test_every_rate_and_the_seed_checked(self, doc, says):
         with pytest.raises(ConfigError, match=re.escape(says)):
             config_from_json(doc)
+
+    @pytest.mark.parametrize("doc, says", [
+        ({"num_intervals": 0}, "num_intervals: 0 outside 1..10, the feature width "
+                               "at 1250 Hz"),
+        ({"num_intervals": 11}, "num_intervals: 11 outside 1..10"),
+        ({"fs_list": [20000.0], "placement_fs": 2000.0, "num_intervals": 17},
+         "num_intervals: 17 outside 1..16, the feature width at 2000 Hz"),
+    ], ids=["zero", "above_lowest_rate", "above_placement_rate"])
+    def test_num_intervals_checked_at_load(self, doc, says, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {says}")):
+            expharness.load_config(path)
+        assert config_from_json({"num_intervals": 10}).num_intervals == 10
 
     def test_int_accepted_and_kept_for_float_field(self):
         cfg = config_from_json({"placement_fs": 5000, "fs_list": [1250, 2500],
@@ -379,12 +393,19 @@ class TestArtifacts:
         last = {"cnn": lambda m: m.fc_b, "svm": lambda m: m.biases,
                 "tmlp": lambda m: m.biases[-1],
                 "autoencoder": lambda m: m.head_b}[method](model)
-        last[-1] = value
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path)
         offset = path.stat().st_size - store.DIGEST_BYTES - 8 * last.size
+        write_non_finite(path, offset + 8 * (last.size - 1), value)
         with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite"):
             expharness.load_model(method, path)
+        # the writer refuses the same tensor, at the same offset, unopened
+        path.unlink()
+        last[-1] = value
+        with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite "
+                           rf"value in tensor '\w+'$"):
+            expharness.save_model(method, model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("method", ["cnn", "svm", "tmlp"])
     def test_wrong_class_count_rejected(self, method, tmp_path):

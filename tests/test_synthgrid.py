@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, ConfigError, DatasetConfig
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
                             build_dataset, derive_seed, extract_window,
                             synth_event, synth_steady, window_length)
-from conftest import tiny_config, tiny_grids
+from conftest import tiny_config, tiny_grids, write_non_finite
 
 REFERENCE_HASHES = (Path(__file__).resolve().parents[1] / "swecbench"
                     / "reference_hashes.json")
@@ -209,11 +210,46 @@ class TestDataset:
         assert synthgrid._clean_base(5000.0, 0.15, 1.0) is a
         with pytest.raises(ValueError):
             a[0, 0, 0] = 0.0
+        terms = synthgrid._hif_arc_terms(5000.0, 0.15, 1.0)
+        assert synthgrid._hif_arc_terms(5000.0, 0.15, 1.0) is terms
+        for term in terms:
+            assert term.shape == a.shape
+            with pytest.raises(ValueError):
+                term[0, 0, 0] = 0.0
 
     def test_record_seeds_stable_and_distinct(self):
         seeds = [derive_seed(42, i) for i in range(50)]
         assert len(set(seeds)) == 50
         assert seeds[0] == derive_seed(42, 0)
+
+
+def _bench_rep():
+    """The benchmark's rep module, which names each workload's dataset config
+    and reference key."""
+    bench = str(REFERENCE_HASHES.parent)
+    sys.path.insert(0, bench)
+    try:
+        import rep
+    finally:
+        sys.path.remove(bench)
+    return rep
+
+
+class TestReferenceHashes:
+    def test_builds_match_reference_hashes(self):
+        """Every 8-record dataset the tiny benchmark workloads build, and one
+        600-record 5 kHz dataset, against the recorded waveform sha256."""
+        rep = _bench_rep()
+        reference = json.loads(REFERENCE_HASHES.read_text())
+        configs = [rep.dataset_config(workload, seed)
+                   for workload in ("compare-tiny", "cli-tiny")
+                   for seed in range(rep.REFERENCE_SEEDS)]
+        assert {rep.reference_key(c) for c in configs} == {
+            key for key in reference if key.startswith("8@4000/")}
+        configs.append(rep.dataset_config("cli-5k", 0))
+        for config in configs:
+            key = rep.reference_key(config)
+            assert rep.waveform_sha256(build_dataset(config)) == reference[key], key
 
 
 class TestWindow:
@@ -392,7 +428,7 @@ class TestPersistence:
          r"expected \(8, 3, 3, 300\)"),
         (lambda path, ds: _flip_byte(path, -1000),
          r"ds\.bin: offset [0-9]+: sha256 differs"),
-        (lambda path, ds: _resave(ds, path.parent, samples=_with_nan(ds.samples)),
+        (lambda path, ds: _write_nan(path, ds),
          r"ds\.bin: offset [0-9]+: non-finite value in tensor 'samples'"),
         (lambda path, ds: path.unlink(), r"No such file or directory: '.*ds\.bin'"),
     ], ids=["truncated", "header_one_record_short", "flipped_byte", "nan_rehashed",
@@ -405,10 +441,17 @@ class TestPersistence:
             synthgrid.load_dataset(out)
 
     def test_non_finite_record_offset(self, tiny_dataset, tmp_path):
-        path = _resave(tiny_dataset, tmp_path, samples=_with_nan(tiny_dataset.samples))
+        path = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
+        _write_nan(path, tiny_dataset)
         record = _body_offset(path.read_bytes()) + 3 * tiny_dataset.samples[0].nbytes
         with pytest.raises(ValueError, match=rf"offset {record}: non-finite"):
             synthgrid.load_dataset(path)
+        # the writer refuses the same record before it opens the file
+        path.unlink()
+        with pytest.raises(ValueError, match=rf"ds\.bin: offset {record}: non-finite "
+                           r"value in tensor 'samples'$"):
+            _resave(tiny_dataset, tmp_path, samples=_with_nan(tiny_dataset.samples))
+        assert not path.exists()
 
     def test_schema_version_1_rejected_first(self, tmp_path):
         # a dataset directory of any earlier schema, down to the CSV store
@@ -487,3 +530,10 @@ def _with_nan(samples):
     samples = samples.copy()
     samples[3, 1, 2, 40] = np.nan
     return samples
+
+
+def _write_nan(path, dataset):
+    """The saved dataset at path with the sample _with_nan sets made NaN and
+    the digest recomputed."""
+    index = np.ravel_multi_index((3, 1, 2, 40), dataset.samples.shape)
+    write_non_finite(path, _body_offset(path.read_bytes()) + 8 * int(index))
