@@ -89,6 +89,9 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> LinearOv
     if missing:
         raise ValueError(f"no training examples for classes {missing}")
     lam = 1.0 / (config.C * n)
+    if config.step * lam > 2.0:  # the epoch-1 shrink factor 1 - step * lam < -1
+        raise ValueError(f"svm step {config.step:g} / (C {config.C:g} * {n} training "
+                         f"rows) is {config.step * lam:g}, above 2: training diverges")
     weights = np.zeros((NUM_CLASSES, dim))
     biases = np.zeros(NUM_CLASSES)
     rng = np.random.default_rng(config.seed)

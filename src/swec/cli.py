@@ -62,7 +62,8 @@ def _cmd_train(args) -> int:
     features, split = expharness.features_and_split(config, dataset, buses)
     model, losses = expharness.fit_method(config, "cnn", features, split)
     expharness.save_model("cnn", model, args.model, expharness.ModelRun(
-        buses, dataset.fs, split.fingerprint(), synthgrid.config_sha256(dataset.config)))
+        buses, dataset.fs, split.fingerprint(), synthgrid.config_sha256(dataset.config),
+        config.num_intervals))
     _emit([["model", "train_records", "epochs", "first_loss", "last_loss"],
            [str(args.model), str(len(split.train)), str(config.cnn.epochs),
             repr(float(losses[0])), repr(float(losses[-1]))]])
@@ -72,8 +73,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     dataset = synthgrid.load_dataset(args.data)
-    model = expharness.load_model("cnn", args.model)
-    run = expharness.read_model_run(args.model, tinycnn.MODEL_MAGIC)
+    method, model, run = expharness.load_model(args.model)
     digest = synthgrid.config_sha256(dataset.config)
     if digest != run.config_sha256:
         raise ValueError(f"{args.data}: config_sha256 {digest[:12]} (fs {dataset.fs:g}) "
@@ -83,8 +83,9 @@ def _cmd_eval(args) -> int:
     if split.fingerprint() != run.split_fingerprint:
         raise ValueError(f"{args.model}: trained on split {run.split_fingerprint}, not "
                          f"{split.fingerprint()}; pass the training --seed/--config")
-    report, cm = expharness.evaluate_method(config, "cnn", model, features, split)
-    _emit(metrics.report_rows("cnn", report, cm))
+    report, cm = expharness.evaluate_method(run.num_intervals, method, model,
+                                            features, split)
+    _emit(metrics.report_rows(method, report, cm))
     return 0
 
 
@@ -109,7 +110,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    model, x, label = tinycnn.make_gradcheck_case(args.seed)
+    model, x, label = tinycnn.make_gradcheck_case(args.seed, h=args.step)
     report = tinycnn.grad_check(model, x, h=args.step, label=label)
     rows = [["tensor", "max_rel_error"]]
     for name, err in sorted(report.per_tensor.items()):

@@ -6,16 +6,16 @@ one through a fixed derivation, so sweep cells can execute in any order and
 still assemble the same tables, and two executions of the same comparison
 write byte-identical artifacts.
 
-The four methods sit behind one table (METHOD_TABLE): per method, the input
-features it derives from the stacked feature matrices, its trainer and its
-predictor. Comparisons, sweeps and the command line all train and evaluate
-through fit_method and evaluate_method, in one (repeat, fs, buses, method)
-grid (run_grid) whose results the comparison and both sweeps group into
-rows. Each (repeat, fs) builds one dataset, featurizes it once over the
-union of the subsets' buses and drops it before any cell trains; each bus
-subset takes its rows of those features, and all its methods see the same
-train/test index sets; the split fingerprint recorded per run makes that
-checkable.
+The four methods sit behind one table (METHOD_TABLE): per method, the magic
+opening its model files, the input features it derives from the stacked
+feature matrices, its trainer and its predictor. Comparisons, sweeps and the
+command line train and evaluate through fit_method and evaluate_method, in
+one (repeat, fs, buses, method) grid (run_grid) whose results the comparison
+and both sweeps group into rows. Each (repeat, fs) builds one dataset,
+featurizes it once over the union of the subsets' buses and drops it before
+any cell trains; each bus subset takes its rows of those features, and all
+its methods see the same train/test index sets; the split fingerprint
+recorded per run makes that checkable.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ DEFAULT_FS_LIST = (1250.0, 2500.0, 5000.0, 10000.0, 20000.0)
 
 
 class Method(NamedTuple):
-    """How one classifier is trained and queried. Its trainer config is the
-    ExperimentConfig field named after the method."""
+    """How one classifier is trained, queried and stored. Its trainer config is
+    the ExperimentConfig field named after the method."""
 
-    inputs: Callable   # (config, (N, H, W) features) -> model input
+    magic: bytes       # opens its model files, and so names the method
+    inputs: Callable   # (num_intervals, (N, H, W) features) -> model input
     fit: Callable      # (inputs, labels, trainer config) -> (model, epoch losses)
     predict: Callable  # (model, inputs) -> class codes
 
 
-def _energy(config, xs):
-    return baselines.energy_feature_set(xs, config.num_intervals)
+def _energy(num_intervals, xs):
+    return baselines.energy_feature_set(xs, num_intervals)
 
 
 def _fit_cnn(xs, labels, cfg):
@@ -71,19 +72,19 @@ def _fit_cnn(xs, labels, cfg):
 # each method's training seed and the default comparison order.
 METHOD_TABLE = {
     "autoencoder": Method(
-        _energy,
+        baselines.AE_MAGIC, _energy,
         lambda x, y, cfg: (baselines.train_autoencoder_clf(x, y, cfg), []),
         lambda model, x: baselines.ae_predict(model, x)),
     "svm": Method(
-        _energy,
+        baselines.SVM_MAGIC, _energy,
         lambda x, y, cfg: (baselines.train_svm_ovr(x, y, cfg), []),
         lambda model, x: baselines.svm_predict(model, x)),
     "tmlp": Method(
-        lambda config, xs: baselines.flatten_features(xs),
+        baselines.TMLP_MAGIC, lambda num_intervals, xs: baselines.flatten_features(xs),
         lambda x, y, cfg: (baselines.train_tmlp(x, y, cfg), []),
         lambda model, x: baselines.tmlp_predict(model, x)),
     "cnn": Method(
-        lambda config, xs: xs,
+        tinycnn.MODEL_MAGIC, lambda num_intervals, xs: xs,
         _fit_cnn,
         lambda model, x: tinycnn.predict_batch(model, x)),
 }
@@ -315,17 +316,17 @@ def fit_method(config: ExperimentConfig, method: str, features, split: SplitInde
     seed = derive_seed(config.seed, repeat, _STAGE_TRAIN, METHODS.index(method))
     m = METHOD_TABLE[method]
     with _stage(f"train[{method}]"):
-        return m.fit(m.inputs(config, xs), labels,
+        return m.fit(m.inputs(config.num_intervals, xs), labels,
                      replace(getattr(config, method), seed=seed))
 
 
-def evaluate_method(config: ExperimentConfig, method: str, model, features,
+def evaluate_method(num_intervals: int, method: str, model, features,
                     split: SplitIndex):
     """Metrics report and confusion matrix on the split's test records."""
     xs, labels = _subset(features, split.test)
     m = METHOD_TABLE[method]
     with _stage("evaluate"):
-        cm = metrics.confusion(m.predict(model, m.inputs(config, xs)), labels)
+        cm = metrics.confusion(m.predict(model, m.inputs(num_intervals, xs)), labels)
         return metrics.aggregate(cm), cm
 
 
@@ -349,7 +350,8 @@ def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[Ru
                 cell = Features(features.values.take(rows, axis=1), features.labels)
                 for method in methods:
                     model, _ = fit_method(config, method, cell, split, repeat)
-                    report, cm = evaluate_method(config, method, model, cell, split)
+                    report, cm = evaluate_method(config.num_intervals, method, model,
+                                                 cell, split)
                     results.append(RunResult(method, fs, tuple(buses), repeat,
                                              report.accuracy, report, cm,
                                              split.fingerprint(), digest, model))
@@ -435,26 +437,25 @@ class ModelRun(NamedTuple):
     fs: float
     split_fingerprint: str
     config_sha256: str
+    num_intervals: int
 
 
-def save_model(method: str, model, path, run: ModelRun | None = None) -> None:
-    """Write the method's model file, recording run if given, its buses in
-    row order (ascending, as featurize stacks them)."""
-    fields = None if run is None else \
-        run._replace(buses=sorted(run.buses), fs=float(run.fs))._asdict()
+def save_model(method: str, model, path, run: ModelRun) -> None:
+    """Write the method's model file, recording run, its buses in row order
+    (ascending, as featurize stacks them)."""
+    fields = run._replace(buses=sorted(run.buses), fs=float(run.fs))._asdict()
     _MODEL_SAVERS[method](model, path, run=fields)
 
 
-def load_model(method: str, path):
-    return _MODEL_LOADERS[method](path)
-
-
-def read_model_run(path, magic: bytes) -> ModelRun:
-    """The run a model file records; a missing or mistyped field is a
-    ValueError naming the file and the key."""
-    f = TensorFileReader(path, magic)
-    return ModelRun(tuple(f.field("buses", list, int)), f.field("fs", float),
-                    f.field("split_fingerprint", str), f.field("config_sha256", str))
+def load_model(path):
+    """(method, model, run) of a model file, whose magic names its method;
+    every error is a ValueError naming the file and a byte offset."""
+    f = TensorFileReader(path, tuple(m.magic for m in METHOD_TABLE.values()))
+    method = next(name for name, m in METHOD_TABLE.items() if m.magic == f.magic)
+    run = ModelRun(tuple(f.field("buses", list, int)), f.field("fs", float),
+                   f.field("split_fingerprint", str), f.field("config_sha256", str),
+                   f.field("num_intervals", int))
+    return method, _MODEL_LOADERS[method](path), run
 
 
 def save_report(rows, path) -> Path:
@@ -528,7 +529,8 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
         for run in comp.runs:
             tag = f"{comp.key}_r{run.repeat}"
             save_model(comp.key, run.model, out / "models" / f"{tag}.bin",
-                       ModelRun(run.buses, run.fs, run.fingerprint, run.config_sha256))
+                       ModelRun(run.buses, run.fs, run.fingerprint, run.config_sha256,
+                                config.num_intervals))
             save_report(metrics.report_rows(comp.key, run.report, run.cm),
                         out / "reports" / f"{tag}.csv")
             save_report([[str(int(v)) for v in row] for row in run.cm],

@@ -57,22 +57,24 @@ def write_tensor_file(path, magic: bytes, tensors: dict, **fields) -> None:
 
 
 class TensorFileReader:
-    """A checked write_tensor_file file. Opening checks, in order, the magic,
-    the format version (a mismatch tells the user to `remedy`), the header,
-    the length its tensor shapes imply and the sha256 digest; field() and
-    tensors() then check header values and each tensor. Every failure is a
-    ValueError naming the path and the byte offset, and the key of a header
-    value."""
+    """A checked write_tensor_file file. Opening checks, in order, the magic
+    (magic, or one of a tuple of magics; self.magic is the file's), the format
+    version (a mismatch tells the user to `remedy`), the header, the length
+    its tensor shapes imply and the sha256 digest; field() and tensors() then
+    check header values and each tensor. Every failure is a ValueError naming
+    the path and the byte offset, and the key of a header value."""
 
-    def __init__(self, path, magic: bytes, remedy: str = "re-train the model"):
+    def __init__(self, path, magic: bytes | tuple, remedy: str = "re-train the model"):
         self.path, self.offset = path, 0
+        magics = (magic,) if isinstance(magic, bytes) else magic
         with open(path, "rb") as fh:  # one uninitialized buffer, no bytes copy
             self.data = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
             self.data = self.data[:fh.readinto(self.data)]
-        if len(self.data) >= len(magic) and self.data[:len(magic)].tobytes() != magic:
-            raise ValueError(f"{path}: offset 0: bad magic "
-                             f"{self.data[:len(magic)].tobytes()!r}, expected {magic!r}")
-        self._take(len(magic))
+        self.magic = self.data[:4].tobytes()
+        if len(self.magic) == 4 and self.magic not in magics:
+            raise ValueError(f"{path}: offset 0: bad magic {self.magic!r}, expected "
+                             + " or ".join(map(repr, magics)))
+        self._take(4)
         version, length = struct.unpack_from("<II", self.data, self._take(8))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: offset 4: format version {version}, expected "

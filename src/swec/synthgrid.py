@@ -301,10 +301,28 @@ class DatasetGrids:
     declared_counts: tuple = (64, 144, 320, 72)
 
     def __post_init__(self):
-        if self.cap_sizes > CAP_SIZE_LEVELS or self.xfmr_taps > TAP_LEVELS:
-            raise ConfigError("cap_sizes or xfmr_taps exceeds the canonical levels")
-        if self.fault_resistances > FAULT_RESISTANCE_LEVELS - 1:
-            raise ConfigError("fault_resistances exceeds the resistance table columns")
+        """Each count in 1..its table's levels, and each list a non-empty set
+        of known entries; a failure is a ConfigError naming the field."""
+        levels = {"cap_sizes": CAP_SIZE_LEVELS, "xfmr_taps": TAP_LEVELS,
+                  "fault_resistances": FAULT_RESISTANCE_LEVELS - 1}
+        for name in ("cap_sizes", "cap_angles", "xfmr_taps", "xfmr_angles",
+                     "fault_resistances", "fault_angles", "hif_angles", "hif_draws"):
+            count, top = getattr(self, name), levels.get(name)
+            if count < 1:
+                raise ConfigError(f"{name}: {count} is below 1")
+            if top is not None and count > top:
+                raise ConfigError(f"{name}: {count} exceeds the {top} levels of its table")
+        for name, known in (("fault_types", FAULT_TYPES),
+                            ("fault_locations", FAULT_LOCATIONS),
+                            ("hif_locations", tuple(ATTENUATION))):
+            entries = tuple(getattr(self, name))
+            if not entries:
+                raise ConfigError(f"{name}: empty")
+            for i, entry in enumerate(entries):
+                if entry not in known:
+                    raise ConfigError(f"{name}: {entry!r} not in {known}")
+                if entry in entries[:i]:
+                    raise ConfigError(f"{name}: {entries} repeats {entry!r}")
         counts = self.counts
         if counts != tuple(self.declared_counts):
             raise ConfigError(f"declared_counts {tuple(self.declared_counts)} do not "

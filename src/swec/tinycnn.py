@@ -295,8 +295,7 @@ def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheck
 
     Relative error as in central_difference_errors.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    _check_step(h)
     xs, labels = np.asarray([x], dtype=float), np.array([label])
     _, grads = batch_loss_and_grads(model, xs, labels)
     params = model.params()
@@ -308,10 +307,16 @@ def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheck
     return GradCheckReport(max(per_tensor.values()), per_tensor, count)
 
 
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h {h!r} is not finite and positive")
+
+
 def central_difference_errors(loss, params, grads, h: float) -> list[float]:
     """Worst relative error per tensor of central differences of loss()
     against the analytic grads, nudging each entry of params in place (and
-    restoring it). The denominator is max(1e-8, |analytic| + |numeric|)."""
+    restoring it). The denominator is max(1e-8, |analytic| + |numeric|); a
+    NaN error (from a non-finite loss) counts as the worst, inf."""
     out = []
     for p, g in zip(params, grads):
         worst = 0.0
@@ -326,7 +331,7 @@ def central_difference_errors(loss, params, grads, h: float) -> list[float]:
             flat_p[i] = orig
             fd = (up - down) / (2.0 * h)
             err = abs(fd - flat_g[i]) / max(1e-8, abs(fd) + abs(flat_g[i]))
-            worst = max(worst, err)
+            worst = max(worst, math.inf if math.isnan(err) else err)
         out.append(worst)
     return out
 
@@ -340,6 +345,7 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
     derivative. Draws are rejected until every pre-activation, every pool
     margin, and every nonzero analytic gradient clears a safety band.
     """
+    _check_step(h)
     arch = CnnArch(input_h=input_h, input_w=input_w)
     margin = 4.0 * h * (1.0 + 1.0)  # biggest single-parameter shift is h*max|x|
     for attempt in range(1000):

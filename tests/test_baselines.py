@@ -201,6 +201,14 @@ class TestSvmAgainstSequential:
         scale = np.abs(want.weights).max(axis=1, keepdims=True)
         assert np.all(np.abs(got.weights - want.weights) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("step", [1e4, 400.5])  # step / (C n) = 50, 2.0025
+    def test_diverging_step_rejected(self, step):
+        X, y = _random_set()
+        with pytest.raises(ValueError, match=rf"step {step:g} / \(C 1 \* 200 training "
+                                             rf"rows\) is [0-9.]+, above 2"):
+            train_svm_ovr(X, y, SvmConfig(step=step, epochs=5))
+        train_svm_ovr(X, y, SvmConfig(step=400.0, epochs=1))  # the bound, 2, trains
+
     def test_model_file_independent_of_blas_threads(self, tmp_path):
         script = ("import sys, numpy as np; from swec import baselines as b; "
                   "rng = np.random.default_rng(9); "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import swec
-from swec import cli, expharness, metrics, store, synthgrid, tinycnn
+from swec import cli, expharness, metrics, store, synthgrid
 from conftest import tiny_config, write_non_finite
 
 from swec.expharness import ExperimentConfig, config_to_json
@@ -73,6 +73,19 @@ class TestGradcheck:
         _, out1, _ = run_cli(capsys, "gradcheck", "--seed", "3")
         _, out2, _ = run_cli(capsys, "gradcheck", "--seed", "3")
         assert out1 == out2
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1e-5"])
+    def test_bad_step_fails_cleanly(self, step, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", f"--step={step}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"step h {float(step)!r} is not finite and positive" in err
+
+    def test_case_built_for_the_step(self, capsys):
+        # a case drawn for the default 1e-5 puts a kink within 5e-4 (error 7e-3)
+        code, out, _ = run_cli(capsys, "gradcheck", "--step", "5e-4")
+        assert code == 0
+        assert float(out.splitlines()[-1].split(",")[1]) < 1e-4
 
 
 class TestWorkflow:
@@ -189,7 +202,7 @@ class TestWorkflow:
                 "--out", str(data_dir), "--fs", "2000")
         run_cli(capsys, "train", "--config", str(tiny_config_file),
                 "--data", str(data_dir), "--model", str(model_path))
-        fc_b = expharness.load_model("cnn", model_path).fc_b
+        fc_b = expharness.load_model(model_path)[1].fc_b
         write_non_finite(model_path, model_path.stat().st_size - store.DIGEST_BYTES
                          - fc_b.nbytes + 8)
         code, out, err = run_cli(capsys, "eval", "--config", str(tiny_config_file),
@@ -249,7 +262,8 @@ class TestProvenance:
                              ids=["671,675", "675,632"])
     def test_eval_scores_the_recorded_buses(self, buses, rows, capsys, trained):
         config_path, data_dir, model_path = trained("--buses", buses)
-        assert expharness.read_model_run(model_path, tinycnn.MODEL_MAGIC).buses == rows
+        method, model, run = expharness.load_model(model_path)
+        assert (method, run.buses) == ("cnn", rows)
         code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
                                  "--model", str(model_path), "--data", str(data_dir))
         assert (code, err) == (0, "")
@@ -257,7 +271,7 @@ class TestProvenance:
         features, split = expharness.features_and_split(
             config, synthgrid.load_dataset(data_dir), rows)
         report, cm = expharness.evaluate_method(
-            config, "cnn", expharness.load_model("cnn", model_path), features, split)
+            config.num_intervals, "cnn", model, features, split)
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(
             metrics.report_rows("cnn", report, cm))
@@ -298,6 +312,52 @@ class TestProvenance:
                               "--model", str(model_path), "--data", str(data_dir),
                               says=["model.bin: offset 4: format version 1",
                                     "re-train"])
+
+
+class TestEvalAnyMethod:
+    """eval reads the method and num_intervals from the model file, so it
+    scores every model file that compare --out writes."""
+
+    @pytest.fixture(scope="class")
+    def compare_run(self, tmp_path_factory):
+        """(config path, run dir, dataset path) of a tiny four-method compare
+        run and its repeat-0 dataset, rebuilt by generate."""
+        root = tmp_path_factory.mktemp("compare")
+        config = tiny_config(methods=expharness.METHODS)
+        config_path = root / "config.json"
+        config_path.write_text(json.dumps(config_to_json(config)))
+        assert cli.main(["compare", "--config", str(config_path),
+                         "--out", str(root / "run")]) == 0
+        fs = config.placement_fs
+        ds_seed = expharness.derive_seed(config.seed, 0, expharness._STAGE_DATASET, fs)
+        assert cli.main(["generate", "--config", str(config_path), "--seed",
+                         str(ds_seed), "--fs", repr(fs), "--out", str(root / "ds")]) == 0
+        return config_path, root / "run", root / "ds"
+
+    @pytest.mark.parametrize("method, num_intervals", [
+        *((m, None) for m in expharness.METHODS), ("svm", 4), ("autoencoder", 4)])
+    def test_eval_prints_the_compare_report(self, method, num_intervals, capsys,
+                                            tmp_path, compare_run):
+        config_path, run_dir, data = compare_run
+        if num_intervals is not None:
+            doc = json.loads(config_path.read_text())
+            assert doc["num_intervals"] != num_intervals
+            config_path = tmp_path / "other.json"
+            config_path.write_text(json.dumps({**doc, "num_intervals": num_intervals}))
+        code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
+                                 "--model", str(run_dir / "models" / f"{method}_r0.bin"),
+                                 "--data", str(data))
+        assert (code, err) == (0, "")
+        expected = expharness.load_report(run_dir / "reports" / f"{method}_r0.csv")
+        assert list(csv.reader(io.StringIO(out))) == expected
+
+    def test_dataset_as_model_rejected(self, capsys, compare_run):
+        config_path, _, data = compare_run
+        code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
+                                 "--model", str(data), "--data", str(data))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{data}: offset 0: bad magic b'SWDS'" in err
 
 
 class TestSweepAndCompare:
@@ -410,6 +470,24 @@ class TestSweepAndCompare:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{out_path}: offset " in err
         assert "non-finite value in tensor 'samples'" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("grids, field", [
+        ({"cap_sizes": -1, "cap_angles": -2}, "grids.cap_sizes: "),
+        ({"fault_locations": [671]}, "grids.fault_locations: "),
+        ({"fault_locations": [632, 632], "fault_angles": 1}, "grids.fault_locations: "),
+    ], ids=["negative_counts", "fault_location", "repeated_fault_location"])
+    def test_bad_grid_rejected_before_any_build(self, grids, field, capsys, tmp_path):
+        config = config_to_json(tiny_config())
+        config["grids"].update(grids)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out_path = tmp_path / "ds.bin"
+        code, out, err = run_cli(capsys, "generate", "--config", str(path),
+                                 "--out", str(out_path), "--fs", "2000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert field in err
         assert not out_path.exists()
 
     def test_report_empty_dir_fails(self, capsys, tmp_path):

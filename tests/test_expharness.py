@@ -15,9 +15,10 @@ from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
                              sweep_placement, sweep_rows, sweep_sampling_rate,
                              write_comparison_run)
 from swec.synthgrid import ConfigError
-from conftest import tiny_config, write_non_finite
+from conftest import tiny_config, tiny_grids, write_non_finite
 
 DEFAULT_LABELS = np.repeat([1, 2, 3, 4], [64, 144, 320, 72])
+RUN = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32, 8)
 
 
 class TestSplit:
@@ -356,35 +357,43 @@ class TestArtifacts:
 
     def test_model_dispatch_round_trip(self, tmp_path):
         res = run_grid(tiny_config(), [2000.0], [(632, 671, 675)], ["cnn"])[0]
-        expharness.save_model("cnn", res.model, tmp_path / "m.bin")
-        loaded = expharness.load_model("cnn", tmp_path / "m.bin")
+        expharness.save_model("cnn", res.model, tmp_path / "m.bin", RUN)
+        method, loaded, run = expharness.load_model(tmp_path / "m.bin")
+        assert (method, run) == ("cnn", RUN)
         np.testing.assert_array_equal(loaded.conv_w, res.model.conv_w)
 
     @pytest.mark.parametrize("method", expharness.METHODS)
     def test_every_bit_flip_rejected(self, method, tmp_path):
         path = tmp_path / "m.bin"
-        run = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32)
-        expharness.save_model(method, _small_model(method), path, run)
+        expharness.save_model(method, _small_model(method), path, RUN)
         data = path.read_bytes()
-        assert expharness.read_model_run(path, data[:4]) == run
+        assert expharness.load_model(path)[::2] == (method, RUN)
         for bit in range(8 * len(data)):
             flipped = bytearray(data)
             flipped[bit // 8] ^= 1 << bit % 8
             path.write_bytes(flipped)
             with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: "):
-                expharness.load_model(method, path)
+                expharness.load_model(path)
+
+    def test_model_without_num_intervals_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        run = RUN._replace(buses=list(RUN.buses))._asdict()
+        del run["num_intervals"]
+        baselines.save_svm(_small_model("svm"), path, run=run)
+        with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*'num_intervals'"):
+            expharness.load_model(path)
 
     @pytest.mark.parametrize("method", expharness.METHODS)
     def test_every_truncation_rejected(self, method, tmp_path):
         model = _small_model(method)
         path = tmp_path / "m.bin"
-        expharness.save_model(method, model, path)
+        expharness.save_model(method, model, path, RUN)
         data = path.read_bytes()
-        expharness.load_model(method, path)
+        expharness.load_model(path)
         for n in range(len(data)):
             path.write_bytes(data[:n])
             with pytest.raises(ValueError, match="offset [0-9]+: truncated"):
-                expharness.load_model(method, path)
+                expharness.load_model(path)
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     @pytest.mark.parametrize("method", expharness.METHODS)
@@ -394,17 +403,17 @@ class TestArtifacts:
                 "tmlp": lambda m: m.biases[-1],
                 "autoencoder": lambda m: m.head_b}[method](model)
         path = tmp_path / "m.bin"
-        expharness.save_model(method, model, path)
+        expharness.save_model(method, model, path, RUN)
         offset = path.stat().st_size - store.DIGEST_BYTES - 8 * last.size
         write_non_finite(path, offset + 8 * (last.size - 1), value)
         with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite"):
-            expharness.load_model(method, path)
+            expharness.load_model(path)
         # the writer refuses the same tensor, at the same offset, unopened
         path.unlink()
         last[-1] = value
         with pytest.raises(ValueError, match=rf"m\.bin: offset {offset}: non-finite "
                            rf"value in tensor '\w+'$"):
-            expharness.save_model(method, model, path)
+            expharness.save_model(method, model, path, RUN)
         assert not path.exists()
 
     @pytest.mark.parametrize("method", ["cnn", "svm", "tmlp"])
@@ -417,9 +426,9 @@ class TestArtifacts:
             "tmlp": baselines.TaperedMlp((6, 3), [np.ones((3, 6))], [np.zeros(3)]),
         }[method]
         path = tmp_path / "m.bin"
-        expharness.save_model(method, model, path)
+        expharness.save_model(method, model, path, RUN)
         with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: 3 classes"):
-            expharness.load_model(method, path)
+            expharness.load_model(path)
 
     @pytest.mark.parametrize("n_sizes", [0, 1])
     def test_tmlp_without_two_layer_sizes_rejected(self, n_sizes, tmp_path):
@@ -497,9 +506,31 @@ def _documents(cls):
     return st.fixed_dictionaries({}, optional={**values, "bogus": st.integers()})
 
 
+def _tiny_grids_documents():
+    """The tiny grid's document with one field drawn anew: a list of fault
+    types or locations, known or not, or any count."""
+    doc = synthgrid.dataclass_to_json(tiny_grids())
+    lists = {"fault_locations": (671, 634, 632), "hif_locations": (999, 671, 632),
+             "fault_types": ("forest", "LL", "LG")}
+    values = {name: st.lists(st.sampled_from(entries), min_size=1, max_size=2)
+              for name, entries in lists.items()}
+    values.update((name, _near(1)) for name, v in doc.items() if type(v) is int)
+    return st.sampled_from(list(values)).flatmap(
+        lambda name: values[name].map(lambda v: {**doc, name: v}))
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
-@given(_documents(ExperimentConfig))
-def test_config_document_gives_config_or_value_error(doc):
+@given(_documents(ExperimentConfig), _tiny_grids_documents())
+def test_config_document_gives_config_or_value_error(doc, grids):
+    """A config document, and the tiny grid's document with one field drawn
+    anew, each give an object or a ValueError; an accepted grid of at most 8
+    records builds its dataset at 4 kHz."""
+    try:
+        grid = synthgrid.dataclass_from_json(synthgrid.DatasetGrids, grids)
+    except ValueError:
+        grid = None
+    if grid is not None and sum(grid.counts) <= 8:
+        synthgrid.build_dataset(synthgrid.DatasetConfig(fs=4000.0, grids=grid))
     try:
         config = config_from_json(doc)
     except ValueError:
@@ -514,3 +545,5 @@ def test_config_document_gives_config_or_value_error(doc):
                     if hasattr(cfg, k)]
         assert min([*at_least_one, *getattr(cfg, "hidden", ())]) >= 1, cfg
         assert min(positive) > 0 and getattr(cfg, "momentum", 0.0) >= 0, cfg
+    if sum(config.grids.counts) <= 8:
+        synthgrid.build_dataset(config.dataset_config(4000.0, config.seed))

@@ -167,6 +167,26 @@ class TestDataset:
         with pytest.raises(ConfigError, match=rf"^{field}: "):
             DatasetConfig(**{field: value})
 
+    @pytest.mark.parametrize("changes, says", [
+        ({"cap_sizes": -1, "cap_angles": -2}, "cap_sizes: -1 is below 1"),
+        ({"hif_draws": 0}, "hif_draws: 0 is below 1"),
+        ({"xfmr_taps": 13}, "xfmr_taps: 13 exceeds the 12 levels"),
+        ({"fault_resistances": 6}, "fault_resistances: 6 exceeds the 5 levels"),
+        ({"fault_types": ("LG", "XX")}, "fault_types: 'XX' not in"),
+        ({"fault_types": ()}, "fault_types: empty"),
+        ({"fault_locations": (671,)}, r"fault_locations: 671 not in \(632, 634, 675, "
+                                      r"680\)"),
+        ({"fault_locations": (632, 632), "fault_angles": 1},
+         r"fault_locations: \(632, 632\) repeats 632"),
+        ({"hif_locations": (999,)}, "hif_locations: 999 not in"),
+        ({"hif_locations": (632, 632), "hif_angles": 1}, "hif_locations: .* repeats"),
+    ], ids=["negative_counts", "zero_count", "taps", "resistances", "fault_type",
+            "no_fault_types", "fault_location", "repeated_fault_location",
+            "hif_location", "repeated_hif_location"])
+    def test_grid_field_checked_when_built(self, changes, says):
+        with pytest.raises(ConfigError, match=rf"^{says}"):
+            dataclasses.replace(tiny_grids(), **changes)
+
     def test_grid_product_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             DatasetGrids(cap_sizes=7)
@@ -386,7 +406,7 @@ class TestPersistence:
         (None, "truncated file"),
         (lambda c: c.update(grids=[]), "config.grids: expected an object, got list"),
         (lambda c: c["grids"].update(fault_locations=[671]),
-         r"fault location 671 not in \(632, 634, 675, 680\)"),
+         r"config\.grids\.fault_locations: 671 not in \(632, 634, 675, 680\)"),
         (lambda c: c.update(fs=math.inf), r"config\.fs: sampling rate inf Hz"),
     ], ids=["grid_key", "config_key", "digest_key", "grids_not_object",
             "grid_value", "infinite_fs"])

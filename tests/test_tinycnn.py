@@ -172,6 +172,20 @@ class TestLossGrad:
         report = grad_check(model, x, label=label)
         assert report.max_rel_error < 1e-4
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-5])
+    def test_bad_step_rejected(self, h):
+        model, x, label = make_gradcheck_case(0, input_h=3, input_w=24)
+        for check in (lambda: grad_check(model, x, h=h, label=label),
+                      lambda: make_gradcheck_case(0, input_h=3, input_w=24, h=h)):
+            with pytest.raises(ValueError, match=rf"step h {h!r} is not finite"):
+                check()
+
+    def test_nan_error_counts_as_worst(self):
+        p, g = np.zeros(3), np.zeros(3)
+        losses = iter([0.0, 0.0, math.nan, 0.0, 0.0, 0.0])
+        assert tinycnn.central_difference_errors(lambda: next(losses), [p], [g],
+                                                 1e-5) == [math.inf]
+
     def test_report_covers_every_tensor(self):
         model, x, label = make_gradcheck_case(5, input_h=2, input_w=16)
         report = grad_check(model, x, label=label)
