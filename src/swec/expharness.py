@@ -13,9 +13,9 @@ command line train and evaluate through fit_method and evaluate_method, in
 one (repeat, fs, buses, method) grid (run_grid) whose results the comparison
 and both sweeps group into rows. Each (repeat, fs) builds one dataset,
 featurizes it once over the union of the subsets' buses and drops it before
-any cell trains; each bus subset takes its rows of those features, and all
-its methods see the same train/test index sets; the split fingerprint
-recorded per run makes that checkable.
+its cells go to the worker pool; each bus subset takes its rows of those
+features, and all its methods see the same train/test index sets; the split
+fingerprint recorded per run makes that checkable.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -102,6 +103,9 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # rebuilt from its fields when it leaves a pool worker
+        return PipelineError, (self.stage, self.cause)
 
 
 @contextlib.contextmanager
@@ -330,31 +334,54 @@ def evaluate_method(num_intervals: int, method: str, model, features,
         return metrics.aggregate(cm), cm
 
 
+def _fit_cell(config: ExperimentConfig, method: str, cell: Features,
+              split: SplitIndex, repeat: int):
+    """One cell's model, trained in a pool worker."""
+    return fit_method(config, method, cell, split, repeat)[0]
+
+
 def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[RunResult]:
     """Every (repeat, fs, buses, method) cell, repeats outermost. Each
     (repeat, fs) featurizes its dataset once over the union of the subsets'
-    buses, and the dataset is dropped before any cell trains. A subset's
-    features are its rows of that array; its methods share them and the
-    (repeat, fs) split."""
+    buses, and the dataset is dropped before its cells are submitted. A
+    subset's features are its rows of that array; its methods share them and
+    the (repeat, fs) split. The cells train in forked workers, which start
+    with the parent's imports, one per usable core, while the next dataset
+    builds; each model is evaluated here, in grid order."""
+    import concurrent.futures  # here, not at the top: `swec train`/`eval` start no pool
+    import multiprocessing
     watched = sorted(set().union(*bus_subsets))
-    results = []
-    for repeat in range(config.repeats):
-        for fs in fs_list:
-            dataset = _build(config, fs, repeat)
-            digest = synthgrid.config_sha256(dataset.config)
-            features, split = features_and_split(config, dataset, watched, repeat)
-            del dataset  # no dataset is alive while a cell trains
-            for buses in bus_subsets:
-                # take() keeps the rows C-contiguous, as featurize stacks them
-                rows = [watched.index(b) for b in sorted(buses)]
-                cell = Features(features.values.take(rows, axis=1), features.labels)
-                for method in methods:
-                    model, _ = fit_method(config, method, cell, split, repeat)
-                    report, cm = evaluate_method(config.num_intervals, method, model,
-                                                 cell, split)
-                    results.append(RunResult(method, fs, tuple(buses), repeat,
-                                             report.accuracy, report, cm,
-                                             split.fingerprint(), digest, model))
+    cells = config.repeats * len(fs_list) * len(bus_subsets) * len(methods)
+    pending, results = [], []
+    with concurrent.futures.ProcessPoolExecutor(
+            min(cells, len(os.sched_getaffinity(0))),
+            multiprocessing.get_context("fork")) as pool:
+        try:
+            for repeat in range(config.repeats):
+                for fs in fs_list:
+                    dataset = _build(config, fs, repeat)
+                    digest = synthgrid.config_sha256(dataset.config)
+                    features, split = features_and_split(config, dataset, watched, repeat)
+                    del dataset  # no dataset is alive when the pool forks
+                    for buses in bus_subsets:
+                        # take() keeps the rows C-contiguous, as featurize stacks them
+                        rows = [watched.index(b) for b in sorted(buses)]
+                        cell = Features(features.values.take(rows, axis=1), features.labels)
+                        for method in methods:
+                            future = pool.submit(_fit_cell, config, method, cell, split,
+                                                 repeat)
+                            pending.append((future, method, fs, buses, repeat, cell,
+                                            split, digest))
+            for future, method, fs, buses, repeat, cell, split, digest in pending:
+                model = future.result()
+                report, cm = evaluate_method(config.num_intervals, method, model,
+                                             cell, split)
+                results.append(RunResult(method, fs, tuple(buses), repeat,
+                                         report.accuracy, report, cm,
+                                         split.fingerprint(), digest, model))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return results
 
 

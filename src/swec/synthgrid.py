@@ -301,8 +301,12 @@ class DatasetGrids:
     declared_counts: tuple = (64, 144, 320, 72)
 
     def __post_init__(self):
-        """Each count in 1..its table's levels, and each list a non-empty set
-        of known entries; a failure is a ConfigError naming the field."""
+        """Each count in 1..its table's levels, each list a non-empty set of
+        known entries, and cap_amplitude finite and >= 0; a failure is a
+        ConfigError naming the field."""
+        if not (math.isfinite(self.cap_amplitude) and self.cap_amplitude >= 0):
+            raise ConfigError(f"cap_amplitude: {self.cap_amplitude!r} is not "
+                              f"finite and >= 0")
         levels = {"cap_sizes": CAP_SIZE_LEVELS, "xfmr_taps": TAP_LEVELS,
                   "fault_resistances": FAULT_RESISTANCE_LEVELS - 1}
         for name in ("cap_sizes", "cap_angles", "xfmr_taps", "xfmr_angles",

@@ -372,7 +372,8 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
         _, grads = batch_loss_and_grads(model, x[None], np.array([label]))
         if all(np.abs(g[g != 0.0]).min(initial=np.inf) > 1e-6 for g in grads):
             return model, x, label
-    raise RuntimeError(f"no finite-difference-safe case found for seed {seed}")
+    raise RuntimeError(f"no finite-difference-safe case found for seed {seed} "
+                       f"at step h {h!r}")
 
 
 # ── Model file ───────────────────────────────────────────────────────────────

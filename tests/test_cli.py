@@ -81,6 +81,13 @@ class TestGradcheck:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"step h {float(step)!r} is not finite and positive" in err
 
+    def test_no_safe_case_names_the_step(self, capsys):
+        # 1e-3 is finite and positive, but no draw for seed 0 clears its band
+        code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "no finite-difference-safe case found for seed 0 at step h 0.001" in err
+
     def test_case_built_for_the_step(self, capsys):
         # a case drawn for the default 1e-5 puts a kink within 5e-4 (error 7e-3)
         code, out, _ = run_cli(capsys, "gradcheck", "--step", "5e-4")
@@ -468,15 +475,16 @@ class TestSweepAndCompare:
                                  "--out", str(out_path), "--fs", "2000")
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert f"{out_path}: offset " in err
-        assert "non-finite value in tensor 'samples'" in err
+        assert "grids.cap_amplitude: nan is not finite and >= 0" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("grids, field", [
         ({"cap_sizes": -1, "cap_angles": -2}, "grids.cap_sizes: "),
         ({"fault_locations": [671]}, "grids.fault_locations: "),
         ({"fault_locations": [632, 632], "fault_angles": 1}, "grids.fault_locations: "),
-    ], ids=["negative_counts", "fault_location", "repeated_fault_location"])
+        ({"cap_amplitude": -1.0}, "grids.cap_amplitude: -1.0 is not finite and >= 0"),
+    ], ids=["negative_counts", "fault_location", "repeated_fault_location",
+            "negative_cap_amplitude"])
     def test_bad_grid_rejected_before_any_build(self, grids, field, capsys, tmp_path):
         config = config_to_json(tiny_config())
         config["grids"].update(grids)

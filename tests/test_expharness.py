@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import re
 import weakref
 from dataclasses import MISSING, fields, is_dataclass
@@ -277,13 +279,15 @@ class TestSweeps:
 
 class TestDatasetLifetime:
     """Each (repeat, fs) dataset is featurized once, over the union of the
-    bus subsets' buses, and released when that call returns, so no two
-    datasets and no training overlap it."""
+    bus subsets' buses, and released before its cells go to the pool, so no
+    two datasets overlap and none is alive in the parent when the pool forks
+    its workers (at the first submit) or hands them a cell."""
 
     @pytest.fixture
     def alive(self, monkeypatch):
-        """Counts of live datasets, recorded at every build and every fit."""
-        refs, counts = [], {"build": [], "fit": []}
+        """Counts of live datasets, recorded at every build and every submit,
+        both of which run in the parent."""
+        refs, counts = [], {"build": [], "submit": []}
 
         def live():
             return sum(ref() is not None for ref in refs)
@@ -294,14 +298,15 @@ class TestDatasetLifetime:
             refs.append(weakref.ref(dataset))
             return dataset
 
-        fit = expharness.fit_method
+        pool = concurrent.futures.ProcessPoolExecutor
+        submit = pool.submit
 
-        def fit_method(*args, **kwargs):
-            counts["fit"].append(live())
-            return fit(*args, **kwargs)
+        def counted_submit(self, *args, **kwargs):
+            counts["submit"].append(live())
+            return submit(self, *args, **kwargs)
 
         monkeypatch.setattr(expharness, "build_dataset", build)
-        monkeypatch.setattr(expharness, "fit_method", fit_method)
+        monkeypatch.setattr(pool, "submit", counted_submit)
         return counts
 
     def test_placement_builds_with_no_earlier_dataset_alive(self, alive):
@@ -312,7 +317,7 @@ class TestDatasetLifetime:
                                        "sweep_sampling_rate"])
     def test_trains_with_no_dataset_alive(self, alive, table):
         getattr(expharness, table)(tiny_config(repeats=2))
-        assert alive["fit"] == [0, 0, 0, 0]
+        assert alive["submit"] == [0, 0, 0, 0]
 
     def test_placement_featurizes_each_record_once(self, monkeypatch):
         calls = []
@@ -325,6 +330,37 @@ class TestDatasetLifetime:
         monkeypatch.setattr(expharness, "featurize", counted)
         sweep_placement(tiny_config(repeats=2, bus_subsets=((675,), (675, 632))))
         assert calls == [(632, 675)] * 16  # 8 records x 2 repeats
+
+
+class TestPool:
+    """run_grid trains in forked workers and evaluates in the parent."""
+
+    def test_grid_equals_in_process_cells(self):
+        cfg = tiny_config(repeats=2)
+        subsets, methods = [(675,), (632, 671)], ["cnn", "svm"]
+        results = run_grid(cfg, [2000.0], subsets, methods)
+        assert multiprocessing.active_children() == []
+        cells = [(r, b, m) for r in range(2) for b in subsets for m in methods]
+        assert [(res.repeat, res.buses, res.method) for res in results] == cells
+        for res, (repeat, buses, method) in zip(results, cells):
+            dataset = expharness._build(cfg, 2000.0, repeat)
+            features, split = expharness.features_and_split(cfg, dataset, buses, repeat)
+            model, _ = expharness.fit_method(cfg, method, features, split, repeat)
+            report, cm = expharness.evaluate_method(cfg.num_intervals, method, model,
+                                                    features, split)
+            assert res.accuracy == report.accuracy
+            np.testing.assert_array_equal(res.cm, cm)
+            assert res.fingerprint == split.fingerprint()
+            assert res.config_sha256 == synthgrid.config_sha256(dataset.config)
+            for name, value in vars(model).items():  # the tensors and the arch
+                np.testing.assert_array_equal(getattr(res.model, name), value)
+
+    def test_worker_error_names_its_stage(self):
+        # 4 training rows at C = 1: step / (C n) = 2.5 breaks the bound of 2
+        cfg = tiny_config(svm=baselines.SvmConfig(epochs=5, step=10.0))
+        with pytest.raises(PipelineError, match=r"stage 'train\[svm\]': svm step 10 "):
+            compare_methods(cfg)
+        assert multiprocessing.active_children() == []
 
 
 class TestCompare:

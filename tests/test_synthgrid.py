@@ -180,9 +180,13 @@ class TestDataset:
          r"fault_locations: \(632, 632\) repeats 632"),
         ({"hif_locations": (999,)}, "hif_locations: 999 not in"),
         ({"hif_locations": (632, 632), "hif_angles": 1}, "hif_locations: .* repeats"),
+        ({"cap_amplitude": math.nan}, "cap_amplitude: nan is not finite and >= 0"),
+        ({"cap_amplitude": math.inf}, "cap_amplitude: inf is not finite"),
+        ({"cap_amplitude": -1.0}, "cap_amplitude: -1.0 is not finite and >= 0"),
     ], ids=["negative_counts", "zero_count", "taps", "resistances", "fault_type",
             "no_fault_types", "fault_location", "repeated_fault_location",
-            "hif_location", "repeated_hif_location"])
+            "hif_location", "repeated_hif_location", "cap_amplitude_nan",
+            "cap_amplitude_inf", "negative_cap_amplitude"])
     def test_grid_field_checked_when_built(self, changes, says):
         with pytest.raises(ConfigError, match=rf"^{says}"):
             dataclasses.replace(tiny_grids(), **changes)
