@@ -10,12 +10,12 @@ The four methods sit behind one table (METHOD_TABLE): per method, the magic
 opening its model files, the input features it derives from the stacked
 feature matrices, its trainer and its predictor. Comparisons, sweeps and the
 command line train and evaluate through fit_method and evaluate_method, in
-one (repeat, fs, buses, method) grid (run_grid) whose results the comparison
-and both sweeps group into rows. Each (repeat, fs) builds one dataset,
-featurizes it once over the union of the subsets' buses and drops it before
-its cells go to the worker pool; each bus subset takes its rows of those
-features, and all its methods see the same train/test index sets; the split
-fingerprint recorded per run makes that checkable.
+one grid (run_grid) of distinct (fs, buses, method) cells per repeat, which
+tables groups into the comparison and both sweeps. Each (repeat, fs) builds
+one dataset, featurizes it once over the union of that rate's buses and drops
+it before its cells go to the worker pool; each bus subset takes its rows of
+those features, and all its methods see the same train/test index sets; the
+split fingerprint recorded per run makes that checkable.
 """
 
 from __future__ import annotations
@@ -111,9 +111,11 @@ class PipelineError(RuntimeError):
 @contextlib.contextmanager
 def _stage(name: str):
     """The one stage boundary: an exception inside becomes a PipelineError
-    naming the stage."""
+    naming the stage; one that already names its stage passes through."""
     try:
         yield
+    except PipelineError:
+        raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
 
@@ -340,45 +342,56 @@ def _fit_cell(config: ExperimentConfig, method: str, cell: Features,
     return fit_method(config, method, cell, split, repeat)[0]
 
 
-def run_grid(config: ExperimentConfig, fs_list, bus_subsets, methods) -> list[RunResult]:
-    """Every (repeat, fs, buses, method) cell, repeats outermost. Each
-    (repeat, fs) featurizes its dataset once over the union of the subsets'
-    buses, and the dataset is dropped before its cells are submitted. A
-    subset's features are its rows of that array; its methods share them and
-    the (repeat, fs) split. The cells train in forked workers, which start
-    with the parent's imports, one per usable core, while the next dataset
-    builds; each model is evaluated here, in grid order."""
+def run_grid(config: ExperimentConfig, cells) -> dict:
+    """RunResults of the distinct (fs, buses, method) cells, buses compared
+    sorted, at each repeat, keyed by (repeat, fs, sorted buses, method) in grid
+    order: repeats outermost, then order of first appearance. Each (repeat, fs)
+    featurizes its dataset once over the union of its buses and drops it before
+    its cells are submitted; a subset's methods share its rows of those features
+    and the (repeat, fs) split. The cells train in forked workers, one per usable
+    core, while the next dataset builds; each model is evaluated here in order."""
     import concurrent.futures  # here, not at the top: `swec train`/`eval` start no pool
     import multiprocessing
-    watched = sorted(set().union(*bus_subsets))
-    cells = config.repeats * len(fs_list) * len(bus_subsets) * len(methods)
-    pending, results = [], []
+    grid = {}  # fs -> sorted buses -> methods
+    for fs, buses, method in cells:
+        grid.setdefault(fs, {}).setdefault(tuple(sorted(buses)), {})[method] = None
+    count = config.repeats * sum(len(ms) for s in grid.values() for ms in s.values())
+    pending, results, broken = [], {}, None
     with concurrent.futures.ProcessPoolExecutor(
-            min(cells, len(os.sched_getaffinity(0))),
+            min(count, len(os.sched_getaffinity(0))),
             multiprocessing.get_context("fork")) as pool:
         try:
-            for repeat in range(config.repeats):
-                for fs in fs_list:
-                    dataset = _build(config, fs, repeat)
-                    digest = synthgrid.config_sha256(dataset.config)
-                    features, split = features_and_split(config, dataset, watched, repeat)
-                    del dataset  # no dataset is alive when the pool forks
-                    for buses in bus_subsets:
-                        # take() keeps the rows C-contiguous, as featurize stacks them
-                        rows = [watched.index(b) for b in sorted(buses)]
-                        cell = Features(features.values.take(rows, axis=1), features.labels)
-                        for method in methods:
-                            future = pool.submit(_fit_cell, config, method, cell, split,
-                                                 repeat)
-                            pending.append((future, method, fs, buses, repeat, cell,
-                                            split, digest))
+            try:
+                for repeat in range(config.repeats):
+                    for fs, subsets in grid.items():
+                        watched = sorted(set().union(*subsets))
+                        dataset = _build(config, fs, repeat)
+                        digest = synthgrid.config_sha256(dataset.config)
+                        features, split = features_and_split(config, dataset, watched,
+                                                             repeat)
+                        del dataset  # no dataset is alive when the pool forks
+                        for buses, methods in subsets.items():
+                            # take() keeps the rows C-contiguous, as featurize stacks them
+                            rows = [watched.index(b) for b in buses]
+                            cell = Features(features.values.take(rows, axis=1),
+                                            features.labels)
+                            for method in methods:
+                                future = pool.submit(_fit_cell, config, method, cell,
+                                                     split, repeat)
+                                pending.append((future, method, fs, buses, repeat, cell,
+                                                split, digest))
+            except concurrent.futures.process.BrokenProcessPool as exc:
+                broken = exc  # a worker died: the first unfinished cell names it
             for future, method, fs, buses, repeat, cell, split, digest in pending:
-                model = future.result()
+                with _stage(f"train[{method}]"):
+                    model = future.result()
                 report, cm = evaluate_method(config.num_intervals, method, model,
                                              cell, split)
-                results.append(RunResult(method, fs, tuple(buses), repeat,
-                                         report.accuracy, report, cm,
-                                         split.fingerprint(), digest, model))
+                results[repeat, fs, buses, method] = RunResult(
+                    method, fs, buses, repeat, report.accuracy, report, cm,
+                    split.fingerprint(), digest, model)
+            if broken:  # it died between cells
+                raise PipelineError("train", broken)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -406,37 +419,49 @@ class Row:
         return float(np.mean(defined)) if defined else None
 
 
-def _rows(results: list[RunResult], key: Callable) -> list[Row]:
-    """results grouped by key(result), keys in order of first appearance."""
-    rows = {}
-    for r in results:
-        rows.setdefault(key(r), Row(key(r), [])).runs.append(r)
-    return list(rows.values())
+def _table_cells(config: ExperimentConfig, name: str) -> list:
+    """(row key, (fs, sorted buses, method)) of each row of the named table."""
+    if name == "compare":
+        if len(config.methods) < 2:
+            raise ConfigError("comparison needs at least 2 methods")
+        return [(m, (config.placement_fs, MONITORED_BUSES, m)) for m in config.methods]
+    if name == "placement":
+        return [(tuple(b), (config.placement_fs, tuple(sorted(b)), "cnn"))
+                for b in config.bus_subsets]
+    if name == "sampling_rate":
+        if len(config.fs_list) < 2:
+            raise ConfigError("sampling-rate sweep needs at least 2 rates")
+        return [(fs, (fs, MONITORED_BUSES, "cnn")) for fs in sorted(config.fs_list)]
+    raise ValueError(f"unknown table {name!r}")
+
+
+def tables(config: ExperimentConfig,
+           names=("compare", "placement", "sampling_rate")) -> dict[str, list[Row]]:
+    """The rows of each named table, all from one grid over the union of
+    their cells, so a cell that several tables share trains once per repeat."""
+    keyed = {name: _table_cells(config, name) for name in names}
+    results = run_grid(config, [cell for rows in keyed.values() for _, cell in rows])
+    return {name: [Row(key, [results[(r, *cell)] for r in range(config.repeats)])
+                   for key, cell in rows]
+            for name, rows in keyed.items()}
 
 
 def sweep_sampling_rate(config: ExperimentConfig) -> list[Row]:
     """Accuracy per sampling rate (all monitored buses, convolutional model),
     over the configured repeats. Rows ascend in rate."""
-    if len(config.fs_list) < 2:
-        raise ConfigError("sampling-rate sweep needs at least 2 rates")
-    results = run_grid(config, sorted(config.fs_list), [MONITORED_BUSES], ["cnn"])
-    return _rows(results, lambda r: r.fs)
+    return tables(config, ["sampling_rate"])["sampling_rate"]
 
 
 def sweep_placement(config: ExperimentConfig) -> list[Row]:
     """Accuracy per sensor subset at the placement-study sampling rate, rows
     in the config's subset order."""
-    results = run_grid(config, [config.placement_fs], config.bus_subsets, ["cnn"])
-    return _rows(results, lambda r: r.buses)
+    return tables(config, ["placement"])["placement"]
 
 
 def compare_methods(config: ExperimentConfig) -> list[Row]:
     """All configured methods at the placement-study rate on all monitored
     buses, on identical splits and features per repeat."""
-    if len(config.methods) < 2:
-        raise ConfigError("comparison needs at least 2 methods")
-    results = run_grid(config, [config.placement_fs], [MONITORED_BUSES], config.methods)
-    return _rows(results, lambda r: r.method)
+    return tables(config, ["compare"])["compare"]
 
 
 # ── Artifact persistence ─────────────────────────────────────────────────────

@@ -346,6 +346,8 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
     margin, and every nonzero analytic gradient clears a safety band.
     """
     _check_step(h)
+    if seed < 0:
+        raise ValueError(f"gradcheck seed {seed} is negative")
     arch = CnnArch(input_h=input_h, input_w=input_w)
     margin = 4.0 * h * (1.0 + 1.0)  # biggest single-parameter shift is h*max|x|
     for attempt in range(1000):

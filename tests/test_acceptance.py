@@ -7,7 +7,6 @@ reproducibility of persisted artifacts.
 """
 
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,42 +109,38 @@ class TestCriterion5SplitOracle:
 
 
 @pytest.fixture(scope="module")
-def default_config():
-    return expharness.ExperimentConfig(seed=0)
-
-
-@pytest.fixture(scope="module")
-def timed_comparison(default_config):
-    """The default comparison and the seconds it took to compute."""
+def timed_tables():
+    """The default comparison, placement and sampling-rate tables (1.25 and
+    20 kHz), all from one grid, and the seconds it took to compute."""
     start = time.time()
-    result = expharness.compare_methods(default_config)
+    result = expharness.tables(
+        expharness.ExperimentConfig(seed=0, fs_list=(1250.0, 20000.0)))
     return result, time.time() - start
 
 
 @pytest.fixture(scope="module")
-def comparison(timed_comparison):
-    return timed_comparison[0]
+def comparison(timed_tables):
+    return timed_tables[0]["compare"]
 
 
 @pytest.fixture(scope="module")
-def rate_rows(default_config):
-    return expharness.sweep_sampling_rate(
-        replace(default_config, fs_list=(1250.0, 20000.0)))
+def rate_rows(timed_tables):
+    return timed_tables[0]["sampling_rate"]
 
 
 @pytest.fixture(scope="module")
-def placement_rows(default_config):
-    return expharness.sweep_placement(default_config)
+def placement_rows(timed_tables):
+    return timed_tables[0]["placement"]
 
 
 class TestCriterion6EndToEnd:
-    def test_default_run_accuracy(self, timed_comparison):
-        comparison, elapsed = timed_comparison
-        cnn = next(c for c in comparison if c.key == "cnn")
+    def test_default_run_accuracy(self, timed_tables):
+        rows, elapsed = timed_tables
+        cnn = next(c for c in rows["compare"] if c.key == "cnn")
         acc = cnn.runs[0].accuracy
         _criterion(6, acc >= 0.90 and elapsed < 600.0,
                    f"cnn accuracy {acc:.4f} at 20 kHz, 3 buses, "
-                   f"comparison in {elapsed:.0f}s")
+                   f"three tables in {elapsed:.0f}s")
 
 
 class TestCriterion7SamplingRateTrend:

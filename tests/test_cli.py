@@ -81,6 +81,12 @@ class TestGradcheck:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"step h {float(step)!r} is not finite and positive" in err
 
+    def test_negative_seed_fails_cleanly(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "seed -1 is negative" in err
+
     def test_no_safe_case_names_the_step(self, capsys):
         # 1e-3 is finite and positive, but no draw for seed 0 clears its band
         code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-3")

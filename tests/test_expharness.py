@@ -1,7 +1,9 @@
 import concurrent.futures
 import json
 import multiprocessing
+import os
 import re
+import signal
 import weakref
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -15,7 +17,7 @@ from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
                              derive_seed, largest_remainder_counts, load_report,
                              run_grid, save_report, split_stratified,
                              sweep_placement, sweep_rows, sweep_sampling_rate,
-                             write_comparison_run)
+                             tables, write_comparison_run)
 from swec.synthgrid import ConfigError
 from conftest import tiny_config, tiny_grids, write_non_finite
 
@@ -208,24 +210,24 @@ class TestConfig:
 
 class TestPipeline:
     def test_tiny_run_produces_report(self):
-        res = run_grid(tiny_config(), [2000.0], [(632, 671, 675)], ["cnn"])[0]
+        [res] = run_grid(tiny_config(), [(2000.0, (632, 671, 675), "cnn")]).values()
         assert res.cm.sum() == 4  # one test record per class
         assert 0.0 <= res.accuracy <= 1.0
         assert res.fingerprint
 
     def test_single_bus_clamped_arch_completes(self):
-        res = run_grid(tiny_config(), [2000.0], [(632,)], ["cnn"])[0]
+        [res] = run_grid(tiny_config(), [(2000.0, (632,), "cnn")]).values()
         assert res.model.arch.input_h == 1
         assert res.cm.sum() == 4
 
     def test_stage_error_names_stage(self):
         with pytest.raises(PipelineError, match="stage 'dataset'"):
-            run_grid(tiny_config(), [500.0], [(632,)], ["cnn"])
+            run_grid(tiny_config(), [(500.0, (632,), "cnn")])
 
     def test_deterministic_results(self):
         cfg = tiny_config()
-        a = run_grid(cfg, [2000.0], [(632, 671, 675)], ["svm"])[0]
-        b = run_grid(cfg, [2000.0], [(632, 671, 675)], ["svm"])[0]
+        [a] = run_grid(cfg, [(2000.0, (632, 671, 675), "svm")]).values()
+        [b] = run_grid(cfg, [(2000.0, (632, 671, 675), "svm")]).values()
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.cm, b.cm)
         assert a.fingerprint == b.fingerprint
@@ -268,7 +270,7 @@ class TestSweeps:
     def test_placement_matches_run_pipeline(self):
         cfg = tiny_config()
         rows = sweep_placement(cfg)
-        direct = run_grid(cfg, [cfg.placement_fs], [(632,)], ["cnn"])[0]
+        [direct] = run_grid(cfg, [(cfg.placement_fs, (632,), "cnn")]).values()
         assert rows[0].accuracies[0] == direct.accuracy
 
     def test_sweep_rows_formatting(self):
@@ -331,6 +333,27 @@ class TestDatasetLifetime:
         sweep_placement(tiny_config(repeats=2, bus_subsets=((675,), (675, 632))))
         assert calls == [(632, 675)] * 16  # 8 records x 2 repeats
 
+    def test_tables_train_each_shared_cell_once(self, alive):
+        # compare, placement and sampling_rate share the 4 kHz all-bus cnn
+        # cell, which placement lists in another bus order
+        cfg = tiny_config(repeats=2, bus_subsets=((632,), (675, 671, 632)))
+        rows = tables(cfg)
+        assert len(alive["build"]) == 2 * 2  # 2 rates per repeat
+        assert alive["submit"] == [0] * 4 * 2  # 4 distinct cells per repeat
+        assert multiprocessing.active_children() == []
+        singles = {"compare": compare_methods, "placement": sweep_placement,
+                   "sampling_rate": sweep_sampling_rate}
+        assert list(rows) == list(singles)
+        assert [r.key for r in rows["placement"]] == [(632,), (675, 671, 632)]
+        for name, table in singles.items():
+            want = table(cfg)
+            assert [r.key for r in rows[name]] == [r.key for r in want]
+            for got_row, want_row in zip(rows[name], want):
+                assert got_row.accuracies == want_row.accuracies
+                for got, run in zip(got_row.runs, want_row.runs):
+                    np.testing.assert_array_equal(got.cm, run.cm)
+                    assert got.fingerprint == run.fingerprint
+
 
 class TestPool:
     """run_grid trains in forked workers and evaluates in the parent."""
@@ -338,11 +361,13 @@ class TestPool:
     def test_grid_equals_in_process_cells(self):
         cfg = tiny_config(repeats=2)
         subsets, methods = [(675,), (632, 671)], ["cnn", "svm"]
-        results = run_grid(cfg, [2000.0], subsets, methods)
+        results = run_grid(cfg, [(2000.0, b, m) for b in subsets for m in methods])
         assert multiprocessing.active_children() == []
         cells = [(r, b, m) for r in range(2) for b in subsets for m in methods]
-        assert [(res.repeat, res.buses, res.method) for res in results] == cells
-        for res, (repeat, buses, method) in zip(results, cells):
+        assert list(results) == [(r, 2000.0, b, m) for r, b, m in cells]
+        assert [(res.repeat, res.buses, res.method)
+                for res in results.values()] == cells
+        for res, (repeat, buses, method) in zip(results.values(), cells):
             dataset = expharness._build(cfg, 2000.0, repeat)
             features, split = expharness.features_and_split(cfg, dataset, buses, repeat)
             model, _ = expharness.fit_method(cfg, method, features, split, repeat)
@@ -360,6 +385,19 @@ class TestPool:
         cfg = tiny_config(svm=baselines.SvmConfig(epochs=5, step=10.0))
         with pytest.raises(PipelineError, match=r"stage 'train\[svm\]': svm step 10 "):
             compare_methods(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_names_its_cell(self, monkeypatch):
+        parent, fit_method = os.getpid(), expharness.fit_method
+
+        def killed(config, method, *args):
+            if method == "svm" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit_method(config, method, *args)
+
+        monkeypatch.setattr(expharness, "fit_method", killed)
+        with pytest.raises(PipelineError, match=r"stage 'train\[svm\]'"):
+            compare_methods(tiny_config())
         assert multiprocessing.active_children() == []
 
 
@@ -392,7 +430,7 @@ class TestArtifacts:
         assert load_report(path) == rows
 
     def test_model_dispatch_round_trip(self, tmp_path):
-        res = run_grid(tiny_config(), [2000.0], [(632, 671, 675)], ["cnn"])[0]
+        [res] = run_grid(tiny_config(), [(2000.0, (632, 671, 675), "cnn")]).values()
         expharness.save_model("cnn", res.model, tmp_path / "m.bin", RUN)
         method, loaded, run = expharness.load_model(tmp_path / "m.bin")
         assert (method, run) == ("cnn", RUN)
