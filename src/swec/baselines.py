@@ -5,22 +5,24 @@ The energy methods collapse each feature row into per-interval statistics
 tapered MLP consumes the flattened feature matrix directly. Both take the
 stacked (N, rows, W) features of a whole set at once. All trainers are
 seeded and deterministic, and in a comparison run every method sees exactly
-the same train/test index sets as the convolutional model. The tapered MLP
-and both autoencoder stages are one dense net code over (B, d) batches,
-trained by the convolutional model's minibatch engine (tinycnn.fit_sgdm)
-with the same softmax cross-entropy head (tinycnn.cross_entropy) or a
-squared-error head. The SVM's per-sample subgradient loop stays sequential,
-because its result depends on the sample order. It holds w as scale * v and
-every training row's v . x in margins, so a step outside the margin
-multiplies one scalar and a step inside it costs one (n, dim) product; scale
-is folded into v and margins once |scale| <= 1e-100, which includes the 0
-of a shrink factor of 0. Each method's model file is a swec.store tensor
-file under its own magic.
+the same train/test index sets as the convolutional model. Every trained
+model is one DenseNet: the SVM one linear layer, the tapered MLP a tanh
+stack, the autoencoder classifier its tanh encoder under the softmax head.
+The tapered MLP and both autoencoder stages are trained as dense nets over
+(B, d) batches by the convolutional model's minibatch engine
+(tinycnn.fit_sgdm) with the same softmax cross-entropy head
+(tinycnn.cross_entropy) or a squared-error head. The SVM's per-sample
+subgradient loop stays sequential, because its result depends on the sample
+order. It holds w as scale * v and every training row's v . x in margins, so
+a step outside the margin multiplies one scalar and a step inside it costs
+one (n, dim) product; scale is folded into v and margins once
+|scale| <= 1e-100, which includes the 0 of a shrink factor of 0. Every
+model file is a swec.store tensor file of the same layout under its
+method's magic.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,70 +62,20 @@ def flatten_features(xs) -> np.ndarray:
     return np.asarray(xs, dtype=float).reshape(len(xs), -1)
 
 
-# ── Linear one-vs-rest SVM ───────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class SvmConfig(TrainerConfig):
-    C: float = 1.0
-    epochs: int = 200
-    step: float = 1e-3  # decays as step / epoch
-    seed: int = 0
-
+# ── Dense nets (all three baselines) ────────────────────────────────────────
 
 @dataclass
-class LinearOvrSvm:
-    weights: np.ndarray  # (num_classes, dim)
-    biases: np.ndarray   # (num_classes,)
+class DenseNet:
+    """Affine layers, tanh between them, logits out; sizes are the layer
+    widths, input first."""
 
-    def decision_values(self, features: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(features) @ self.weights.T + self.biases
+    weights: list  # (out, in) per layer
+    biases: list   # (out,) per layer
 
+    @property
+    def sizes(self) -> tuple:
+        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
-def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> LinearOvrSvm:
-    """Seeded subgradient descent on the L2-regularized hinge loss, per class."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n, dim = features.shape
-    present = set(labels.tolist())
-    missing = [c for c in range(1, NUM_CLASSES + 1) if c not in present]
-    if missing:
-        raise ValueError(f"no training examples for classes {missing}")
-    lam = 1.0 / (config.C * n)
-    if config.step * lam > 2.0:  # the epoch-1 shrink factor 1 - step * lam < -1
-        raise ValueError(f"svm step {config.step:g} / (C {config.C:g} * {n} training "
-                         f"rows) is {config.step * lam:g}, above 2: training diverges")
-    weights = np.zeros((NUM_CLASSES, dim))
-    biases = np.zeros(NUM_CLASSES)
-    rng = np.random.default_rng(config.seed)
-    for c in range(NUM_CLASSES):
-        y = np.where(labels == c + 1, 1.0, -1.0).tolist()
-        v, margins = np.zeros(dim), np.zeros(n)  # w = scale * v; margins = X @ v
-        scale, b = 1.0, 0.0
-        for epoch in range(1, config.epochs + 1):
-            eta = config.step / epoch
-            shrink = 1.0 - eta * lam
-            for i in rng.permutation(n).tolist():
-                hinge = y[i] * (scale * margins.item(i) + b) < 1.0
-                scale *= shrink
-                if abs(scale) <= 1e-100:  # far above underflow
-                    v, margins, scale = scale * v, scale * margins, 1.0
-                if hinge:
-                    dv = (eta * y[i] / scale) * features[i]
-                    v += dv
-                    margins += features @ dv
-                    b += eta * y[i]
-        weights[c] = scale * v
-        biases[c] = b
-    return LinearOvrSvm(weights, biases)
-
-
-def svm_predict(model: LinearOvrSvm, features) -> np.ndarray:
-    """Argmax of per-class decision values; ties go to the lowest class code."""
-    return np.argmax(model.decision_values(np.asarray(features, dtype=float)),
-                     axis=1) + 1
-
-
-# ── Shared dense-network machinery (tapered MLP, autoencoder) ────────────────
 
 def _init_layers(sizes, rng, std):
     weights = [rng.normal(0.0, std, (sizes[i + 1], sizes[i]))
@@ -178,9 +130,68 @@ def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
         len(inputs), epochs, config, rng)
 
 
-def _dense_predict(weights, biases, features) -> np.ndarray:
-    return predict_in_blocks(lambda block: _dense_forward(weights, biases, block)[-1],
+def _dense_predict(model: DenseNet, features) -> np.ndarray:
+    return predict_in_blocks(lambda x: _dense_forward(model.weights, model.biases, x)[-1],
                              np.atleast_2d(np.asarray(features, dtype=float)))
+
+
+# ── Linear one-vs-rest SVM ───────────────────────────────────────────────────
+
+@dataclass(frozen=True)
+class SvmConfig(TrainerConfig):
+    C: float = 1.0
+    epochs: int = 200
+    step: float = 1e-3  # decays as step / epoch
+    seed: int = 0
+
+
+def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> DenseNet:
+    """Seeded subgradient descent on the L2-regularized hinge loss, per class;
+    the model is one linear layer, one row per class."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n, dim = features.shape
+    present = set(labels.tolist())
+    missing = [c for c in range(1, NUM_CLASSES + 1) if c not in present]
+    if missing:
+        raise ValueError(f"no training examples for classes {missing}")
+    lam = 1.0 / (config.C * n)
+    if config.step * lam > 2.0:  # the epoch-1 shrink factor 1 - step * lam < -1
+        raise ValueError(f"svm step {config.step:g} / (C {config.C:g} * {n} training "
+                         f"rows) is {config.step * lam:g}, above 2: training diverges")
+    weights = np.zeros((NUM_CLASSES, dim))
+    biases = np.zeros(NUM_CLASSES)
+    rng = np.random.default_rng(config.seed)
+    for c in range(NUM_CLASSES):
+        y = np.where(labels == c + 1, 1.0, -1.0).tolist()
+        v, margins = np.zeros(dim), np.zeros(n)  # w = scale * v; margins = X @ v
+        scale, b = 1.0, 0.0
+        for epoch in range(1, config.epochs + 1):
+            eta = config.step / epoch
+            shrink = 1.0 - eta * lam
+            for i in rng.permutation(n).tolist():
+                hinge = y[i] * (scale * margins.item(i) + b) < 1.0
+                scale *= shrink
+                if abs(scale) <= 1e-100:  # far above underflow
+                    v, margins, scale = scale * v, scale * margins, 1.0
+                if hinge:
+                    dv = (eta * y[i] / scale) * features[i]
+                    v += dv
+                    margins += features @ dv
+                    b += eta * y[i]
+        weights[c] = scale * v
+        biases[c] = b
+    return DenseNet([weights], [biases])
+
+
+def svm_predict(model: DenseNet, features) -> np.ndarray:
+    """Argmax of per-class decision values; ties go to the lowest class code.
+    One product over all rows, not PREDICT_BLOCK blocks: rounding depends on
+    the row count (600 rows differ from blocks of 8 by up to 2e-14), and a
+    near tie could flip."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    return np.argmax(_dense_forward(model.weights, model.biases, features)[-1],
+                     axis=1) + 1
 
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
@@ -196,13 +207,6 @@ class MlpConfig(TrainerConfig):
     seed: int = 0
 
 
-@dataclass
-class TaperedMlp:
-    sizes: tuple
-    weights: list
-    biases: list
-
-
 def _taper(input_dim: int, hidden: tuple) -> tuple:
     """Strictly decreasing layer widths from the input down to the 4 classes."""
     widths = [w for w in hidden if w < input_dim]
@@ -212,7 +216,7 @@ def _taper(input_dim: int, hidden: tuple) -> tuple:
     return sizes
 
 
-def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
+def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> DenseNet:
     """Same trainer contract as the convolutional model, on flat features."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -221,11 +225,11 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> TaperedMlp:
     weights, biases = _init_layers(sizes, rng, config.init_std)
     _fit_dense(weights, biases, features, labels, cross_entropy, config.epochs,
                config, rng)
-    return TaperedMlp(sizes, weights, biases)
+    return DenseNet(weights, biases)
 
 
-def tmlp_predict(model: TaperedMlp, features) -> np.ndarray:
-    return _dense_predict(model.weights, model.biases, features)
+def tmlp_predict(model: DenseNet, features) -> np.ndarray:
+    return _dense_predict(model, features)
 
 
 # ── Autoencoder classifier ───────────────────────────────────────────────────
@@ -242,21 +246,10 @@ class AeConfig(TrainerConfig):
     seed: int = 0
 
 
-@dataclass
-class AutoencoderClassifier:
-    enc_w: np.ndarray   # (code, dim), tanh encoder
-    enc_b: np.ndarray
-    dec_w: np.ndarray   # (dim, code), linear decoder
-    dec_b: np.ndarray
-    head_w: np.ndarray  # (num_classes, code), softmax head
-    head_b: np.ndarray
-    recon_trace: list = field(default_factory=list)
-
-
-def train_autoencoder_clf(features, labels,
-                          config: AeConfig = AeConfig()) -> AutoencoderClassifier:
-    """Stage 1 minimizes reconstruction MSE; stage 2 trains the softmax head
-    on the frozen code."""
+def train_autoencoder_clf(features, labels, config: AeConfig = AeConfig()) -> DenseNet:
+    """Stage 1 minimizes reconstruction MSE through a linear decoder; stage 2
+    trains the softmax head on the frozen code. The model is the encoder
+    under the head."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     dim = features.shape[1]
@@ -265,46 +258,30 @@ def train_autoencoder_clf(features, labels,
         (dim, config.code_width, dim), rng, config.init_std)
     (head_w,), (head_b,) = _init_layers(
         (config.code_width, NUM_CLASSES), rng, config.init_std)
-    recon_trace = _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features,
-                             _squared_error, config.recon_epochs, config, rng)
+    _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features, _squared_error,
+               config.recon_epochs, config, rng)
     codes = _dense_forward([enc_w, dec_w], [enc_b, dec_b], features)[1]
     _fit_dense([head_w], [head_b], codes, labels, cross_entropy,
                config.head_epochs, config, rng)
-    return AutoencoderClassifier(enc_w, enc_b, dec_w, dec_b, head_w, head_b,
-                                 recon_trace)
+    return DenseNet([enc_w, head_w], [enc_b, head_b])
 
 
-def ae_predict(model: AutoencoderClassifier, features) -> np.ndarray:
-    return _dense_predict([model.enc_w, model.head_w], [model.enc_b, model.head_b],
-                          features)
+def ae_predict(model: DenseNet, features) -> np.ndarray:
+    return _dense_predict(model, features)
 
 
 # ── Model files (the store's tensor files, one magic per method) ────────────
 
-_SVM_SHAPES = {"weights": ("classes", "dim"), "biases": ("classes",)}
-_AE_SHAPES = {"enc_w": ("code", "dim"), "enc_b": ("code",), "dec_w": ("dim", "code"),
-              "dec_b": ("dim",), "head_w": ("classes", "code"), "head_b": ("classes",)}
-
-
-def save_svm(model: LinearOvrSvm, path, run: dict | None = None) -> None:
-    write_tensor_file(path, SVM_MAGIC, {"weights": model.weights,
-                                        "biases": model.biases}, **(run or {}))
-
-
-def load_svm(path) -> LinearOvrSvm:
-    return LinearOvrSvm(**TensorFileReader(path, SVM_MAGIC).tensors(
-        _SVM_SHAPES, classes=NUM_CLASSES))
-
-
-def save_tmlp(model: TaperedMlp, path, run: dict | None = None) -> None:
+def save_dense(model: DenseNet, path, magic: bytes, run: dict | None = None) -> None:
+    """Layer i as tensors w{i} and b{i}, under run's fields and the sizes."""
     tensors = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         tensors[f"w{i}"], tensors[f"b{i}"] = w, b
-    write_tensor_file(path, TMLP_MAGIC, tensors, **(run or {}), sizes=list(model.sizes))
+    write_tensor_file(path, magic, tensors, **(run or {}), sizes=list(model.sizes))
 
 
-def load_tmlp(path) -> TaperedMlp:
-    f = TensorFileReader(path, TMLP_MAGIC)
+def load_dense(path, magic: bytes) -> DenseNet:
+    f = TensorFileReader(path, magic)
     sizes = f.field("sizes", list, int)
     if len(sizes) < 2:
         raise f.header_error("sizes", f"{len(sizes)} layer sizes, expected at least 2")
@@ -315,15 +292,4 @@ def load_tmlp(path) -> TaperedMlp:
         expected[f"w{i}"], expected[f"b{i}"] = (n_out, n_in), (n_out,)
     t = f.tensors(expected)
     layers = range(len(sizes) - 1)
-    return TaperedMlp(tuple(sizes), [t[f"w{i}"] for i in layers],
-                      [t[f"b{i}"] for i in layers])
-
-
-def save_autoencoder(model: AutoencoderClassifier, path, run: dict | None = None) -> None:
-    write_tensor_file(path, AE_MAGIC, {k: getattr(model, k) for k in _AE_SHAPES},
-                      **(run or {}))
-
-
-def load_autoencoder(path) -> AutoencoderClassifier:
-    return AutoencoderClassifier(**TensorFileReader(path, AE_MAGIC).tensors(
-        _AE_SHAPES, classes=NUM_CLASSES))
+    return DenseNet([t[f"w{i}"] for i in layers], [t[f"b{i}"] for i in layers])

@@ -8,14 +8,17 @@ write byte-identical artifacts.
 
 The four methods sit behind one table (METHOD_TABLE): per method, the magic
 opening its model files, the input features it derives from the stacked
-feature matrices, its trainer and its predictor. Comparisons, sweeps and the
-command line train and evaluate through fit_method and evaluate_method, in
-one grid (run_grid) of distinct (fs, buses, method) cells per repeat, which
-tables groups into the comparison and both sweeps. Each (repeat, fs) builds
-one dataset, featurizes it once over the union of that rate's buses and drops
-it before its cells go to the worker pool; each bus subset takes its rows of
-those features, and all its methods see the same train/test index sets; the
-split fingerprint recorded per run makes that checkable.
+feature matrices, its trainer and its predictor. Every baseline's model is a
+baselines.DenseNet, written and read by save_dense/load_dense under the
+method's magic; only the convolutional model has its own file functions.
+Comparisons, sweeps and the command line train and evaluate through
+fit_method and evaluate_method, in one grid (run_grid) of distinct (fs,
+buses, method) cells per repeat, which tables groups into the comparison and
+both sweeps. Each (repeat, fs) builds one dataset, featurizes it once over
+the union of that rate's buses and drops it before its cells go to the
+worker pool; each bus subset takes its rows of those features, and all its
+methods see the same train/test index sets; the split fingerprint recorded
+per run makes that checkable.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -243,9 +247,9 @@ def largest_remainder_counts(class_counts, fraction: float) -> list[int]:
     return out
 
 
-def split_stratified(dataset, train_fraction: float, seed: int) -> SplitIndex:
+def split_stratified(labels, train_fraction: float, seed: int) -> SplitIndex:
     """Per-class seeded shuffle; test sizes by largest-remainder apportionment."""
-    labels = dataset.labels if isinstance(dataset, Dataset) else np.asarray(dataset)
+    labels = np.asarray(labels)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train fraction {train_fraction} outside (0, 1)")
     class_codes = list(range(1, NUM_CLASSES + 1))
@@ -286,10 +290,9 @@ class Features(NamedTuple):
     labels: np.ndarray  # (N,) class codes
 
 
-def featurize_dataset(dataset: Dataset, buses, jitter: bool = True) -> Features:
+def featurize_dataset(dataset: Dataset, buses) -> Features:
     """Window and featurize every record, stacked in record order."""
-    values = [featurize(extract_window(rec, jitter=jitter), buses)
-              for rec in dataset.records]
+    values = [featurize(extract_window(rec), buses) for rec in dataset.records]
     return Features(np.stack(values), dataset.labels)
 
 
@@ -306,7 +309,7 @@ def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
         features = featurize_dataset(dataset, buses)
     with _stage("split"):
         split_seed = derive_seed(config.seed, repeat, _STAGE_SPLIT)
-        split = split_stratified(dataset, config.train_fraction, split_seed)
+        split = split_stratified(dataset.labels, config.train_fraction, split_seed)
     return features, split
 
 
@@ -414,9 +417,7 @@ class Row:
         return float(np.mean(self.accuracies))
 
     def mean_macro(self, attr: str) -> float | None:
-        vals = [getattr(r.report, attr) for r in self.runs]
-        defined = [v for v in vals if v is not None]
-        return float(np.mean(defined)) if defined else None
+        return metrics.mean_defined([getattr(r.report, attr) for r in self.runs])
 
 
 def _table_cells(config: ExperimentConfig, name: str) -> list:
@@ -466,19 +467,12 @@ def compare_methods(config: ExperimentConfig) -> list[Row]:
 
 # ── Artifact persistence ─────────────────────────────────────────────────────
 
-_MODEL_SAVERS = {
-    "cnn": tinycnn.save_model,
-    "svm": baselines.save_svm,
-    "tmlp": baselines.save_tmlp,
-    "autoencoder": baselines.save_autoencoder,
-}
-
-_MODEL_LOADERS = {
-    "cnn": tinycnn.load_model,
-    "svm": baselines.load_svm,
-    "tmlp": baselines.load_tmlp,
-    "autoencoder": baselines.load_autoencoder,
-}
+_MODEL_SAVERS = {"cnn": tinycnn.save_model,
+                 **{m: partial(baselines.save_dense, magic=METHOD_TABLE[m].magic)
+                    for m in METHODS if m != "cnn"}}
+_MODEL_LOADERS = {"cnn": tinycnn.load_model,
+                  **{m: partial(baselines.load_dense, magic=METHOD_TABLE[m].magic)
+                     for m in METHODS if m != "cnn"}}
 
 
 class ModelRun(NamedTuple):
@@ -523,7 +517,7 @@ def load_report(path) -> list[list[str]]:
     try:
         with open(path, newline="") as fh:
             return [row for row in csv.reader(fh)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: cannot read report: {exc}") from exc
 
 

@@ -89,7 +89,7 @@ def class_metrics(cm: np.ndarray, class_code: int) -> ClassMetrics:
                         _f1(precision, recall), _ratio(fp, fp + tn))
 
 
-def _macro(values) -> float | None:
+def mean_defined(values) -> float | None:
     """Mean of the defined values; None if none is defined."""
     defined = [v for v in values if v is not None]
     return float(np.mean(defined)) if defined else None
@@ -106,15 +106,15 @@ def aggregate(cm: np.ndarray) -> MetricsReport:
     per_class = {code: class_metrics(cm, code) for code in range(1, n + 1)}
     accuracy = float(np.trace(cm)) / total
 
-    macro_pre = _macro([m.precision for m in per_class.values()])
-    macro_rec = _macro([m.recall for m in per_class.values()])
+    macro_pre = mean_defined([m.precision for m in per_class.values()])
+    macro_rec = mean_defined([m.recall for m in per_class.values()])
     return MetricsReport(
         accuracy=accuracy,
         per_class=per_class,
         macro_precision=macro_pre,
         macro_recall=macro_rec,
         macro_f1=_f1(macro_pre, macro_rec),
-        macro_fpr=_macro([m.fpr for m in per_class.values()]),
+        macro_fpr=mean_defined([m.fpr for m in per_class.values()]),
     )
 
 

@@ -234,12 +234,13 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
     place: each epoch cuts one permutation from rng into batches of
     cfg.batch_size (the last may be short), and batch_loss_grads(indices)
     returns (mean loss, gradients parallel to params). Returns each epoch's
-    example-weighted mean batch loss."""
+    example-weighted mean batch loss; one that is not finite ends training
+    with a ValueError, since the parameters have diverged."""
     if n == 0:
         raise ValueError("empty training set")
     velocity = [np.zeros_like(p) for p in params]
     losses = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -248,6 +249,9 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
             sgdm_step(params, grads, velocity, cfg)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
+        if not math.isfinite(losses[-1]):
+            raise ValueError(f"epoch {epoch}: loss {losses[-1]} is not finite; training "
+                             f"diverged at learning_rate {cfg.learning_rate:g}")
     return losses
 
 

@@ -108,8 +108,8 @@ class TestSvm:
         X, y = separable_clouds(seed=4)
         a = train_svm_ovr(X, y, SvmConfig(seed=5))
         b = train_svm_ovr(X, y, SvmConfig(seed=5))
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.biases, b.biases)
+        np.testing.assert_array_equal(a.weights[0], b.weights[0])
+        np.testing.assert_array_equal(a.biases[0], b.biases[0])
 
     def test_missing_class_rejected(self):
         X, y = separable_clouds()
@@ -121,12 +121,16 @@ class TestSvm:
         model = train_svm_ovr(X, y, SvmConfig(seed=6))
         rng = np.random.default_rng(7)
         u, v = rng.random(X.shape[1]), rng.random(X.shape[1])
-        lhs = model.decision_values((u + v)[None, :]) + model.biases
-        rhs = model.decision_values(u[None, :]) + model.decision_values(v[None, :])
+
+        def decision_values(x):
+            return baselines._dense_forward(model.weights, model.biases, x)[-1]
+
+        lhs = decision_values((u + v)[None, :]) + model.biases[0]
+        rhs = decision_values(u[None, :]) + decision_values(v[None, :])
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_tie_breaks_to_lowest_class(self):
-        model = baselines.LinearOvrSvm(np.zeros((4, 3)), np.zeros(4))
+        model = baselines.DenseNet([np.zeros((4, 3))], [np.zeros(4)])
         assert svm_predict(model, np.ones((1, 3)))[0] == 1
 
 
@@ -158,7 +162,7 @@ def _sequential_svm(features, labels, config: SvmConfig = SvmConfig()):
                 else:
                     w *= 1.0 - eta * lam
         biases[c] = b
-    return baselines.LinearOvrSvm(weights, biases)
+    return baselines.DenseNet([weights], [biases])
 
 
 def _compare_tiny_energy_features():
@@ -196,10 +200,11 @@ class TestSvmAgainstSequential:
     def test_matches_sequential_loop(self, data, config):
         X, y = data()
         got, want = train_svm_ovr(X, y, config), _sequential_svm(X, y, config)
-        np.testing.assert_array_equal(got.biases, want.biases)
+        np.testing.assert_array_equal(got.biases[0], want.biases[0])
         np.testing.assert_array_equal(svm_predict(got, X), svm_predict(want, X))
-        scale = np.abs(want.weights).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got.weights - want.weights) <= 1e-12 * scale)
+        [got_w], [want_w] = got.weights, want.weights
+        scale = np.abs(want_w).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got_w - want_w) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("step", [1e4, 400.5])  # step / (C n) = 50, 2.0025
     def test_diverging_step_rejected(self, step):
@@ -213,8 +218,8 @@ class TestSvmAgainstSequential:
         script = ("import sys, numpy as np; from swec import baselines as b; "
                   "rng = np.random.default_rng(9); "
                   "x = rng.standard_normal((480, 96)); y = np.resize([1, 2, 3, 4], 480); "
-                  "b.save_svm(b.train_svm_ovr(x, y, b.SvmConfig(epochs=20, seed=9)), "
-                  "sys.argv[1])")
+                  "b.save_dense(b.train_svm_ovr(x, y, b.SvmConfig(epochs=20, seed=9)), "
+                  "sys.argv[1], b.SVM_MAGIC)")
         src = str(Path(baselines.__file__).resolve().parents[1])
         path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
         files = []
@@ -278,22 +283,34 @@ class TestTaperedMlp:
                                             cross_entropy)
 
 
+def _reconstruction_trace(X, config: AeConfig):
+    """Per-epoch losses of the autoencoder's stage 1: the features as their
+    own targets through the encoder and linear decoder."""
+    rng = np.random.default_rng(config.seed)
+    dim = X.shape[1]
+    weights, biases = baselines._init_layers((dim, config.code_width, dim), rng,
+                                             config.init_std)
+    return baselines._fit_dense(weights, biases, X, X, baselines._squared_error,
+                                config.recon_epochs, config, rng)
+
+
 class TestAutoencoder:
     def test_reconstruction_improves(self):
-        rng = np.random.default_rng(12)
-        X = rng.random((60, 24))
-        y = np.array(([1, 2, 3, 4] * 15))
-        model = train_autoencoder_clf(X, y, AeConfig(code_width=8, seed=12))
-        assert model.recon_trace[-1] < model.recon_trace[0]
+        X = np.random.default_rng(12).random((60, 24))
+        trace = _reconstruction_trace(X, AeConfig(code_width=8, seed=12))
+        assert trace[-1] < trace[0]
 
     def test_identity_capable_reconstruction(self):
-        rng = np.random.default_rng(13)
-        X = rng.random((80, 6))
-        y = np.array(([1, 2, 3, 4] * 20))
-        model = train_autoencoder_clf(
-            X, y, AeConfig(code_width=8, recon_epochs=200, seed=13)
-        )
-        assert model.recon_trace[-1] < model.recon_trace[0] / 10.0
+        X = np.random.default_rng(13).random((80, 6))
+        trace = _reconstruction_trace(X, AeConfig(code_width=8, recon_epochs=200,
+                                                  seed=13))
+        assert trace[-1] < trace[0] / 10.0
+
+    def test_model_is_encoder_under_head(self):
+        X, y = separable_clouds(seed=16)
+        model = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
+                                                     head_epochs=1, seed=16))
+        assert model.sizes == (X.shape[1], 6, NUM_CLASSES)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
@@ -302,8 +319,8 @@ class TestAutoencoder:
         cfg = AeConfig(recon_epochs=3, head_epochs=3, seed=15)
         a = train_autoencoder_clf(X, y, cfg)
         b = train_autoencoder_clf(X, y, cfg)
-        np.testing.assert_array_equal(a.enc_w, b.enc_w)
-        np.testing.assert_array_equal(a.head_w, b.head_w)
+        for wa, wb in zip(a.weights, b.weights):
+            np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ae_predict(a, X), ae_predict(b, X))
 
     def test_predicts_separable_classes(self):
@@ -365,23 +382,26 @@ class TestDenseBatchRelations:
             assert np.abs(g - p).max() <= 1e-11 * np.abs(g).max()
 
 
+def _assert_round_trip(model, path, magic):
+    """save_dense then load_dense under magic gives the same layers."""
+    baselines.save_dense(model, path, magic)
+    loaded = baselines.load_dense(path, magic)
+    assert loaded.sizes == model.sizes
+    for got, want in zip([*loaded.weights, *loaded.biases],
+                         [*model.weights, *model.biases]):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestModelFiles:
     def test_svm_round_trip(self, tmp_path):
         X, y = separable_clouds(seed=17)
         model = train_svm_ovr(X, y, SvmConfig(epochs=3, seed=17))
-        baselines.save_svm(model, tmp_path / "m.bin")
-        loaded = baselines.load_svm(tmp_path / "m.bin")
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.biases, model.biases)
+        _assert_round_trip(model, tmp_path / "m.bin", baselines.SVM_MAGIC)
 
     def test_tmlp_round_trip(self, tmp_path):
         X, y = separable_clouds(seed=18, dim=20)
         model = train_tmlp(X, y, MlpConfig(hidden=(8, 6), epochs=1, seed=18))
-        baselines.save_tmlp(model, tmp_path / "m.bin")
-        loaded = baselines.load_tmlp(tmp_path / "m.bin")
-        assert loaded.sizes == model.sizes
-        for wa, wb in zip(loaded.weights, model.weights):
-            np.testing.assert_array_equal(wa, wb)
+        _assert_round_trip(model, tmp_path / "m.bin", baselines.TMLP_MAGIC)
 
     def test_autoencoder_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -390,24 +410,21 @@ class TestModelFiles:
         model = train_autoencoder_clf(
             X, y, AeConfig(code_width=4, recon_epochs=2, head_epochs=2, seed=19)
         )
-        baselines.save_autoencoder(model, tmp_path / "m.bin")
-        loaded = baselines.load_autoencoder(tmp_path / "m.bin")
-        np.testing.assert_array_equal(loaded.enc_w, model.enc_w)
-        np.testing.assert_array_equal(loaded.dec_w, model.dec_w)
-        np.testing.assert_array_equal(loaded.head_w, model.head_w)
+        _assert_round_trip(model, tmp_path / "m.bin", baselines.AE_MAGIC)
 
     def test_distinct_magics(self, tmp_path):
         X, y = separable_clouds(seed=20)
         svm = train_svm_ovr(X, y, SvmConfig(epochs=1, seed=20))
-        baselines.save_svm(svm, tmp_path / "svm.bin")
-        assert (tmp_path / "svm.bin").read_bytes()[:4] == b"SWSV"
+        for magic in (b"SWSV", b"SWML", b"SWAE"):
+            baselines.save_dense(svm, tmp_path / "m.bin", magic)
+            assert (tmp_path / "m.bin").read_bytes()[:4] == magic
 
     def test_wrong_magic_cross_load(self, tmp_path):
         X, y = separable_clouds(seed=21)
         svm = train_svm_ovr(X, y, SvmConfig(epochs=1, seed=21))
-        baselines.save_svm(svm, tmp_path / "svm.bin")
+        baselines.save_dense(svm, tmp_path / "svm.bin", baselines.SVM_MAGIC)
         with pytest.raises(ValueError, match="magic"):
-            baselines.load_tmlp(tmp_path / "svm.bin")
+            baselines.load_dense(tmp_path / "svm.bin", baselines.TMLP_MAGIC)
 
 
 class TestBlockedPredict:

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swec
-from swec import cli, expharness, metrics, store, synthgrid
+from swec import baselines, cli, expharness, metrics, store, synthgrid, tinycnn
 from conftest import tiny_config, write_non_finite
 
 from swec.expharness import ExperimentConfig, config_to_json
@@ -364,6 +365,21 @@ class TestEvalAnyMethod:
         expected = expharness.load_report(run_dir / "reports" / f"{method}_r0.csv")
         assert list(csv.reader(io.StringIO(out))) == expected
 
+    def test_svm_file_without_sizes_rejected(self, capsys, tmp_path, compare_run):
+        """An SVM file of the layout before every baseline was a dense net
+        (tensors "weights" and "biases", no "sizes" in the header)."""
+        config_path, run_dir, data = compare_run
+        _, model, run = expharness.load_model(run_dir / "models" / "svm_r0.bin")
+        path = tmp_path / "old_svm.bin"
+        store.write_tensor_file(path, b"SWSV", {"weights": model.weights[0],
+                                                "biases": model.biases[0]},
+                                **run._replace(buses=list(run.buses))._asdict())
+        code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
+                                 "--model", str(path), "--data", str(data))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path}: offset 8: " in err and "(header key 'sizes')" in err
+
     def test_dataset_as_model_rejected(self, capsys, compare_run):
         config_path, _, data = compare_run
         code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
@@ -404,6 +420,30 @@ class TestSweepAndCompare:
         assert code == 0
         assert out.startswith("file,")
         assert "compare.csv" in out
+
+    def test_report_undecodable_csv_names_the_file(self, capsys, tmp_path):
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "bad.csv").write_bytes(b"\xff\xfemethod,acc\n")
+        code, out, err = run_cli(capsys, "report", "--in", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{tmp_path / 'reports' / 'bad.csv'}: cannot read report" in err
+
+    def test_diverging_trainer_fails_the_compare(self, capsys, tmp_path):
+        config = tiny_config(methods=("tmlp", "cnn"),
+                             cnn=tinycnn.TrainConfig(epochs=2, learning_rate=1e200),
+                             tmlp=baselines.MlpConfig(epochs=2, learning_rate=1e200))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_json(config)))
+        # no overflow warning may stand in for the check, in this process or
+        # in the forked workers
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "stage 'train[tmlp]': epoch " in err
+        assert "diverged at learning_rate 1e+200" in err
 
     def test_compare_bad_config_type_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

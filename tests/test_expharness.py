@@ -453,7 +453,7 @@ class TestArtifacts:
         path = tmp_path / "m.bin"
         run = RUN._replace(buses=list(RUN.buses))._asdict()
         del run["num_intervals"]
-        baselines.save_svm(_small_model("svm"), path, run=run)
+        baselines.save_dense(_small_model("svm"), path, b"SWSV", run=run)
         with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*'num_intervals'"):
             expharness.load_model(path)
 
@@ -473,9 +473,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("method", expharness.METHODS)
     def test_non_finite_tensor_rejected(self, method, value, tmp_path):
         model = _small_model(method)
-        last = {"cnn": lambda m: m.fc_b, "svm": lambda m: m.biases,
-                "tmlp": lambda m: m.biases[-1],
-                "autoencoder": lambda m: m.head_b}[method](model)
+        last = model.fc_b if method == "cnn" else model.biases[-1]
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path, RUN)
         offset = path.stat().st_size - store.DIGEST_BYTES - 8 * last.size
@@ -496,8 +494,8 @@ class TestArtifacts:
         model = {
             "cnn": tinycnn.CnnModel(arch, np.ones((2, 1, 3)), np.zeros(2),
                                     np.ones((3, arch.flat_size)), np.zeros(3)),
-            "svm": baselines.LinearOvrSvm(np.ones((3, 3)), np.zeros(3)),
-            "tmlp": baselines.TaperedMlp((6, 3), [np.ones((3, 6))], [np.zeros(3)]),
+            "svm": baselines.DenseNet([np.ones((3, 3))], [np.zeros(3)]),
+            "tmlp": baselines.DenseNet([np.ones((3, 6))], [np.zeros(3)]),
         }[method]
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path, RUN)
@@ -509,7 +507,7 @@ class TestArtifacts:
         path = tmp_path / "m.bin"
         store.write_tensor_file(path, b"SWML", {}, sizes=[4][:n_sizes])
         with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*at least 2"):
-            baselines.load_tmlp(path)
+            baselines.load_dense(path, b"SWML")
 
     def test_comparison_run_directory(self, tmp_path):
         cfg = tiny_config()
@@ -537,13 +535,11 @@ def _small_model(method):
     """A small model of each type, as its trainer would return it."""
     return {
         "cnn": tinycnn.init_model(tinycnn.CnnArch(1, 4, num_filters=2), 0),
-        "svm": baselines.LinearOvrSvm(np.ones((4, 3)), np.zeros(4)),
-        "tmlp": baselines.TaperedMlp((6, 5, 4),
-                                     [np.ones((5, 6)), np.ones((4, 5))],
-                                     [np.zeros(5), np.zeros(4)]),
-        "autoencoder": baselines.AutoencoderClassifier(
-            np.ones((2, 3)), np.zeros(2), np.ones((3, 2)), np.zeros(3),
-            np.ones((4, 2)), np.zeros(4)),
+        "svm": baselines.DenseNet([np.ones((4, 3))], [np.zeros(4)]),
+        "tmlp": baselines.DenseNet([np.ones((5, 6)), np.ones((4, 5))],
+                                   [np.zeros(5), np.zeros(4)]),
+        "autoencoder": baselines.DenseNet([np.ones((2, 3)), np.ones((4, 2))],
+                                          [np.zeros(2), np.zeros(4)]),
     }[method]
 
 

@@ -299,6 +299,14 @@ class TestFitSgdm:
             assert loss == pytest.approx(weighted, rel=1e-15)
         assert param[0] == pytest.approx(-0.9, abs=1e-15)  # one step per batch
 
+    def test_diverging_loss_names_epoch_and_learning_rate(self):
+        data = TestTrain._toy_set(None)
+        model = init_model(CnnArch(2, 24), seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^epoch 1: loss nan is not finite; training "
+                                  r"diverged at learning_rate 1e\+200$"):
+            train(model, data, TrainConfig(seed=0, epochs=3, learning_rate=1e200))
+
 
 class TestTrain:
     def _toy_set(self):
