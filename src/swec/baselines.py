@@ -3,11 +3,14 @@
 The energy methods collapse each feature row into per-interval statistics
 (mean, sum, Euclidean norm, infinity norm) before classification; the
 tapered MLP consumes the flattened feature matrix directly. Both take the
-stacked (N, rows, W) features of a whole set at once. All trainers are
-seeded and deterministic, and in a comparison run every method sees exactly
-the same train/test index sets as the convolutional model. Every trained
-model is one DenseNet: the SVM one linear layer, the tapered MLP a tanh
-stack, the autoencoder classifier its tanh encoder under the softmax head.
+stacked (N, rows, W) features of a whole set at once. Every trainer has the
+convolutional model's contract: train(features, labels, config, seed)
+returns (model, per-epoch losses), deterministic in the seed. In a
+comparison run every method sees exactly the same train/test index sets as
+the convolutional model. Every trained model is one DenseNet: the SVM one
+linear layer, the tapered MLP a tanh stack, the autoencoder classifier its
+tanh encoder under the softmax head, and all three predict through one
+kernel (_dense_predict), one product over all rows.
 The tapered MLP and both autoencoder stages are trained as dense nets over
 (B, d) batches by the convolutional model's minibatch engine
 (tinycnn.fit_sgdm) with the same softmax cross-entropy head
@@ -28,7 +31,7 @@ import numpy as np
 
 from .store import TensorFileReader, write_tensor_file
 from .synthgrid import NUM_CLASSES
-from .tinycnn import TrainerConfig, cross_entropy, fit_sgdm, predict_in_blocks
+from .tinycnn import TrainerConfig, cross_entropy, fit_sgdm
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -131,8 +134,13 @@ def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
 
 
 def _dense_predict(model: DenseNet, features) -> np.ndarray:
-    return predict_in_blocks(lambda x: _dense_forward(model.weights, model.biases, x)[-1],
-                             np.atleast_2d(np.asarray(features, dtype=float)))
+    """Argmax of the logits of every row; ties go to the lowest class code.
+    One product over all rows, not blocks as the convolutional model
+    predicts: rounding depends on the row count (600 rows differ from blocks
+    of 8 by up to 2e-14), and a near tie could flip."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    return np.argmax(_dense_forward(model.weights, model.biases, features)[-1],
+                     axis=1) + 1
 
 
 # ── Linear one-vs-rest SVM ───────────────────────────────────────────────────
@@ -142,12 +150,12 @@ class SvmConfig(TrainerConfig):
     C: float = 1.0
     epochs: int = 200
     step: float = 1e-3  # decays as step / epoch
-    seed: int = 0
 
 
-def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> DenseNet:
+def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig(), seed: int = 0):
     """Seeded subgradient descent on the L2-regularized hinge loss, per class;
-    the model is one linear layer, one row per class."""
+    the model is one linear layer, one row per class. Returns (model, []):
+    the per-sample loop has no per-epoch objective to report."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n, dim = features.shape
@@ -161,7 +169,7 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> DenseNet
                          f"rows) is {config.step * lam:g}, above 2: training diverges")
     weights = np.zeros((NUM_CLASSES, dim))
     biases = np.zeros(NUM_CLASSES)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     for c in range(NUM_CLASSES):
         y = np.where(labels == c + 1, 1.0, -1.0).tolist()
         v, margins = np.zeros(dim), np.zeros(n)  # w = scale * v; margins = X @ v
@@ -181,17 +189,11 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig()) -> DenseNet
                     b += eta * y[i]
         weights[c] = scale * v
         biases[c] = b
-    return DenseNet([weights], [biases])
+    return DenseNet([weights], [biases]), []
 
 
 def svm_predict(model: DenseNet, features) -> np.ndarray:
-    """Argmax of per-class decision values; ties go to the lowest class code.
-    One product over all rows, not PREDICT_BLOCK blocks: rounding depends on
-    the row count (600 rows differ from blocks of 8 by up to 2e-14), and a
-    near tie could flip."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    return np.argmax(_dense_forward(model.weights, model.biases, features)[-1],
-                     axis=1) + 1
+    return _dense_predict(model, features)
 
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
@@ -204,7 +206,6 @@ class MlpConfig(TrainerConfig):
     learning_rate: float = 0.01
     momentum: float = 0.9
     init_std: float = 0.1
-    seed: int = 0
 
 
 def _taper(input_dim: int, hidden: tuple) -> tuple:
@@ -216,16 +217,17 @@ def _taper(input_dim: int, hidden: tuple) -> tuple:
     return sizes
 
 
-def train_tmlp(features, labels, config: MlpConfig = MlpConfig()) -> DenseNet:
-    """Same trainer contract as the convolutional model, on flat features."""
+def train_tmlp(features, labels, config: MlpConfig = MlpConfig(), seed: int = 0):
+    """Same trainer as the convolutional model's, on flat features; returns
+    (model, per-epoch losses)."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     sizes = _taper(features.shape[1], config.hidden)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     weights, biases = _init_layers(sizes, rng, config.init_std)
-    _fit_dense(weights, biases, features, labels, cross_entropy, config.epochs,
-               config, rng)
-    return DenseNet(weights, biases)
+    losses = _fit_dense(weights, biases, features, labels, cross_entropy,
+                        config.epochs, config, rng)
+    return DenseNet(weights, biases), losses
 
 
 def tmlp_predict(model: DenseNet, features) -> np.ndarray:
@@ -243,27 +245,28 @@ class AeConfig(TrainerConfig):
     learning_rate: float = 0.01
     momentum: float = 0.9
     init_std: float = 0.1
-    seed: int = 0
 
 
-def train_autoencoder_clf(features, labels, config: AeConfig = AeConfig()) -> DenseNet:
+def train_autoencoder_clf(features, labels, config: AeConfig = AeConfig(),
+                          seed: int = 0):
     """Stage 1 minimizes reconstruction MSE through a linear decoder; stage 2
     trains the softmax head on the frozen code. The model is the encoder
-    under the head."""
+    under the head. Returns (model, losses): the recon_epochs reconstruction
+    losses followed by the head_epochs cross-entropy losses, in one list."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     dim = features.shape[1]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     (enc_w, dec_w), (enc_b, dec_b) = _init_layers(
         (dim, config.code_width, dim), rng, config.init_std)
     (head_w,), (head_b,) = _init_layers(
         (config.code_width, NUM_CLASSES), rng, config.init_std)
-    _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features, _squared_error,
-               config.recon_epochs, config, rng)
+    losses = _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features,
+                        _squared_error, config.recon_epochs, config, rng)
     codes = _dense_forward([enc_w, dec_w], [enc_b, dec_b], features)[1]
-    _fit_dense([head_w], [head_b], codes, labels, cross_entropy,
-               config.head_epochs, config, rng)
-    return DenseNet([enc_w, head_w], [enc_b, head_b])
+    losses += _fit_dense([head_w], [head_b], codes, labels, cross_entropy,
+                         config.head_epochs, config, rng)
+    return DenseNet([enc_w, head_w], [enc_b, head_b]), losses
 
 
 def ae_predict(model: DenseNet, features) -> np.ndarray:

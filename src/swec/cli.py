@@ -63,7 +63,7 @@ def _cmd_train(args) -> int:
     model, losses = expharness.fit_method(config, "cnn", features, split)
     expharness.save_model("cnn", model, args.model, expharness.ModelRun(
         buses, dataset.fs, split.fingerprint(), synthgrid.config_sha256(dataset.config),
-        config.num_intervals))
+        config.num_intervals, 0))
     _emit([["model", "train_records", "epochs", "first_loss", "last_loss"],
            [str(args.model), str(len(split.train)), str(config.cnn.epochs),
             repr(float(losses[0])), repr(float(losses[-1]))]])
@@ -79,7 +79,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.data}: config_sha256 {digest[:12]} (fs {dataset.fs:g}) "
                          f"is not {run.config_sha256[:12]} (fs {run.fs:g}) of the "
                          f"dataset {args.model} was trained on")
-    features, split = expharness.features_and_split(config, dataset, run.buses)
+    features, split = expharness.features_and_split(config, dataset, run.buses,
+                                                    run.repeat)
     if split.fingerprint() != run.split_fingerprint:
         raise ValueError(f"{args.model}: trained on split {run.split_fingerprint}, not "
                          f"{split.fingerprint()}; pass the training --seed/--config")

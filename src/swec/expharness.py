@@ -8,9 +8,11 @@ write byte-identical artifacts.
 
 The four methods sit behind one table (METHOD_TABLE): per method, the magic
 opening its model files, the input features it derives from the stacked
-feature matrices, its trainer and its predictor. Every baseline's model is a
-baselines.DenseNet, written and read by save_dense/load_dense under the
-method's magic; only the convolutional model has its own file functions.
+feature matrices, its trainer and its predictor. Every trainer takes its
+seed as an argument and returns the model with its per-epoch losses. Every
+baseline's model is a baselines.DenseNet, written and read by
+save_dense/load_dense under the method's magic; only the convolutional
+model has its own file functions.
 Comparisons, sweeps and the command line train and evaluate through
 fit_method and evaluate_method, in one grid (run_grid) of distinct (fs,
 buses, method) cells per repeat, which tables groups into the comparison and
@@ -29,7 +31,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -58,7 +60,7 @@ class Method(NamedTuple):
 
     magic: bytes       # opens its model files, and so names the method
     inputs: Callable   # (num_intervals, (N, H, W) features) -> model input
-    fit: Callable      # (inputs, labels, trainer config) -> (model, epoch losses)
+    fit: Callable      # (inputs, labels, trainer config, seed) -> (model, losses)
     predict: Callable  # (model, inputs) -> class codes
 
 
@@ -66,27 +68,27 @@ def _energy(num_intervals, xs):
     return baselines.energy_feature_set(xs, num_intervals)
 
 
-def _fit_cnn(xs, labels, cfg):
+def _fit_cnn(xs, labels, cfg, seed):
     arch = tinycnn.CnnArch(*xs.shape[1:])
-    model = tinycnn.init_model(arch, cfg.seed, cfg.init_std)
-    return tinycnn.train(model, list(zip(xs, labels)), cfg)
+    model = tinycnn.init_model(arch, seed, cfg.init_std)
+    return tinycnn.train(model, list(zip(xs, labels)), cfg, seed)
 
 
 # The entries look the trainers and predictors up on their modules at call
-# time. The baseline trainers keep no per-epoch loss trace. The order fixes
-# each method's training seed and the default comparison order.
+# time. The order fixes each method's training seed and the default
+# comparison order.
 METHOD_TABLE = {
     "autoencoder": Method(
         baselines.AE_MAGIC, _energy,
-        lambda x, y, cfg: (baselines.train_autoencoder_clf(x, y, cfg), []),
+        lambda x, y, cfg, seed: baselines.train_autoencoder_clf(x, y, cfg, seed),
         lambda model, x: baselines.ae_predict(model, x)),
     "svm": Method(
         baselines.SVM_MAGIC, _energy,
-        lambda x, y, cfg: (baselines.train_svm_ovr(x, y, cfg), []),
+        lambda x, y, cfg, seed: baselines.train_svm_ovr(x, y, cfg, seed),
         lambda model, x: baselines.svm_predict(model, x)),
     "tmlp": Method(
         baselines.TMLP_MAGIC, lambda num_intervals, xs: baselines.flatten_features(xs),
-        lambda x, y, cfg: (baselines.train_tmlp(x, y, cfg), []),
+        lambda x, y, cfg, seed: baselines.train_tmlp(x, y, cfg, seed),
         lambda model, x: baselines.tmlp_predict(model, x)),
     "cnn": Method(
         tinycnn.MODEL_MAGIC, lambda num_intervals, xs: xs,
@@ -171,10 +173,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"methods {self.methods} repeat a method")
-        for m in METHODS:
-            if (seed := getattr(self, m).seed) != 0:
-                raise ConfigError(f"{m}.seed {seed}: trainer seeds derive from the "
-                                  f"top-level seed; set seed instead")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         for fs in (self.placement_fs, *self.fs_list):  # checks the dataset fields
@@ -326,7 +324,7 @@ def fit_method(config: ExperimentConfig, method: str, features, split: SplitInde
     m = METHOD_TABLE[method]
     with _stage(f"train[{method}]"):
         return m.fit(m.inputs(config.num_intervals, xs), labels,
-                     replace(getattr(config, method), seed=seed))
+                     getattr(config, method), seed)
 
 
 def evaluate_method(num_intervals: int, method: str, model, features,
@@ -484,6 +482,7 @@ class ModelRun(NamedTuple):
     split_fingerprint: str
     config_sha256: str
     num_intervals: int
+    repeat: int  # fixes the split and the training seed
 
 
 def save_model(method: str, model, path, run: ModelRun) -> None:
@@ -500,7 +499,7 @@ def load_model(path):
     method = next(name for name, m in METHOD_TABLE.items() if m.magic == f.magic)
     run = ModelRun(tuple(f.field("buses", list, int)), f.field("fs", float),
                    f.field("split_fingerprint", str), f.field("config_sha256", str),
-                   f.field("num_intervals", int))
+                   f.field("num_intervals", int), f.field("repeat", int))
     return method, _MODEL_LOADERS[method](path), run
 
 
@@ -552,11 +551,11 @@ def sweep_rows(rows: list[Row], key_name: str) -> list[list[str]]:
 
 
 def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
-    """Full comparison run with persisted manifest, reports, models, matrices."""
+    """Full comparison run with persisted manifest, reports and models; each
+    run's report ends with its confusion counts."""
     out = Path(out_dir)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     (out / "models").mkdir(exist_ok=True)
-    (out / "confusion").mkdir(exist_ok=True)
     comparisons = compare_methods(config)
     save_report(comparison_rows(comparisons), out / "reports" / "compare.csv")
     manifest = {
@@ -576,9 +575,7 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
             tag = f"{comp.key}_r{run.repeat}"
             save_model(comp.key, run.model, out / "models" / f"{tag}.bin",
                        ModelRun(run.buses, run.fs, run.fingerprint, run.config_sha256,
-                                config.num_intervals))
+                                config.num_intervals, run.repeat))
             save_report(metrics.report_rows(comp.key, run.report, run.cm),
                         out / "reports" / f"{tag}.csv")
-            save_report([[str(int(v)) for v in row] for row in run.cm],
-                        out / "confusion" / f"{tag}.csv")
     return out

@@ -807,9 +807,4 @@ def load_dataset(path) -> Dataset:
             raise ConfigError(f"config: missing keys {missing}")
     except ConfigError as exc:
         raise f.header_error("config", str(exc)) from None
-    dataset = Dataset(cfg, f.tensors({"samples": _samples_shape(cfg)})["samples"])
-    try:
-        dataset.records  # derived now, so that a bad grid value names the file
-    except ValueError as exc:
-        raise f.header_error("config", str(exc)) from None
-    return dataset
+    return Dataset(cfg, f.tensors({"samples": _samples_shape(cfg)})["samples"])

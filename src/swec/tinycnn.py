@@ -17,7 +17,9 @@ Training and prediction run one batch at a time: the batch's im2col
 patches sit in one matrix, so the convolution and its weight gradient are one
 GEMM each (Chellapilla, Puri & Simard, 2006). Every function takes stacked
 (N, H, W) inputs and (N,) class codes, except train, which stacks its
-(input, class code) pairs once. The minibatch engine
+(input, class code) pairs once. train follows the trainer contract of all
+four methods: the seed is an argument after the config, and it returns the
+model with its per-epoch losses. The minibatch engine
 (fit_sgdm) and the batched softmax cross-entropy head (cross_entropy) also
 train the dense baselines. A model file is a swec.store tensor file.
 """
@@ -34,7 +36,7 @@ from .store import HEADER_OFFSET, TensorFileReader, write_tensor_file
 from .synthgrid import NUM_CLASSES, ConfigError
 
 MODEL_MAGIC = b"SWEC"
-PREDICT_BLOCK = 8  # inputs per forward pass in predict_in_blocks
+PREDICT_BLOCK = 8  # inputs per forward pass in predict_batch
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,6 @@ class TrainConfig(TrainerConfig):
     learning_rate: float = 1e-4
     momentum: float = 0.9
     init_std: float = 0.01
-    seed: int = 0
 
 
 def init_model(arch: CnnArch, seed: int, init_std: float = 0.01) -> CnnModel:
@@ -255,34 +256,28 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
     return losses
 
 
-def train(model: CnnModel, train_set, cfg: TrainConfig):
-    """Epoch loop with seeded reshuffling over (feature matrix, class code)
-    pairs, stacked once; returns (model, per-epoch losses)."""
+def train(model: CnnModel, train_set, cfg: TrainConfig, seed: int = 0):
+    """Epoch loop with reshuffling seeded by seed over (feature matrix, class
+    code) pairs, stacked once; returns (model, per-epoch losses)."""
     xs = np.array([x for x, _ in train_set], dtype=float)
     labels = np.array([int(label) for _, label in train_set])
     losses = fit_sgdm(
         list(model.params().values()),
         lambda idx: batch_loss_and_grads(model, xs[idx], labels[idx]),
-        len(xs), cfg.epochs, cfg, np.random.default_rng(cfg.seed))
+        len(xs), cfg.epochs, cfg, np.random.default_rng(seed))
     return model, losses
 
 
-def predict_in_blocks(logits, xs) -> np.ndarray:
-    """Most probable class code of each input of the array xs, ties to the
-    lowest code, from logits(block) over PREDICT_BLOCK inputs at a time.
-    Blocks the size of a training batch reuse the GEMM shapes training
-    already ran; a whole-set product can take OpenBLAS's slower threaded
-    path (and the CNN's im2col matrix is about 40x its inputs)."""
-    return np.concatenate([
-        np.argmax(logits(xs[start:start + PREDICT_BLOCK]), axis=1) + 1
-        for start in range(0, max(len(xs), 1), PREDICT_BLOCK)])
-
-
 def predict_batch(model: CnnModel, xs) -> np.ndarray:
-    """Most probable class code of each (H, W) input of xs; ties resolve to
-    the lowest code."""
-    return predict_in_blocks(lambda block: _forward_batch(model, block)[0],
-                             np.asarray(xs, dtype=float))
+    """Most probable class code of each (H, W) input of xs, ties to the
+    lowest code, over PREDICT_BLOCK inputs at a time. Blocks the size of a
+    training batch reuse the GEMM shapes training already ran; a whole-set
+    product can take OpenBLAS's slower threaded path, and the im2col matrix
+    is about 40x its inputs."""
+    xs = np.asarray(xs, dtype=float)
+    return np.concatenate([
+        np.argmax(_forward_batch(model, xs[start:start + PREDICT_BLOCK])[0], axis=1) + 1
+        for start in range(0, max(len(xs), 1), PREDICT_BLOCK)])
 
 
 # ── Finite-difference verification ───────────────────────────────────────────

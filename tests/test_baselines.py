@@ -11,7 +11,7 @@ from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
                             energy_feature_set, svm_predict, tmlp_predict,
                             train_autoencoder_clf, train_svm_ovr, train_tmlp)
 from swec.synthgrid import MONITORED_BUSES, NUM_CLASSES
-from swec.tinycnn import PREDICT_BLOCK, central_difference_errors, cross_entropy
+from swec.tinycnn import central_difference_errors, cross_entropy
 from conftest import tiny_config
 
 
@@ -93,21 +93,21 @@ class TestEnergyFeatures:
 class TestSvm:
     def test_separable_clouds_perfect_training_accuracy(self):
         X, y = separable_clouds()
-        model = train_svm_ovr(X, y, SvmConfig(seed=1))
+        model, _ = train_svm_ovr(X, y, SvmConfig(), 1)
         assert np.all(svm_predict(model, X) == y)
 
     def test_scale_consistency(self):
         X, y = separable_clouds(seed=2)
-        base = train_svm_ovr(X, y, SvmConfig(seed=3))
-        scaled = train_svm_ovr(10.0 * X, y,
-                               SvmConfig(step=SvmConfig().step / 100.0, seed=3))
+        base, _ = train_svm_ovr(X, y, SvmConfig(), 3)
+        scaled, _ = train_svm_ovr(10.0 * X, y,
+                                  SvmConfig(step=SvmConfig().step / 100.0), 3)
         np.testing.assert_array_equal(svm_predict(base, X),
                                       svm_predict(scaled, 10.0 * X))
 
     def test_deterministic(self):
         X, y = separable_clouds(seed=4)
-        a = train_svm_ovr(X, y, SvmConfig(seed=5))
-        b = train_svm_ovr(X, y, SvmConfig(seed=5))
+        a, _ = train_svm_ovr(X, y, SvmConfig(), 5)
+        b, _ = train_svm_ovr(X, y, SvmConfig(), 5)
         np.testing.assert_array_equal(a.weights[0], b.weights[0])
         np.testing.assert_array_equal(a.biases[0], b.biases[0])
 
@@ -118,7 +118,7 @@ class TestSvm:
 
     def test_decision_values_affine(self):
         X, y = separable_clouds(seed=6)
-        model = train_svm_ovr(X, y, SvmConfig(seed=6))
+        model, _ = train_svm_ovr(X, y, SvmConfig(), 6)
         rng = np.random.default_rng(7)
         u, v = rng.random(X.shape[1]), rng.random(X.shape[1])
 
@@ -134,7 +134,7 @@ class TestSvm:
         assert svm_predict(model, np.ones((1, 3)))[0] == 1
 
 
-def _sequential_svm(features, labels, config: SvmConfig = SvmConfig()):
+def _sequential_svm(features, labels, config: SvmConfig, seed: int):
     """Reference trainer: the step-by-step loop that shrinks and updates the
     weight vector itself at every sample."""
     features = np.asarray(features, dtype=float)
@@ -147,7 +147,7 @@ def _sequential_svm(features, labels, config: SvmConfig = SvmConfig()):
     lam = 1.0 / (config.C * n)
     weights = np.zeros((NUM_CLASSES, dim))
     biases = np.zeros(NUM_CLASSES)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     for c in range(NUM_CLASSES):
         y = np.where(labels == c + 1, 1.0, -1.0)
         w = weights[c]
@@ -183,23 +183,24 @@ class TestSvmAgainstSequential:
     """train_svm_ovr against the per-step loop: the same hinge-active steps
     (equal biases and predictions) and weights equal to rounding."""
 
-    @pytest.mark.parametrize("data, config", [
-        (_compare_tiny_energy_features, SvmConfig(seed=3)),
-        (_compare_tiny_energy_features, SvmConfig(epochs=5, seed=4)),
-        (_random_set, SvmConfig(epochs=40, seed=5)),
+    @pytest.mark.parametrize("data, config, seed", [
+        (_compare_tiny_energy_features, SvmConfig(), 3),
+        (_compare_tiny_energy_features, SvmConfig(epochs=5), 4),
+        (_random_set, SvmConfig(epochs=40), 5),
         # step / (C n) = 1.5: a shrink factor of -0.5 in epoch 1, 0.25 in 2
-        (_random_set, SvmConfig(C=1.0, step=300.0, epochs=6, seed=6)),
+        (_random_set, SvmConfig(C=1.0, step=300.0, epochs=6), 6),
         # step / (C n) = 1: a shrink factor of exactly 0 in epoch 1
-        (_random_set, SvmConfig(C=1.0, step=200.0, epochs=3, seed=7)),
+        (_random_set, SvmConfig(C=1.0, step=200.0, epochs=3), 7),
         # step / (C n) = 0.99: a shrink factor of 0.01 in epoch 1, whose
         # product passes the fold point every 50 steps and underflows to 0
         # within the epoch
-        (_random_set, SvmConfig(C=1.0, step=198.0, epochs=3, seed=8)),
+        (_random_set, SvmConfig(C=1.0, step=198.0, epochs=3), 8),
     ], ids=["compare_tiny", "compare_tiny_5_epochs", "random", "shrink_negative",
             "shrink_zero", "scale_folded"])
-    def test_matches_sequential_loop(self, data, config):
+    def test_matches_sequential_loop(self, data, config, seed):
         X, y = data()
-        got, want = train_svm_ovr(X, y, config), _sequential_svm(X, y, config)
+        got, _ = train_svm_ovr(X, y, config, seed)
+        want = _sequential_svm(X, y, config, seed)
         np.testing.assert_array_equal(got.biases[0], want.biases[0])
         np.testing.assert_array_equal(svm_predict(got, X), svm_predict(want, X))
         [got_w], [want_w] = got.weights, want.weights
@@ -218,7 +219,7 @@ class TestSvmAgainstSequential:
         script = ("import sys, numpy as np; from swec import baselines as b; "
                   "rng = np.random.default_rng(9); "
                   "x = rng.standard_normal((480, 96)); y = np.resize([1, 2, 3, 4], 480); "
-                  "b.save_dense(b.train_svm_ovr(x, y, b.SvmConfig(epochs=20, seed=9)), "
+                  "b.save_dense(b.train_svm_ovr(x, y, b.SvmConfig(epochs=20), 9)[0], "
                   "sys.argv[1], b.SVM_MAGIC)")
         src = str(Path(baselines.__file__).resolve().parents[1])
         path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
@@ -235,7 +236,7 @@ class TestTaperedMlp:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         X, y = separable_clouds(n_per_class=3, seed=8)
-        model = train_tmlp(X, y, MlpConfig(hidden=(6, 5), epochs=1, seed=8))
+        model, _ = train_tmlp(X, y, MlpConfig(hidden=(6, 5), epochs=1), 8)
         xs, labels = rng.random((1, X.shape[1])), np.array([2])
 
         def loss_and_grads():
@@ -249,19 +250,19 @@ class TestTaperedMlp:
 
     def test_separable_clouds_perfect_training_accuracy(self):
         X, y = separable_clouds(seed=9)
-        model = train_tmlp(X, y, MlpConfig(seed=9))
+        model, _ = train_tmlp(X, y, MlpConfig(), 9)
         assert np.all(tmlp_predict(model, X) == y)
 
     def test_deterministic(self):
         X, y = separable_clouds(seed=10)
-        a = train_tmlp(X, y, MlpConfig(epochs=3, seed=11))
-        b = train_tmlp(X, y, MlpConfig(epochs=3, seed=11))
+        a, _ = train_tmlp(X, y, MlpConfig(epochs=3), 11)
+        b, _ = train_tmlp(X, y, MlpConfig(epochs=3), 11)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_widths_taper_to_input(self):
         X, y = separable_clouds(dim=10)
-        model = train_tmlp(X, y, MlpConfig(epochs=1, seed=0))
+        model, _ = train_tmlp(X, y, MlpConfig(epochs=1), 0)
         assert model.sizes == (10, 4)  # default 64/16 hidden exceed the input
 
     def test_non_decreasing_widths_rejected(self):
@@ -273,20 +274,20 @@ class TestTaperedMlp:
         X, y = separable_clouds()
         y[0] = 0
         with pytest.raises(ValueError, match="class codes"):
-            train_tmlp(X, y, MlpConfig(epochs=1, seed=1))
+            train_tmlp(X, y, MlpConfig(epochs=1), 1)
 
     def test_empty_batch_rejected(self):
         X, y = separable_clouds()
-        model = train_tmlp(X, y, MlpConfig(epochs=1, seed=1))
+        model, _ = train_tmlp(X, y, MlpConfig(epochs=1), 1)
         with pytest.raises(ValueError, match="empty batch"):
             baselines._dense_loss_and_grads(model.weights, model.biases, X[:0], y[:0],
                                             cross_entropy)
 
 
-def _reconstruction_trace(X, config: AeConfig):
+def _reconstruction_trace(X, config: AeConfig, seed: int):
     """Per-epoch losses of the autoencoder's stage 1: the features as their
     own targets through the encoder and linear decoder."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     dim = X.shape[1]
     weights, biases = baselines._init_layers((dim, config.code_width, dim), rng,
                                              config.init_std)
@@ -297,35 +298,34 @@ def _reconstruction_trace(X, config: AeConfig):
 class TestAutoencoder:
     def test_reconstruction_improves(self):
         X = np.random.default_rng(12).random((60, 24))
-        trace = _reconstruction_trace(X, AeConfig(code_width=8, seed=12))
+        trace = _reconstruction_trace(X, AeConfig(code_width=8), 12)
         assert trace[-1] < trace[0]
 
     def test_identity_capable_reconstruction(self):
         X = np.random.default_rng(13).random((80, 6))
-        trace = _reconstruction_trace(X, AeConfig(code_width=8, recon_epochs=200,
-                                                  seed=13))
+        trace = _reconstruction_trace(X, AeConfig(code_width=8, recon_epochs=200), 13)
         assert trace[-1] < trace[0] / 10.0
 
     def test_model_is_encoder_under_head(self):
         X, y = separable_clouds(seed=16)
-        model = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
-                                                     head_epochs=1, seed=16))
+        model, _ = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
+                                                        head_epochs=1), 16)
         assert model.sizes == (X.shape[1], 6, NUM_CLASSES)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         X = rng.random((40, 12))
         y = np.array(([1, 2, 3, 4] * 10))
-        cfg = AeConfig(recon_epochs=3, head_epochs=3, seed=15)
-        a = train_autoencoder_clf(X, y, cfg)
-        b = train_autoencoder_clf(X, y, cfg)
+        cfg = AeConfig(recon_epochs=3, head_epochs=3)
+        a, _ = train_autoencoder_clf(X, y, cfg, 15)
+        b, _ = train_autoencoder_clf(X, y, cfg, 15)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ae_predict(a, X), ae_predict(b, X))
 
     def test_predicts_separable_classes(self):
         X, y = separable_clouds(seed=16)
-        model = train_autoencoder_clf(X, y, AeConfig(code_width=6, seed=16))
+        model, _ = train_autoencoder_clf(X, y, AeConfig(code_width=6), 16)
         assert (ae_predict(model, X) == y).mean() > 0.9
 
     def test_empty_set_rejected(self):
@@ -395,57 +395,55 @@ def _assert_round_trip(model, path, magic):
 class TestModelFiles:
     def test_svm_round_trip(self, tmp_path):
         X, y = separable_clouds(seed=17)
-        model = train_svm_ovr(X, y, SvmConfig(epochs=3, seed=17))
+        model, _ = train_svm_ovr(X, y, SvmConfig(epochs=3), 17)
         _assert_round_trip(model, tmp_path / "m.bin", baselines.SVM_MAGIC)
 
     def test_tmlp_round_trip(self, tmp_path):
         X, y = separable_clouds(seed=18, dim=20)
-        model = train_tmlp(X, y, MlpConfig(hidden=(8, 6), epochs=1, seed=18))
+        model, _ = train_tmlp(X, y, MlpConfig(hidden=(8, 6), epochs=1), 18)
         _assert_round_trip(model, tmp_path / "m.bin", baselines.TMLP_MAGIC)
 
     def test_autoencoder_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         X = rng.random((24, 8))
         y = np.array(([1, 2, 3, 4] * 6))
-        model = train_autoencoder_clf(
-            X, y, AeConfig(code_width=4, recon_epochs=2, head_epochs=2, seed=19)
+        model, _ = train_autoencoder_clf(
+            X, y, AeConfig(code_width=4, recon_epochs=2, head_epochs=2), 19
         )
         _assert_round_trip(model, tmp_path / "m.bin", baselines.AE_MAGIC)
 
     def test_distinct_magics(self, tmp_path):
         X, y = separable_clouds(seed=20)
-        svm = train_svm_ovr(X, y, SvmConfig(epochs=1, seed=20))
+        svm, _ = train_svm_ovr(X, y, SvmConfig(epochs=1), 20)
         for magic in (b"SWSV", b"SWML", b"SWAE"):
             baselines.save_dense(svm, tmp_path / "m.bin", magic)
             assert (tmp_path / "m.bin").read_bytes()[:4] == magic
 
     def test_wrong_magic_cross_load(self, tmp_path):
         X, y = separable_clouds(seed=21)
-        svm = train_svm_ovr(X, y, SvmConfig(epochs=1, seed=21))
+        svm, _ = train_svm_ovr(X, y, SvmConfig(epochs=1), 21)
         baselines.save_dense(svm, tmp_path / "svm.bin", baselines.SVM_MAGIC)
         with pytest.raises(ValueError, match="magic"):
             baselines.load_dense(tmp_path / "svm.bin", baselines.TMLP_MAGIC)
 
 
 class TestBlockedPredict:
-    """Dense-net predictions over several PREDICT_BLOCK blocks against one
-    record at a time."""
+    """Dense-net predictions of a set in one product against one record at
+    a time."""
 
     def test_tmlp_blocks_match_single_records(self):
         X, y = separable_clouds(n_per_class=6, seed=25)
-        xs = X[:2 * PREDICT_BLOCK + 5]
-        model = train_tmlp(X, y, MlpConfig(hidden=(6,), epochs=1, init_std=1.0,
-                                           seed=25))
+        xs = X[:21]
+        model, _ = train_tmlp(X, y, MlpConfig(hidden=(6,), epochs=1, init_std=1.0), 25)
         codes = tmlp_predict(model, xs)
         assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
         assert codes.tolist() == [tmlp_predict(model, x)[0] for x in xs]
 
     def test_autoencoder_blocks_match_single_records(self):
         X, y = separable_clouds(n_per_class=6, seed=26)
-        xs = X[:2 * PREDICT_BLOCK + 5]
-        model = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
-                                                     head_epochs=1, init_std=1.0,
-                                                     seed=26))
+        xs = X[:21]
+        model, _ = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
+                                                        head_epochs=1, init_std=1.0), 26)
         codes = ae_predict(model, xs)
         assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
         assert codes.tolist() == [ae_predict(model, x)[0] for x in xs]

@@ -277,7 +277,7 @@ class TestProvenance:
     def test_eval_scores_the_recorded_buses(self, buses, rows, capsys, trained):
         config_path, data_dir, model_path = trained("--buses", buses)
         method, model, run = expharness.load_model(model_path)
-        assert (method, run.buses) == ("cnn", rows)
+        assert (method, run.buses, run.repeat) == ("cnn", rows, 0)
         code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
                                  "--model", str(model_path), "--data", str(data_dir))
         assert (code, err) == (0, "")
@@ -329,30 +329,33 @@ class TestProvenance:
 
 
 class TestEvalAnyMethod:
-    """eval reads the method and num_intervals from the model file, so it
-    scores every model file that compare --out writes."""
+    """eval reads the method, num_intervals and repeat from the model file,
+    so it scores every model file that compare --out writes."""
 
     @pytest.fixture(scope="class")
     def compare_run(self, tmp_path_factory):
-        """(config path, run dir, dataset path) of a tiny four-method compare
-        run and its repeat-0 dataset, rebuilt by generate."""
+        """(config path, run dir, dataset paths) of a tiny four-method compare
+        run over two repeats and the dataset of each repeat, rebuilt by
+        generate."""
         root = tmp_path_factory.mktemp("compare")
         config = tiny_config(methods=expharness.METHODS)
         config_path = root / "config.json"
         config_path.write_text(json.dumps(config_to_json(config)))
-        assert cli.main(["compare", "--config", str(config_path),
+        assert cli.main(["compare", "--config", str(config_path), "--repeats", "2",
                          "--out", str(root / "run")]) == 0
-        fs = config.placement_fs
-        ds_seed = expharness.derive_seed(config.seed, 0, expharness._STAGE_DATASET, fs)
-        assert cli.main(["generate", "--config", str(config_path), "--seed",
-                         str(ds_seed), "--fs", repr(fs), "--out", str(root / "ds")]) == 0
-        return config_path, root / "run", root / "ds"
+        fs, datasets = config.placement_fs, [root / "ds_r0", root / "ds_r1"]
+        for repeat, path in enumerate(datasets):
+            ds_seed = expharness.derive_seed(config.seed, repeat,
+                                             expharness._STAGE_DATASET, fs)
+            assert cli.main(["generate", "--config", str(config_path), "--seed",
+                             str(ds_seed), "--fs", repr(fs), "--out", str(path)]) == 0
+        return config_path, root / "run", datasets
 
     @pytest.mark.parametrize("method, num_intervals", [
         *((m, None) for m in expharness.METHODS), ("svm", 4), ("autoencoder", 4)])
     def test_eval_prints_the_compare_report(self, method, num_intervals, capsys,
                                             tmp_path, compare_run):
-        config_path, run_dir, data = compare_run
+        config_path, run_dir, (data, _) = compare_run
         if num_intervals is not None:
             doc = json.loads(config_path.read_text())
             assert doc["num_intervals"] != num_intervals
@@ -365,10 +368,21 @@ class TestEvalAnyMethod:
         expected = expharness.load_report(run_dir / "reports" / f"{method}_r0.csv")
         assert list(csv.reader(io.StringIO(out))) == expected
 
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_eval_scores_a_later_repeat(self, method, capsys, compare_run):
+        config_path, run_dir, (_, data) = compare_run
+        model_path = run_dir / "models" / f"{method}_r1.bin"
+        code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
+                                 "--model", str(model_path), "--data", str(data))
+        assert (code, err) == (0, "")
+        expected = expharness.load_report(run_dir / "reports" / f"{method}_r1.csv")
+        assert list(csv.reader(io.StringIO(out))) == expected
+        assert expharness.load_model(model_path)[2].repeat == 1
+
     def test_svm_file_without_sizes_rejected(self, capsys, tmp_path, compare_run):
         """An SVM file of the layout before every baseline was a dense net
         (tensors "weights" and "biases", no "sizes" in the header)."""
-        config_path, run_dir, data = compare_run
+        config_path, run_dir, (data, _) = compare_run
         _, model, run = expharness.load_model(run_dir / "models" / "svm_r0.bin")
         path = tmp_path / "old_svm.bin"
         store.write_tensor_file(path, b"SWSV", {"weights": model.weights[0],
@@ -381,7 +395,7 @@ class TestEvalAnyMethod:
         assert f"{path}: offset 8: " in err and "(header key 'sizes')" in err
 
     def test_dataset_as_model_rejected(self, capsys, compare_run):
-        config_path, _, data = compare_run
+        config_path, _, (data, _) = compare_run
         code, out, err = run_cli(capsys, "eval", "--config", str(config_path),
                                  "--model", str(data), "--data", str(data))
         assert (code, out) == (1, "")

@@ -22,7 +22,7 @@ from swec.synthgrid import ConfigError
 from conftest import tiny_config, tiny_grids, write_non_finite
 
 DEFAULT_LABELS = np.repeat([1, 2, 3, 4], [64, 144, 320, 72])
-RUN = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32, 8)
+RUN = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32, 8, 1)
 
 
 class TestSplit:
@@ -126,8 +126,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("method", expharness.METHODS)
     def test_trainer_seed_rejected(self, method):
-        with pytest.raises(ConfigError, match=re.escape(f"{method}.seed 777: ")
-                           + "trainer seeds derive from the top-level seed"):
+        # trainer seeds derive from the top-level seed; no trainer config has one
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{method}: unknown keys ['seed']")):
             config_from_json({method: {"seed": 777}})
 
     @pytest.mark.parametrize("method, key, value", [
@@ -231,6 +232,65 @@ class TestPipeline:
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.cm, b.cm)
         assert a.fingerprint == b.fingerprint
+
+
+
+def _tensors(model) -> list:
+    if isinstance(model, tinycnn.CnnModel):
+        return list(model.params().values())
+    return [*model.weights, *model.biases]
+
+
+class TestTrainerContract:
+    """Every method's fit(inputs, labels, config, seed) returns (model,
+    per-epoch losses), deterministic in the seed."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        cfg = tiny_config()
+        dataset = expharness._build(cfg, 4000.0, 0)
+        features, split = expharness.features_and_split(cfg, dataset,
+                                                        synthgrid.MONITORED_BUSES)
+        return cfg, features, split
+
+    @staticmethod
+    def _fit(cell, method, seed):
+        cfg, features, split = cell
+        m = expharness.METHOD_TABLE[method]
+        xs = m.inputs(cfg.num_intervals, features.values[split.train])
+        return m.fit(xs, features.labels[split.train], getattr(cfg, method), seed)
+
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_fit_returns_model_and_one_loss_per_epoch(self, method, cell):
+        cfg, ae = cell[0], cell[0].autoencoder
+        model, losses = self._fit(cell, method, 0)
+        epochs = {"cnn": cfg.cnn.epochs, "tmlp": cfg.tmlp.epochs, "svm": 0,
+                  "autoencoder": ae.recon_epochs + ae.head_epochs}[method]
+        assert len(losses) == epochs and all(np.isfinite(losses))
+        assert isinstance(model, tinycnn.CnnModel if method == "cnn"
+                          else baselines.DenseNet)
+
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_seed_decides_the_model(self, method, cell):
+        a, a_losses = self._fit(cell, method, 5)
+        b, b_losses = self._fit(cell, method, 5)
+        other, _ = self._fit(cell, method, 6)
+        assert a_losses == b_losses
+        for x, y, z in zip(_tensors(a), _tensors(b), _tensors(other), strict=True):
+            np.testing.assert_array_equal(x, y)
+        assert any(not np.array_equal(x, z)
+                   for x, z in zip(_tensors(a), _tensors(other)))
+
+    @pytest.mark.parametrize("method", expharness.METHODS)
+    def test_fit_method_passes_the_derived_seed(self, method, cell):
+        cfg, features, split = cell
+        model, losses = expharness.fit_method(cfg, method, features, split, repeat=1)
+        seed = derive_seed(cfg.seed, 1, expharness._STAGE_TRAIN,
+                           expharness.METHODS.index(method))
+        want, want_losses = self._fit(cell, method, seed)
+        assert losses == want_losses
+        for x, y in zip(_tensors(model), _tensors(want), strict=True):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestSweeps:
@@ -449,12 +509,13 @@ class TestArtifacts:
             with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: "):
                 expharness.load_model(path)
 
-    def test_model_without_num_intervals_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["num_intervals", "repeat"])
+    def test_model_without_run_field_rejected(self, key, tmp_path):
         path = tmp_path / "m.bin"
         run = RUN._replace(buses=list(RUN.buses))._asdict()
-        del run["num_intervals"]
+        del run[key]
         baselines.save_dense(_small_model("svm"), path, b"SWSV", run=run)
-        with pytest.raises(ValueError, match=r"m\.bin: offset 8: .*'num_intervals'"):
+        with pytest.raises(ValueError, match=rf"m\.bin: offset 8: .*'{key}'"):
             expharness.load_model(path)
 
     @pytest.mark.parametrize("method", expharness.METHODS)
@@ -516,7 +577,6 @@ class TestArtifacts:
         assert (out / "reports" / "compare.csv").is_file()
         for method in cfg.methods:
             assert (out / "models" / f"{method}_r0.bin").is_file()
-            assert (out / "confusion" / f"{method}_r0.csv").is_file()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["results"]) == set(cfg.methods)
 
@@ -525,7 +585,7 @@ class TestArtifacts:
         a = write_comparison_run(cfg, tmp_path / "a")
         b = write_comparison_run(cfg, tmp_path / "b")
         for rel in ("manifest.json", "reports/compare.csv",
-                    "reports/cnn_r0.csv", "confusion/svm_r0.csv",
+                    "reports/cnn_r0.csv", "reports/svm_r0.csv",
                     "models/cnn_r0.bin"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 

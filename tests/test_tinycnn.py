@@ -305,7 +305,7 @@ class TestFitSgdm:
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"^epoch 1: loss nan is not finite; training "
                                   r"diverged at learning_rate 1e\+200$"):
-            train(model, data, TrainConfig(seed=0, epochs=3, learning_rate=1e200))
+            train(model, data, TrainConfig(epochs=3, learning_rate=1e200), 0)
 
 
 class TestTrain:
@@ -321,7 +321,7 @@ class TestTrain:
         data = self._toy_set()
         arch = CnnArch(2, 24)
         model = init_model(arch, seed=0)
-        model, losses = train(model, data, TrainConfig(seed=0))
+        model, losses = train(model, data, TrainConfig(), 0)
         preds = predict_batch(model, [x for x, _ in data])
         assert preds.tolist() == [label for _, label in data]
         assert losses[-1] < losses[0]
@@ -332,7 +332,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = init_model(arch, seed=3)
-            model, _ = train(model, data, TrainConfig(seed=3, epochs=5))
+            model, _ = train(model, data, TrainConfig(epochs=5), 3)
             runs.append(model)
         np.testing.assert_array_equal(runs[0].conv_w, runs[1].conv_w)
         np.testing.assert_array_equal(runs[0].fc_w, runs[1].fc_w)
@@ -340,7 +340,7 @@ class TestTrain:
     def test_loss_trace_length(self):
         data = self._toy_set()
         model = init_model(CnnArch(2, 24), seed=1)
-        _, losses = train(model, data, TrainConfig(seed=1, epochs=7))
+        _, losses = train(model, data, TrainConfig(epochs=7), 1)
         assert len(losses) == 7
 
     def test_empty_training_set(self):
