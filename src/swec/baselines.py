@@ -3,25 +3,23 @@
 The energy methods collapse each feature row into per-interval statistics
 (mean, sum, Euclidean norm, infinity norm) before classification; the
 tapered MLP consumes the flattened feature matrix directly. Both take the
-stacked (N, rows, W) features of a whole set at once. Every trainer has the
-convolutional model's contract: train(features, labels, config, seed)
-returns (model, per-epoch losses), deterministic in the seed. In a
-comparison run every method sees exactly the same train/test index sets as
-the convolutional model. Every trained model is one DenseNet: the SVM one
-linear layer, the tapered MLP a tanh stack, the autoencoder classifier its
-tanh encoder under the softmax head, and all three predict through one
-kernel (_dense_predict), one product over all rows.
-The tapered MLP and both autoencoder stages are trained as dense nets over
-(B, d) batches by the convolutional model's minibatch engine
-(tinycnn.fit_sgdm) with the same softmax cross-entropy head
-(tinycnn.cross_entropy) or a squared-error head. The SVM's per-sample
-subgradient loop stays sequential, because its result depends on the sample
-order. It holds w as scale * v and every training row's v . x in margins, so
-a step outside the margin multiplies one scalar and a step inside it costs
-one (n, dim) product; scale is folded into v and margins once
-|scale| <= 1e-100, which includes the 0 of a shrink factor of 0. Every
-model file is a swec.store tensor file of the same layout under its
-method's magic.
+stacked (N, rows, W) features of a whole set at once. Every method keeps the
+convolutional model's contracts: train(features, labels, config, seed) ->
+(model, per-epoch losses), deterministic in the seed, and predict(model,
+(N, d) stack) -> (N,) class codes. In a comparison run every method sees the
+convolutional model's train/test index sets. Every trained model is one
+DenseNet, predicted by _dense_predict: the SVM one linear layer, the tapered
+MLP a tanh stack, the autoencoder classifier its tanh encoder under the
+softmax head. The tapered MLP and both autoencoder stages are trained as
+dense nets over (B, d) batches by tinycnn's minibatch engine (fit_sgdm) with
+its softmax cross-entropy head (cross_entropy) or a squared-error head. The
+SVM's per-sample subgradient loop stays sequential, because its result
+depends on the sample order. It holds w as scale * v and every training
+row's v . x in margins, so a step outside the margin multiplies one scalar
+and a step inside it costs one (n, dim) product; scale is folded into v and
+margins once |scale| <= 1e-100, which includes the 0 of a shrink factor
+of 0. Every model file is a swec.store tensor file of the same layout under
+its method's magic.
 """
 from __future__ import annotations
 
@@ -31,7 +29,7 @@ import numpy as np
 
 from .store import TensorFileReader, write_tensor_file
 from .synthgrid import NUM_CLASSES
-from .tinycnn import TrainerConfig, cross_entropy, fit_sgdm
+from .tinycnn import TrainerConfig, cross_entropy, fit_sgdm, predict_in_blocks
 
 SVM_MAGIC = b"SWSV"
 TMLP_MAGIC = b"SWML"
@@ -134,13 +132,9 @@ def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
 
 
 def _dense_predict(model: DenseNet, features) -> np.ndarray:
-    """Argmax of the logits of every row; ties go to the lowest class code.
-    One product over all rows, not blocks as the convolutional model
-    predicts: rounding depends on the row count (600 rows differ from blocks
-    of 8 by up to 2e-14), and a near tie could flip."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    return np.argmax(_dense_forward(model.weights, model.biases, features)[-1],
-                     axis=1) + 1
+    """The baselines' predictor: tinycnn.predict_in_blocks over the logits."""
+    return predict_in_blocks(
+        lambda block: _dense_forward(model.weights, model.biases, block)[-1], features)
 
 
 # ── Linear one-vs-rest SVM ───────────────────────────────────────────────────

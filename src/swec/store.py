@@ -123,18 +123,14 @@ class TensorFileReader:
     def tensors(self, expected: dict, **axes) -> dict[str, np.ndarray]:
         """The tensors, named as in expected and in its order, each of shape
         expected[name] with only finite values, as views of the file's
-        buffer. An axis of an expected shape is a size or a name; a name
-        takes its size from axes if given there, or else from the first axis
-        so named."""
+        buffer. An axis of an expected shape is a size or a name of axes."""
         if list(self.shapes) != list(expected):
             raise self.header_error("tensors", f"{list(self.shapes)}, expected "
                                     f"{list(expected)}")
-        sizes, out, start = dict(axes), {}, self.body
+        out, start = {}, self.body
         for name, want in expected.items():
             shape = self.shapes[name]
-            if len(shape) != len(want) or shape != tuple(
-                    sizes.setdefault(a, n) if isinstance(a, str) else a
-                    for a, n in zip(want, shape)):
+            if shape != tuple(axes[a] if isinstance(a, str) else a for a in want):
                 bad = [f"{n} {a}, expected {axes[a]}" for a, n in zip(want, shape)
                        if a in axes and n != axes[a]]
                 raise ValueError(f"{self.path}: offset {start}: " + (

@@ -390,6 +390,11 @@ class DatasetConfig:
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ConfigError(f"snr_db {self.snr_db}: must be finite or +inf "
                               f"(noiseless)")
+        try:
+            10.0 ** (-self.snr_db / 20.0)  # _noise's scale
+        except OverflowError:
+            raise ConfigError(f"snr_db {self.snr_db}: noise scale 10 ** (-snr_db / 20) "
+                              f"overflows") from None
         if self.seed < 0:
             raise ConfigError(f"seed: {self.seed} is negative")
         _validate_timing(self.fs, self.duration, self.event_time)
@@ -714,7 +719,13 @@ def derive_seed(*parts) -> int:
 def build_dataset(config: DatasetConfig) -> Dataset:
     """Expand the configured grids into the full labeled record set, each
     record synthesized straight into its slot of one stacked array."""
-    dataset = Dataset(config, np.empty(_samples_shape(config)))
+    shape = _samples_shape(config)
+    try:
+        samples = np.empty(shape)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"fs: {config.fs:g} Hz needs a samples array of shape "
+                          f"{shape}, which cannot be allocated") from None
+    dataset = Dataset(config, samples)
     for rec in dataset.records:
         # `event` stays alive until the next record's synthesis returns. Freed
         # at once, its block lets malloc give the heap top back to the OS and

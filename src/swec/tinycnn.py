@@ -14,14 +14,13 @@ backs off by one column when the valid convolution would leave a single
 column, which would make the 1x2 pool empty.
 
 Training and prediction run one batch at a time: the batch's im2col
-patches sit in one matrix, so the convolution and its weight gradient are one
-GEMM each (Chellapilla, Puri & Simard, 2006). Every function takes stacked
-(N, H, W) inputs and (N,) class codes, except train, which stacks its
-(input, class code) pairs once. train follows the trainer contract of all
-four methods: the seed is an argument after the config, and it returns the
-model with its per-epoch losses. The minibatch engine
-(fit_sgdm) and the batched softmax cross-entropy head (cross_entropy) also
-train the dense baselines. A model file is a swec.store tensor file.
+patches sit in one matrix, so the convolution and its weight gradient are
+one GEMM each (Chellapilla, Puri & Simard, 2006). Functions take stacked
+(N, H, W) inputs and (N,) class codes; train stacks its pairs once. train
+and predict_batch keep the contracts of all four methods (swec.baselines),
+and the predictors' block loop (predict_in_blocks), the minibatch engine
+(fit_sgdm) and the softmax cross-entropy head (cross_entropy) also serve
+the dense baselines. A model file is a swec.store tensor file.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .store import HEADER_OFFSET, TensorFileReader, write_tensor_file
 from .synthgrid import NUM_CLASSES, ConfigError
 
 MODEL_MAGIC = b"SWEC"
-PREDICT_BLOCK = 8  # inputs per forward pass in predict_batch
+PREDICT_BLOCK = 8  # rows per forward pass of every predictor (predict_in_blocks)
 
 
 @dataclass(frozen=True)
@@ -268,16 +267,22 @@ def train(model: CnnModel, train_set, cfg: TrainConfig, seed: int = 0):
     return model, losses
 
 
-def predict_batch(model: CnnModel, xs) -> np.ndarray:
-    """Most probable class code of each (H, W) input of xs, ties to the
-    lowest code, over PREDICT_BLOCK inputs at a time. Blocks the size of a
-    training batch reuse the GEMM shapes training already ran; a whole-set
-    product can take OpenBLAS's slower threaded path, and the im2col matrix
-    is about 40x its inputs."""
+def predict_in_blocks(logits, xs) -> np.ndarray:
+    """(N,) class codes of an (N, ...) stack: argmax + 1 of logits(block), ties
+    to the lowest code, PREDICT_BLOCK rows at a time. A whole-set product runs
+    OpenBLAS threads that spin on the grid workers' cores after it, and the
+    CNN's im2col matrix of a whole set is ~24x its 20 kHz inputs."""
     xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
+        raise ValueError("empty batch")
     return np.concatenate([
-        np.argmax(_forward_batch(model, xs[start:start + PREDICT_BLOCK])[0], axis=1) + 1
-        for start in range(0, max(len(xs), 1), PREDICT_BLOCK)])
+        np.argmax(logits(xs[start:start + PREDICT_BLOCK]), axis=1) + 1
+        for start in range(0, len(xs), PREDICT_BLOCK)])
+
+
+def predict_batch(model: CnnModel, xs) -> np.ndarray:
+    """The CNN's predictor: predict_in_blocks over its logits."""
+    return predict_in_blocks(lambda block: _forward_batch(model, block)[0], xs)
 
 
 # ── Finite-difference verification ───────────────────────────────────────────

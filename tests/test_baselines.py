@@ -425,25 +425,3 @@ class TestModelFiles:
         baselines.save_dense(svm, tmp_path / "svm.bin", baselines.SVM_MAGIC)
         with pytest.raises(ValueError, match="magic"):
             baselines.load_dense(tmp_path / "svm.bin", baselines.TMLP_MAGIC)
-
-
-class TestBlockedPredict:
-    """Dense-net predictions of a set in one product against one record at
-    a time."""
-
-    def test_tmlp_blocks_match_single_records(self):
-        X, y = separable_clouds(n_per_class=6, seed=25)
-        xs = X[:21]
-        model, _ = train_tmlp(X, y, MlpConfig(hidden=(6,), epochs=1, init_std=1.0), 25)
-        codes = tmlp_predict(model, xs)
-        assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
-        assert codes.tolist() == [tmlp_predict(model, x)[0] for x in xs]
-
-    def test_autoencoder_blocks_match_single_records(self):
-        X, y = separable_clouds(n_per_class=6, seed=26)
-        xs = X[:21]
-        model, _ = train_autoencoder_clf(X, y, AeConfig(code_width=6, recon_epochs=1,
-                                                        head_epochs=1, init_std=1.0), 26)
-        codes = ae_predict(model, xs)
-        assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
-        assert codes.tolist() == [ae_predict(model, x)[0] for x in xs]

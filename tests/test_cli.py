@@ -512,10 +512,14 @@ class TestSweepAndCompare:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{path}: " in err and says in err
 
+    # 1e12 Hz asks for 5.76 PiB and 1e300 Hz for more axis entries than numpy
+    # allows; neither size can be allocated anywhere.
     @pytest.mark.parametrize("flags, field", [
         (["--fs", "inf"], "fs: "), (["--fs", "nan"], "fs: "),
         (["--seed", "-1"], "seed: "),
-    ], ids=["fs_inf", "fs_nan", "seed_negative"])
+        (["--fs", "1e12"], "fs: 1e+12 Hz needs a samples array of shape "),
+        (["--fs", "1e300"], "fs: 1e+300 Hz needs a samples array of shape "),
+    ], ids=["fs_inf", "fs_nan", "seed_negative", "fs_unallocatable", "fs_overflow"])
     def test_bad_rate_or_seed_names_the_field(self, flags, field, capsys,
                                               tmp_path):
         out_path = tmp_path / "ds.bin"
@@ -524,6 +528,21 @@ class TestSweepAndCompare:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert field in err
         assert not out_path.exists()
+
+    def test_overflowing_snr_rejected_before_any_build(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"snr_db": -10000.0}))
+        out_path = tmp_path / "ds.bin"
+        code, out, err = run_cli(capsys, "generate", "--config", str(path),
+                                 "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "snr_db -10000.0: noise scale 10 ** (-snr_db / 20) overflows" in err
+        assert not out_path.exists()
+        assert ExperimentConfig(snr_db=-500.0).snr_db == -500.0
+        assert ExperimentConfig(snr_db=-6165.0).snr_db == -6165.0  # scale 1.1e308
+        with pytest.raises(ConfigError, match="snr_db -6166.0: "):
+            ExperimentConfig(snr_db=-6166.0)
 
     def test_non_finite_dataset_not_written(self, capsys, tmp_path):
         config = config_to_json(tiny_config())

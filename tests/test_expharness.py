@@ -293,6 +293,31 @@ class TestTrainerContract:
             np.testing.assert_array_equal(x, y)
 
 
+class TestPredictorContract:
+    """Every method's predict(model, (N, ...) stack) returns (N,) class codes,
+    PREDICT_BLOCK rows per forward pass."""
+
+    @pytest.fixture(scope="class", params=expharness.METHODS)
+    def fitted(self, request):
+        cfg, m = tiny_config(), expharness.METHOD_TABLE[request.param]
+        rows = 2 * tinycnn.PREDICT_BLOCK + 5  # two blocks and a tail
+        features = np.random.default_rng(21).normal(size=(rows, 3, 33))
+        xs = m.inputs(cfg.num_intervals, features)
+        model, _ = m.fit(xs, np.arange(rows) % 4 + 1, getattr(cfg, request.param), 0)
+        return m, model, xs
+
+    def test_stack_matches_one_row_at_a_time(self, fitted):
+        m, model, xs = fitted
+        codes = m.predict(model, xs)
+        assert codes.shape == (len(xs),) and len(set(codes.tolist())) > 1
+        assert codes.tolist() == [m.predict(model, x[None])[0] for x in xs]
+
+    def test_empty_stack_rejected(self, fitted):
+        m, model, xs = fitted
+        with pytest.raises(ValueError, match="^empty batch$"):
+            m.predict(model, xs[:0])
+
+
 class TestSweeps:
     def test_sampling_rate_rows_ascend(self):
         rows = sweep_sampling_rate(tiny_config())

@@ -373,15 +373,6 @@ class TestPredict:
         model.fc_b += 123.0
         np.testing.assert_array_equal(predict_batch(model, xs), before)
 
-    def test_batch_over_several_blocks_matches_single_predictions(self):
-        arch = CnnArch(3, 24)
-        model = init_model(arch, seed=5, init_std=1.0)
-        xs = np.random.default_rng(5).normal(size=(2 * tinycnn.PREDICT_BLOCK + 5, 3, 24))
-        codes = predict_batch(model, xs)
-        assert codes.shape == (len(xs),)
-        assert len(set(codes.tolist())) > 1
-        assert codes.tolist() == [predict_batch(model, x[None])[0] for x in xs]
-
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
