@@ -62,8 +62,8 @@ def _cmd_train(args) -> int:
     features, split = expharness.features_and_split(config, dataset, buses)
     model, losses = expharness.fit_method(config, "cnn", features, split)
     expharness.save_model("cnn", model, args.model, expharness.ModelRun(
-        buses, dataset.fs, split.fingerprint(), synthgrid.config_sha256(dataset.config),
-        config.num_intervals, 0))
+        buses, dataset.config.fs, split.fingerprint(),
+        synthgrid.config_sha256(dataset.config), 0))
     _emit([["model", "train_records", "epochs", "first_loss", "last_loss"],
            [str(args.model), str(len(split.train)), str(config.cnn.epochs),
             repr(float(losses[0])), repr(float(losses[-1]))]])
@@ -76,16 +76,15 @@ def _cmd_eval(args) -> int:
     method, model, run = expharness.load_model(args.model)
     digest = synthgrid.config_sha256(dataset.config)
     if digest != run.config_sha256:
-        raise ValueError(f"{args.data}: config_sha256 {digest[:12]} (fs {dataset.fs:g}) "
-                         f"is not {run.config_sha256[:12]} (fs {run.fs:g}) of the "
-                         f"dataset {args.model} was trained on")
+        raise ValueError(f"{args.data}: config_sha256 {digest[:12]} "
+                         f"(fs {dataset.config.fs:g}) is not {run.config_sha256[:12]} "
+                         f"(fs {run.fs:g}) of the dataset {args.model} was trained on")
     features, split = expharness.features_and_split(config, dataset, run.buses,
                                                     run.repeat)
     if split.fingerprint() != run.split_fingerprint:
         raise ValueError(f"{args.model}: trained on split {run.split_fingerprint}, not "
                          f"{split.fingerprint()}; pass the training --seed/--config")
-    report, cm = expharness.evaluate_method(run.num_intervals, method, model,
-                                            features, split)
+    report, cm = expharness.evaluate_method(method, model, features, split)
     _emit(metrics.report_rows(method, report, cm))
     return 0
 

@@ -59,13 +59,9 @@ class Method(NamedTuple):
     the ExperimentConfig field named after the method."""
 
     magic: bytes       # opens its model files, and so names the method
-    inputs: Callable   # (num_intervals, (N, H, W) features) -> model input
+    inputs: Callable   # (N, H, W) features -> model input
     fit: Callable      # (inputs, labels, trainer config, seed) -> (model, losses)
     predict: Callable  # (model, inputs) -> class codes
-
-
-def _energy(num_intervals, xs):
-    return baselines.energy_feature_set(xs, num_intervals)
 
 
 def _fit_cnn(xs, labels, cfg, seed):
@@ -76,22 +72,23 @@ def _fit_cnn(xs, labels, cfg, seed):
 
 # The entries look the trainers and predictors up on their modules at call
 # time. The order fixes each method's training seed and the default
-# comparison order.
+# comparison order. energy_feature_set's default 8 intervals fit the 8-wide
+# feature rows of the lowest accepted rate, 1000 Hz.
 METHOD_TABLE = {
     "autoencoder": Method(
-        baselines.AE_MAGIC, _energy,
+        baselines.AE_MAGIC, lambda xs: baselines.energy_feature_set(xs),
         lambda x, y, cfg, seed: baselines.train_autoencoder_clf(x, y, cfg, seed),
         lambda model, x: baselines.ae_predict(model, x)),
     "svm": Method(
-        baselines.SVM_MAGIC, _energy,
+        baselines.SVM_MAGIC, lambda xs: baselines.energy_feature_set(xs),
         lambda x, y, cfg, seed: baselines.train_svm_ovr(x, y, cfg, seed),
         lambda model, x: baselines.svm_predict(model, x)),
     "tmlp": Method(
-        baselines.TMLP_MAGIC, lambda num_intervals, xs: baselines.flatten_features(xs),
+        baselines.TMLP_MAGIC, lambda xs: baselines.flatten_features(xs),
         lambda x, y, cfg, seed: baselines.train_tmlp(x, y, cfg, seed),
         lambda model, x: baselines.tmlp_predict(model, x)),
     "cnn": Method(
-        tinycnn.MODEL_MAGIC, lambda num_intervals, xs: xs,
+        tinycnn.MODEL_MAGIC, lambda xs: xs,
         _fit_cnn,
         lambda model, x: tinycnn.predict_batch(model, x)),
 }
@@ -133,13 +130,8 @@ class ExperimentConfig:
     placement_fs: float = 20000.0
     bus_subsets: tuple = DEFAULT_BUS_SUBSETS
     train_fraction: float = 0.8
-    snr_db: float = synthgrid.DEFAULT_SNR_DB
-    duration: float = synthgrid.DEFAULT_DURATION
-    event_time: float = synthgrid.DEFAULT_EVENT_TIME
-    amplitude: float = 1.0
     methods: tuple = METHODS
     repeats: int = 3
-    num_intervals: int = 8
     grids: DatasetGrids = field(default_factory=DatasetGrids)
     cnn: tinycnn.TrainConfig = field(default_factory=tinycnn.TrainConfig)
     tmlp: baselines.MlpConfig = field(default_factory=baselines.MlpConfig)
@@ -177,18 +169,9 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         for fs in (self.placement_fs, *self.fs_list):  # checks the dataset fields
             self.dataset_config(fs, self.seed)
-        # a feature row holds half a window: featurize's level-1 detail
-        fs = min(self.placement_fs, *self.fs_list)
-        width = synthgrid.window_length(fs) // 2
-        if not 1 <= self.num_intervals <= width:
-            raise ConfigError(f"num_intervals: {self.num_intervals} outside 1..{width}, "
-                              f"the feature width at {fs:g} Hz")
 
     def dataset_config(self, fs: float, seed: int) -> DatasetConfig:
-        return DatasetConfig(
-            fs=fs, seed=seed, snr_db=self.snr_db, duration=self.duration,
-            event_time=self.event_time, amplitude=self.amplitude, grids=self.grids,
-        )
+        return DatasetConfig(fs=fs, seed=seed, grids=self.grids)
 
 
 # ── Config file round trip ───────────────────────────────────────────────────
@@ -323,17 +306,15 @@ def fit_method(config: ExperimentConfig, method: str, features, split: SplitInde
     seed = derive_seed(config.seed, repeat, _STAGE_TRAIN, METHODS.index(method))
     m = METHOD_TABLE[method]
     with _stage(f"train[{method}]"):
-        return m.fit(m.inputs(config.num_intervals, xs), labels,
-                     getattr(config, method), seed)
+        return m.fit(m.inputs(xs), labels, getattr(config, method), seed)
 
 
-def evaluate_method(num_intervals: int, method: str, model, features,
-                    split: SplitIndex):
+def evaluate_method(method: str, model, features, split: SplitIndex):
     """Metrics report and confusion matrix on the split's test records."""
     xs, labels = _subset(features, split.test)
     m = METHOD_TABLE[method]
     with _stage("evaluate"):
-        cm = metrics.confusion(m.predict(model, m.inputs(num_intervals, xs)), labels)
+        cm = metrics.confusion(m.predict(model, m.inputs(xs)), labels)
         return metrics.aggregate(cm), cm
 
 
@@ -386,8 +367,7 @@ def run_grid(config: ExperimentConfig, cells) -> dict:
             for future, method, fs, buses, repeat, cell, split, digest in pending:
                 with _stage(f"train[{method}]"):
                     model = future.result()
-                report, cm = evaluate_method(config.num_intervals, method, model,
-                                             cell, split)
+                report, cm = evaluate_method(method, model, cell, split)
                 results[repeat, fs, buses, method] = RunResult(
                     method, fs, buses, repeat, report.accuracy, report, cm,
                     split.fingerprint(), digest, model)
@@ -481,7 +461,6 @@ class ModelRun(NamedTuple):
     fs: float
     split_fingerprint: str
     config_sha256: str
-    num_intervals: int
     repeat: int  # fixes the split and the training seed
 
 
@@ -499,7 +478,7 @@ def load_model(path):
     method = next(name for name, m in METHOD_TABLE.items() if m.magic == f.magic)
     run = ModelRun(tuple(f.field("buses", list, int)), f.field("fs", float),
                    f.field("split_fingerprint", str), f.field("config_sha256", str),
-                   f.field("num_intervals", int), f.field("repeat", int))
+                   f.field("repeat", int))
     return method, _MODEL_LOADERS[method](path), run
 
 
@@ -575,7 +554,7 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
             tag = f"{comp.key}_r{run.repeat}"
             save_model(comp.key, run.model, out / "models" / f"{tag}.bin",
                        ModelRun(run.buses, run.fs, run.fingerprint, run.config_sha256,
-                                config.num_intervals, run.repeat))
+                                run.repeat))
             save_report(metrics.report_rows(comp.key, run.report, run.cm),
                         out / "reports" / f"{tag}.csv")
     return out

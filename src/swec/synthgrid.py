@@ -46,6 +46,7 @@ XFMR_BUS = 634  # transformer secondary location
 # Small spread gives each bus a recognizable spatial signature.
 BUS_AMPLITUDE = {632: 1.00, 671: 0.97, 675: 0.94}
 BUS_PHASE = {632: 0.0, 671: -0.07, 675: -0.14}
+_BUS_AMPS = np.array([BUS_AMPLITUDE[b] for b in MONITORED_BUSES])
 
 # Event bus -> disturbance attenuation seen at (632, 671, 675); values decay
 # with electrical distance on the feeder.
@@ -68,8 +69,8 @@ PHASE_COUPLING = (1.0, 0.7, 0.55)
 # every disturbance is scaled by a seeded draw from this range.
 SEVERITY_RANGE = (0.7, 1.3)
 
-DEFAULT_DURATION = 0.15   # 9 cycles
-DEFAULT_EVENT_TIME = 0.05
+DURATION = 0.15    # record length, s: 9 cycles
+EVENT_TIME = 0.05  # event onset, s: 3 cycles in, 6 before the record ends
 DEFAULT_SNR_DB = 60.0
 JITTER_MAX_S = 0.5e-3     # detection latency bound
 
@@ -79,7 +80,7 @@ JITTER_MAX_S = 0.5e-3     # detection latency bound
 CAP_SIZE_LEVELS = 8
 CAP_FOSC_RANGE = (6500.0, 9500.0)
 CAP_TAU_RANGE = (0.010, 0.004)  # seconds, index 0 -> slow decay
-CAP_DEFAULT_AMPLITUDE = 0.25
+CAP_AMPLITUDE = 0.25  # ring amplitude, pu, of every grid record
 
 # Transformer tap index (0..11) scales harmonic content, the connection
 # surge, saturation notching, sag, and decay.
@@ -153,7 +154,6 @@ class EventSpec:
     inception_angle: float  # degrees in [0, 360)
     location: int
     class_params: dict
-    event_time: float = DEFAULT_EVENT_TIME
 
     def __post_init__(self):
         cls = EventClass(self.event_class)
@@ -202,13 +202,8 @@ class WaveformRecord:
 
     spec: EventSpec | None
     fs: float
-    duration: float
     samples: np.ndarray
     seed: int
-
-    @property
-    def event_time(self) -> float:
-        return self.spec.event_time if self.spec is not None else DEFAULT_EVENT_TIME
 
     @property
     def label(self) -> int | None:
@@ -288,7 +283,6 @@ class DatasetGrids:
 
     cap_sizes: int = 8
     cap_angles: int = 8
-    cap_amplitude: float = CAP_DEFAULT_AMPLITUDE
     xfmr_taps: int = 12
     xfmr_angles: int = 12
     fault_types: tuple = FAULT_TYPES
@@ -302,11 +296,7 @@ class DatasetGrids:
 
     def __post_init__(self):
         """Each count in 1..its table's levels, each list a non-empty set of
-        known entries, and cap_amplitude finite and >= 0; a failure is a
-        ConfigError naming the field."""
-        if not (math.isfinite(self.cap_amplitude) and self.cap_amplitude >= 0):
-            raise ConfigError(f"cap_amplitude: {self.cap_amplitude!r} is not "
-                              f"finite and >= 0")
+        known entries; a failure is a ConfigError naming the field."""
         levels = {"cap_sizes": CAP_SIZE_LEVELS, "xfmr_taps": TAP_LEVELS,
                   "fault_resistances": FAULT_RESISTANCE_LEVELS - 1}
         for name in ("cap_sizes", "cap_angles", "xfmr_taps", "xfmr_angles",
@@ -342,37 +332,29 @@ class DatasetGrids:
             len(self.hif_locations) * self.hif_angles * self.hif_draws,
         )
 
-    def specs(self, event_time: float = DEFAULT_EVENT_TIME) -> list[EventSpec]:
+    def specs(self) -> list[EventSpec]:
         """Expand the grids into the full ordered spec list (class 1..4)."""
         out = []
         for size in range(self.cap_sizes):
             for ang in _even_angles(self.cap_angles):
                 out.append(EventSpec(
                     EventClass.CAPACITOR_SWITCHING, ang, CAP_BUS,
-                    {"size_index": size, "amplitude": self.cap_amplitude},
-                    event_time,
-                ))
+                    {"size_index": size, "amplitude": CAP_AMPLITUDE}))
         for tap in range(self.xfmr_taps):
             for ang in _even_angles(self.xfmr_angles):
-                out.append(EventSpec(
-                    EventClass.TRANSFORMER_ENERGIZATION, ang, XFMR_BUS,
-                    {"tap_index": tap}, event_time,
-                ))
+                out.append(EventSpec(EventClass.TRANSFORMER_ENERGIZATION, ang, XFMR_BUS,
+                                     {"tap_index": tap}))
         for ftype in self.fault_types:
             for loc in self.fault_locations:
                 for res in range(self.fault_resistances):
                     for ang in _even_angles(self.fault_angles):
                         out.append(EventSpec(
                             EventClass.FAULT, ang, loc,
-                            {"fault_type": ftype, "resistance_index": res},
-                            event_time,
-                        ))
+                            {"fault_type": ftype, "resistance_index": res}))
         for loc in self.hif_locations:
             for ang in _even_angles(self.hif_angles):
                 for draw in range(self.hif_draws):
-                    out.append(EventSpec(
-                        EventClass.HIF, ang, loc, {"draw_index": draw}, event_time,
-                    ))
+                    out.append(EventSpec(EventClass.HIF, ang, loc, {"draw_index": draw}))
         return out
 
 
@@ -380,32 +362,19 @@ class DatasetGrids:
 class DatasetConfig:
     fs: float = 20000.0
     seed: int = 0
-    snr_db: float = DEFAULT_SNR_DB
-    duration: float = DEFAULT_DURATION
-    event_time: float = DEFAULT_EVENT_TIME
-    amplitude: float = 1.0
     grids: DatasetGrids = field(default_factory=DatasetGrids)
 
     def __post_init__(self):
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
-            raise ConfigError(f"snr_db {self.snr_db}: must be finite or +inf "
-                              f"(noiseless)")
-        try:
-            10.0 ** (-self.snr_db / 20.0)  # _noise's scale
-        except OverflowError:
-            raise ConfigError(f"snr_db {self.snr_db}: noise scale 10 ** (-snr_db / 20) "
-                              f"overflows") from None
         if self.seed < 0:
             raise ConfigError(f"seed: {self.seed} is negative")
-        _validate_timing(self.fs, self.duration, self.event_time)
-        _validate_amplitude(self.amplitude)
+        _validate_fs(self.fs)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """A config plus its stacked samples: one C-contiguous (records, buses,
     phases, samples) float64 array. Everything per record is derived from
-    the config: record i has spec config.grids.specs(event_time)[i] and seed
+    the config: record i has spec config.grids.specs()[i] and seed
     derive_seed(config.seed, i), and its samples are the view samples[i]."""
 
     config: DatasetConfig
@@ -417,9 +386,8 @@ class Dataset:
     @functools.cached_property
     def records(self) -> list[WaveformRecord]:
         cfg = self.config
-        specs = cfg.grids.specs(cfg.event_time)
-        return [WaveformRecord(spec, cfg.fs, cfg.duration, samples,
-                               derive_seed(cfg.seed, i))
+        specs = cfg.grids.specs()
+        return [WaveformRecord(spec, cfg.fs, samples, derive_seed(cfg.seed, i))
                 for i, (spec, samples) in enumerate(zip(specs, self.samples,
                                                         strict=True))]
 
@@ -429,56 +397,25 @@ class Dataset:
         labels.flags.writeable = False
         return labels
 
-    @property
-    def fs(self) -> float:
-        return self.config.fs
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
-    def counts(self) -> tuple:
-        return self.config.grids.counts
-
 
 # ── Generation ───────────────────────────────────────────────────────────────
 
-def _validate_timing(fs: float, duration: float, event_time: float | None = None):
-    """ConfigError naming the field unless 1 kHz <= fs, 0.1 s <= duration
-    (both finite) and, if given, event_time leaves one cycle before and two
-    after it."""
+def _validate_fs(fs: float):
+    """ConfigError naming the field unless 1 kHz <= fs < inf."""
     if not 1000.0 <= fs < math.inf:
         raise ConfigError(f"fs: sampling rate {fs} Hz outside [1000, inf)")
-    if not 0.1 <= duration < math.inf:
-        raise ConfigError(f"duration: {duration} s outside [0.1, inf)")
-    if event_time is not None:
-        cycle = 1.0 / F0
-        if not cycle < event_time < duration - 2.0 * cycle:
-            raise ConfigError(
-                f"event_time: {event_time} s outside ({cycle:.4f}, "
-                f"{duration - 2 * cycle:.4f})"
-            )
-
-
-def _validate_amplitude(amplitude: float):
-    low = amplitude * min(BUS_AMPLITUDE.values())
-    high = amplitude * max(BUS_AMPLITUDE.values())
-    if not (0.9 <= low and high <= 1.1):
-        raise ConfigError(f"amplitude: {amplitude} drives buses outside "
-                          f"[0.9, 1.1] pu")
 
 
 @functools.lru_cache(maxsize=8)
-def _clean_base(fs: float, duration: float, amplitude: float) -> np.ndarray:
+def _clean_base(fs: float) -> np.ndarray:
     """Noiseless balanced steady state, shape (buses, phases, samples);
-    computed once per (fs, duration, amplitude) and returned read-only."""
-    n = round(fs * duration)
+    computed once per rate and returned read-only."""
+    n = round(fs * DURATION)
     t = np.arange(n) / fs
     out = np.empty((len(MONITORED_BUSES), 3, n))
     for b, bus in enumerate(MONITORED_BUSES):
         for p, phase_off in enumerate(PHASE_OFFSETS):
-            out[b, p] = amplitude * BUS_AMPLITUDE[bus] * np.cos(
+            out[b, p] = BUS_AMPLITUDE[bus] * np.cos(
                 2.0 * math.pi * F0 * t + phase_off + BUS_PHASE[bus]
             )
     out.flags.writeable = False
@@ -486,41 +423,32 @@ def _clean_base(fs: float, duration: float, amplitude: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _hif_arc_terms(fs: float, duration: float, amplitude: float):
+def _hif_arc_terms(fs: float):
     """HIF's (asymmetry, odd-harmonic shape) of the per-bus normalized clean
     base; cached and read-only like _clean_base."""
-    bus_amps = np.array([amplitude * BUS_AMPLITUDE[b] for b in MONITORED_BUSES])
-    v_norm = _clean_base(fs, duration, amplitude) / bus_amps[:, None, None]
+    v_norm = _clean_base(fs) / _BUS_AMPS[:, None, None]
     shape = 0.6 * v_norm ** 3 + 0.4 * v_norm ** 5
     asym = np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR)
     asym.flags.writeable = shape.flags.writeable = False
     return asym, shape
 
 
-def _noise(seed: int, snr_db: float, amplitude: float, n: int) -> np.ndarray:
+def _noise(seed: int, snr_db: float, n: int) -> np.ndarray:
     """Additive white Gaussian noise sized to the per-bus signal power."""
     if math.isinf(snr_db):
         return np.zeros((len(MONITORED_BUSES), 3, n))
     rng = np.random.default_rng([seed, _STREAM_NOISE])
     raw = rng.standard_normal((len(MONITORED_BUSES), 3, n))
-    amps = np.array([amplitude * BUS_AMPLITUDE[b] for b in MONITORED_BUSES])
-    sigma = (amps / math.sqrt(2.0)) * 10.0 ** (-snr_db / 20.0)
+    sigma = (_BUS_AMPS / math.sqrt(2.0)) * 10.0 ** (-snr_db / 20.0)
     return raw * sigma[:, None, None]
 
 
-def synth_steady(
-    fs: float,
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-    snr_db: float = DEFAULT_SNR_DB,
-    amplitude: float = 1.0,
-) -> WaveformRecord:
+def synth_steady(fs: float, seed: int = 0,
+                 snr_db: float = DEFAULT_SNR_DB) -> WaveformRecord:
     """Balanced 60 Hz three-phase steady state at all monitored buses."""
-    _validate_timing(fs, duration)
-    _validate_amplitude(amplitude)
-    clean = _clean_base(fs, duration, amplitude)
-    samples = clean + _noise(seed, snr_db, amplitude, clean.shape[2])
-    return WaveformRecord(None, fs, duration, samples, seed)
+    _validate_fs(fs)
+    clean = _clean_base(fs)
+    return WaveformRecord(None, fs, clean + _noise(seed, snr_db, clean.shape[2]), seed)
 
 
 def _attenuation_column(location: int) -> np.ndarray:
@@ -546,7 +474,7 @@ def _apply_cap_switching(clean, spec, t):
     f_osc = CAP_FOSC_RANGE[0] + frac * (CAP_FOSC_RANGE[1] - CAP_FOSC_RANGE[0])
     tau = CAP_TAU_RANGE[0] + frac * (CAP_TAU_RANGE[1] - CAP_TAU_RANGE[0])
     theta = math.radians(spec.inception_angle)
-    ring = _phase_burst(t, spec.event_time, p["amplitude"], f_osc, tau, theta)
+    ring = _phase_burst(t, EVENT_TIME, p["amplitude"], f_osc, tau, theta)
     return clean + _attenuation_column(spec.location) * ring[None, :, :]
 
 
@@ -556,7 +484,7 @@ def _apply_xfmr_energization(clean, spec, t):
     theta = math.radians(spec.inception_angle)
     cycles = XFMR_DECAY_CYCLES[0] + frac * (XFMR_DECAY_CYCLES[1] - XFMR_DECAY_CYCLES[0])
     tau = cycles / F0
-    u = t - spec.event_time
+    u = t - EVENT_TIME
     active = u >= 0.0
     envelope = np.where(active, np.exp(-np.maximum(u, 0.0) / tau), 0.0)
     atten = _attenuation_column(spec.location)
@@ -575,7 +503,7 @@ def _apply_xfmr_energization(clean, spec, t):
     f_surge = XFMR_SURGE_FREQ_RANGE[0] + frac * (
         XFMR_SURGE_FREQ_RANGE[1] - XFMR_SURGE_FREQ_RANGE[0]
     )
-    surge = _phase_burst(t, spec.event_time,
+    surge = _phase_burst(t, EVENT_TIME,
                          XFMR_SURGE_AMPLITUDE * (0.5 + 0.5 * frac),
                          f_surge, XFMR_SURGE_TAU, theta)
     out += atten * surge[None, :, :]
@@ -585,7 +513,7 @@ def _apply_xfmr_energization(clean, spec, t):
     width = XFMR_NOTCH_WIDTH
     k = 0
     while True:
-        t_k = spec.event_time + k / F0
+        t_k = EVENT_TIME + k / F0
         if t_k > t[-1]:
             break
         local = np.abs(t - t_k) < width / 2.0
@@ -602,7 +530,7 @@ def _apply_fault(clean, spec, t, seed):
     depth = FAULT_DEPTH_TABLE[spec.location][p["resistance_index"]]
     depth *= FAULT_TYPE_FACTOR[p["fault_type"]]
     theta = math.radians(spec.inception_angle)
-    u = t - spec.event_time
+    u = t - EVENT_TIME
     step = (u >= 0.0).astype(float)
     atten = _attenuation_column(spec.location)
 
@@ -617,7 +545,7 @@ def _apply_fault(clean, spec, t, seed):
         FAULT_TRANSIENT_FREQ_RANGE[1] - FAULT_TRANSIENT_FREQ_RANGE[0]
     )
     tr_amp = FAULT_TRANSIENT_AMPLITUDE * depth / FAULT_DEPTH_TABLE[632][0]
-    burst = _phase_burst(t, spec.event_time, tr_amp, f_tr,
+    burst = _phase_burst(t, EVENT_TIME, tr_amp, f_tr,
                          FAULT_TRANSIENT_TAU, theta)
     out += atten * phase_mask * burst[None, :, :]
 
@@ -635,11 +563,11 @@ def _apply_hif(clean, spec, t, seed, asym, shape):
     draw = p["draw_index"]
     theta = math.radians(spec.inception_angle)
     rng = np.random.default_rng([seed, _STREAM_EVENT, draw])
-    u = t - spec.event_time
+    u = t - EVENT_TIME
     active = u >= 0.0
     atten = _attenuation_column(spec.location)
 
-    n_half = int(math.ceil(2.0 * F0 * (t[-1] - spec.event_time))) + 2
+    n_half = int(math.ceil(2.0 * F0 * (t[-1] - EVENT_TIME))) + 2
     gains = rng.uniform(0.6, 1.0, size=n_half)
     pulse_gains = rng.uniform(0.5, 1.0, size=n_half)
 
@@ -659,7 +587,7 @@ def _apply_hif(clean, spec, t, seed, asym, shape):
     # the inception angle
     pulse = np.zeros_like(t)
     for kk in range(n_half):
-        t_k = spec.event_time + kk / (2.0 * F0)
+        t_k = EVENT_TIME + kk / (2.0 * F0)
         if t_k >= t[-1]:
             break
         w = t - t_k
@@ -676,18 +604,11 @@ def _apply_hif(clean, spec, t, seed, asym, shape):
     return out
 
 
-def synth_event(
-    spec: EventSpec,
-    fs: float,
-    seed: int = 0,
-    snr_db: float = DEFAULT_SNR_DB,
-    duration: float = DEFAULT_DURATION,
-    amplitude: float = 1.0,
-) -> WaveformRecord:
+def synth_event(spec: EventSpec, fs: float, seed: int = 0,
+                snr_db: float = DEFAULT_SNR_DB) -> WaveformRecord:
     """Steady-state base plus the class-specific disturbance model."""
-    _validate_timing(fs, duration, spec.event_time)
-    _validate_amplitude(amplitude)
-    clean = _clean_base(fs, duration, amplitude)
+    _validate_fs(fs)
+    clean = _clean_base(fs)
     n = clean.shape[2]
     t = np.arange(n) / fs
 
@@ -699,14 +620,13 @@ def synth_event(
     elif cls is EventClass.FAULT:
         disturbed = _apply_fault(clean, spec, t, seed)
     else:
-        disturbed = _apply_hif(clean, spec, t, seed,
-                               *_hif_arc_terms(fs, duration, amplitude))
+        disturbed = _apply_hif(clean, spec, t, seed, *_hif_arc_terms(fs))
 
     severity = np.random.default_rng([seed, _STREAM_SEVERITY]).uniform(
         *SEVERITY_RANGE
     )
-    samples = clean + severity * (disturbed - clean) + _noise(seed, snr_db, amplitude, n)
-    return WaveformRecord(spec, fs, duration, samples, seed)
+    samples = clean + severity * (disturbed - clean) + _noise(seed, snr_db, n)
+    return WaveformRecord(spec, fs, samples, seed)
 
 
 def derive_seed(*parts) -> int:
@@ -731,8 +651,7 @@ def build_dataset(config: DatasetConfig) -> Dataset:
         # at once, its block lets malloc give the heap top back to the OS and
         # the next record faults those pages in again: 140k against 51k minor
         # faults, about 0.15 s, per 600-record 20 kHz build on 2 cores.
-        event = synth_event(rec.spec, config.fs, rec.seed, snr_db=config.snr_db,
-                            duration=config.duration, amplitude=config.amplitude)
+        event = synth_event(rec.spec, config.fs, rec.seed)
         rec.samples[...] = event.samples
     return dataset
 
@@ -740,7 +659,7 @@ def build_dataset(config: DatasetConfig) -> Dataset:
 def _samples_shape(config: DatasetConfig) -> tuple:
     """(records, buses, phases, samples) of the config's stacked array."""
     return (sum(config.grids.counts), len(MONITORED_BUSES), 3,
-            round(config.fs * config.duration))
+            round(config.fs * DURATION))
 
 
 # ── Post-detection window ────────────────────────────────────────────────────
@@ -762,7 +681,7 @@ def extract_window(record: WaveformRecord, jitter: bool = True) -> np.ndarray:
     if jitter:
         rng = np.random.default_rng([record.seed, _STREAM_JITTER])
         offset = rng.uniform(0.0, JITTER_MAX_S)
-    start = round((record.event_time + offset) * record.fs)
+    start = round((EVENT_TIME + offset) * record.fs)
     if start + w > record.num_samples:
         raise ValueError(
             f"window [{start}, {start + w}) exceeds record length "
@@ -800,8 +719,9 @@ def load_dataset(path) -> Dataset:
     to a valid value and the samples must have the shape it implies; the
     records are derived from it as build_dataset derives them. Every
     failure names the file: an OSError if it cannot be read, else a
-    ValueError. A directory, the earlier dataset store, asks for the
-    dataset to be generated again."""
+    ValueError. A directory (the earlier dataset store) and a config that
+    does not load (such as one of an earlier schema) ask for the dataset to
+    be generated again."""
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"{path}: a dataset directory of an earlier format; "
@@ -817,5 +737,5 @@ def load_dataset(path) -> Dataset:
                 f"grids.{k}" for k in full["grids"] if k not in grids]
             raise ConfigError(f"config: missing keys {missing}")
     except ConfigError as exc:
-        raise f.header_error("config", str(exc)) from None
+        raise f.header_error("config", f"{exc}; {_REGENERATE}") from None
     return Dataset(cfg, f.tensors({"samples": _samples_shape(cfg)})["samples"])

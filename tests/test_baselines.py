@@ -171,7 +171,7 @@ def _compare_tiny_energy_features():
     dataset = expharness._build(config, 4000.0, 0)
     features, split = expharness.features_and_split(config, dataset, MONITORED_BUSES)
     xs, labels = features.values[split.train], features.labels[split.train]
-    return energy_feature_set(xs, config.num_intervals), labels
+    return energy_feature_set(xs), labels
 
 
 def _random_set(n=200, dim=96, seed=0):

@@ -6,6 +6,7 @@ import re
 import signal
 import weakref
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from swec.synthgrid import ConfigError
 from conftest import tiny_config, tiny_grids, write_non_finite
 
 DEFAULT_LABELS = np.repeat([1, 2, 3, 4], [64, 144, 320, 72])
-RUN = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32, 8, 1)
+RUN = expharness.ModelRun((632, 675), 4000.0, "0123456789abcdef", "ab" * 32, 1)
 
 
 class TestSplit:
@@ -170,9 +171,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(field + ":")):
             config_from_json(doc)
 
-    def test_removed_jitter_key_rejected(self):
-        with pytest.raises(ConfigError, match=r"unknown keys \['jitter'\]"):
-            config_from_json({"jitter": False})
+    @pytest.mark.parametrize("doc, says", [
+        ({"jitter": False}, "unknown keys ['jitter']"),
+        ({"snr_db": 60.0}, "unknown keys ['snr_db']"),
+        ({"duration": 0.15}, "unknown keys ['duration']"),
+        ({"event_time": 0.05}, "unknown keys ['event_time']"),
+        ({"amplitude": 1.0}, "unknown keys ['amplitude']"),
+        ({"num_intervals": 8}, "unknown keys ['num_intervals']"),
+        ({"grids": {"cap_amplitude": 0.25}}, "grids: unknown keys ['cap_amplitude']"),
+    ], ids=["jitter", "snr_db", "duration", "event_time", "amplitude", "num_intervals",
+            "cap_amplitude"])
+    def test_removed_key_rejected(self, doc, says):
+        with pytest.raises(ConfigError, match=re.escape(says)):
+            config_from_json(doc)
 
     @pytest.mark.parametrize("doc, says", [
         ({"fs_list": [2000.0, 500.0]}, "fs: sampling rate 500.0 Hz"),
@@ -183,19 +194,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(says)):
             config_from_json(doc)
 
-    @pytest.mark.parametrize("doc, says", [
-        ({"num_intervals": 0}, "num_intervals: 0 outside 1..10, the feature width "
-                               "at 1250 Hz"),
-        ({"num_intervals": 11}, "num_intervals: 11 outside 1..10"),
-        ({"fs_list": [20000.0], "placement_fs": 2000.0, "num_intervals": 17},
-         "num_intervals: 17 outside 1..16, the feature width at 2000 Hz"),
-    ], ids=["zero", "above_lowest_rate", "above_placement_rate"])
-    def test_num_intervals_checked_at_load(self, doc, says, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: {says}")):
-            expharness.load_config(path)
-        assert config_from_json({"num_intervals": 10}).num_intervals == 10
+    def test_readme_example_config_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
+        config = config_from_json(json.loads(block.split("```", 1)[0]))
+        assert config.seed == 7
 
     def test_int_accepted_and_kept_for_float_field(self):
         cfg = config_from_json({"placement_fs": 5000, "fs_list": [1250, 2500],
@@ -257,7 +260,7 @@ class TestTrainerContract:
     def _fit(cell, method, seed):
         cfg, features, split = cell
         m = expharness.METHOD_TABLE[method]
-        xs = m.inputs(cfg.num_intervals, features.values[split.train])
+        xs = m.inputs(features.values[split.train])
         return m.fit(xs, features.labels[split.train], getattr(cfg, method), seed)
 
     @pytest.mark.parametrize("method", expharness.METHODS)
@@ -302,7 +305,7 @@ class TestPredictorContract:
         cfg, m = tiny_config(), expharness.METHOD_TABLE[request.param]
         rows = 2 * tinycnn.PREDICT_BLOCK + 5  # two blocks and a tail
         features = np.random.default_rng(21).normal(size=(rows, 3, 33))
-        xs = m.inputs(cfg.num_intervals, features)
+        xs = m.inputs(features)
         model, _ = m.fit(xs, np.arange(rows) % 4 + 1, getattr(cfg, request.param), 0)
         return m, model, xs
 
@@ -456,8 +459,7 @@ class TestPool:
             dataset = expharness._build(cfg, 2000.0, repeat)
             features, split = expharness.features_and_split(cfg, dataset, buses, repeat)
             model, _ = expharness.fit_method(cfg, method, features, split, repeat)
-            report, cm = expharness.evaluate_method(cfg.num_intervals, method, model,
-                                                    features, split)
+            report, cm = expharness.evaluate_method(method, model, features, split)
             assert res.accuracy == report.accuracy
             np.testing.assert_array_equal(res.cm, cm)
             assert res.fingerprint == split.fingerprint()
@@ -534,7 +536,7 @@ class TestArtifacts:
             with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: "):
                 expharness.load_model(path)
 
-    @pytest.mark.parametrize("key", ["num_intervals", "repeat"])
+    @pytest.mark.parametrize("key", ["repeat"])
     def test_model_without_run_field_rejected(self, key, tmp_path):
         path = tmp_path / "m.bin"
         run = RUN._replace(buses=list(RUN.buses))._asdict()

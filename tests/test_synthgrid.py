@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swec import featpipe, store, synthgrid
-from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, ConfigError, DatasetConfig,
-                            DatasetGrids, EventClass, EventSpec, F0,
+from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, EVENT_TIME, ConfigError,
+                            DatasetConfig, DatasetGrids, EventClass, EventSpec, F0,
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
                             build_dataset, derive_seed, extract_window,
                             synth_event, synth_steady, window_length)
@@ -29,8 +29,8 @@ def fault_spec(location=632, fault_type="LG", resistance=0, angle=0.0):
 
 class TestSteady:
     def test_noiseless_channels_are_exact_sinusoids(self):
-        fs, duration = 20000.0, 0.15
-        rec = synth_steady(fs, duration, seed=5, snr_db=math.inf)
+        fs = 20000.0
+        rec = synth_steady(fs, seed=5, snr_db=math.inf)
         t = np.arange(rec.num_samples) / fs
         for b, bus in enumerate(MONITORED_BUSES):
             for p, phase in enumerate(PHASE_OFFSETS):
@@ -41,7 +41,7 @@ class TestSteady:
 
     @pytest.mark.parametrize("fs", [2000.0, 5000.0, 20000.0])
     def test_rms_is_amplitude_over_sqrt2(self, fs):
-        rec = synth_steady(fs, 0.15, seed=1, snr_db=math.inf)
+        rec = synth_steady(fs, seed=1, snr_db=math.inf)
         for b, bus in enumerate(MONITORED_BUSES):
             rms = np.sqrt((rec.samples[b] ** 2).mean(axis=1))
             np.testing.assert_allclose(
@@ -49,22 +49,23 @@ class TestSteady:
             )
 
     def test_deterministic(self):
-        a = synth_steady(5000.0, 0.15, seed=99)
-        b = synth_steady(5000.0, 0.15, seed=99)
+        a = synth_steady(5000.0, seed=99)
+        b = synth_steady(5000.0, seed=99)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_noise_scales_with_snr(self):
-        quiet = synth_steady(5000.0, 0.15, seed=2, snr_db=80.0)
-        loud = synth_steady(5000.0, 0.15, seed=2, snr_db=40.0)
-        clean = synth_steady(5000.0, 0.15, seed=2, snr_db=math.inf)
+        quiet = synth_steady(5000.0, seed=2, snr_db=80.0)
+        loud = synth_steady(5000.0, seed=2, snr_db=40.0)
+        clean = synth_steady(5000.0, seed=2, snr_db=math.inf)
         r_quiet = np.std(quiet.samples - clean.samples)
         r_loud = np.std(loud.samples - clean.samples)
         assert r_loud == pytest.approx(100.0 * r_quiet, rel=1e-9)
 
-    @pytest.mark.parametrize("fs,duration", [(500.0, 0.15), (5000.0, 0.05)])
-    def test_parameter_errors(self, fs, duration):
+    # the id names the rate and the fixed record length
+    @pytest.mark.parametrize("fs", [pytest.param(500.0, id="500.0-0.15")])
+    def test_parameter_errors(self, fs):
         with pytest.raises(ValueError):
-            synth_steady(fs, duration, seed=0)
+            synth_steady(fs, seed=0)
 
 
 class TestEvents:
@@ -72,13 +73,13 @@ class TestEvents:
         spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 45.0, 675,
                          {"size_index": 3, "amplitude": 0.0})
         event = synth_event(spec, 5000.0, seed=7)
-        steady = synth_steady(5000.0, 0.15, seed=7)
+        steady = synth_steady(5000.0, seed=7)
         np.testing.assert_array_equal(event.samples, steady.samples)
 
     def test_open_circuit_fault_equals_steady(self):
         spec = fault_spec(resistance=synthgrid.FAULT_RESISTANCE_LEVELS - 1)
         event = synth_event(spec, 5000.0, seed=4)
-        steady = synth_steady(5000.0, 0.15, seed=4)
+        steady = synth_steady(5000.0, seed=4)
         np.testing.assert_array_equal(event.samples, steady.samples)
 
     def test_event_deterministic(self):
@@ -95,7 +96,7 @@ class TestEvents:
                 spec = EventSpec(EventClass.HIF, angle, 680, {"draw_index": draw})
                 seed = 1000 + draw
                 event = synth_event(spec, fs, seed=seed)
-                steady = synth_steady(fs, 0.15, seed=seed)
+                steady = synth_steady(fs, seed=seed)
                 diff = event.samples - steady.samples
                 n_cycles = diff.shape[2] // per_cycle
                 cycles = diff[:, :, : n_cycles * per_cycle].reshape(
@@ -119,7 +120,7 @@ class TestEvents:
     def test_fault_sags_only_selected_phases(self):
         rec = synth_event(fault_spec(fault_type="LG"), 10000.0, seed=3,
                           snr_db=math.inf)
-        steady = synth_steady(10000.0, 0.15, seed=3, snr_db=math.inf)
+        steady = synth_steady(10000.0, seed=3, snr_db=math.inf)
         tail = slice(-int(10000.0 / F0), None)
         diff = np.abs(rec.samples[:, :, tail] - steady.samples[:, :, tail]).max(axis=2)
         assert diff[0, 0] > 0.05          # phase A sagged
@@ -130,7 +131,7 @@ class TestEvents:
         spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 0.0, 675,
                          {"size_index": 0, "amplitude": 0.25})
         rec = synth_event(spec, 20000.0, seed=5, snr_db=math.inf)
-        steady = synth_steady(20000.0, 0.15, seed=5, snr_db=math.inf)
+        steady = synth_steady(20000.0, seed=5, snr_db=math.inf)
         energy = ((rec.samples - steady.samples) ** 2).sum(axis=(1, 2))
         assert energy[2] > energy[1] > energy[0]  # 675 closest, 632 farthest
 
@@ -161,8 +162,7 @@ class TestDataset:
         assert [labels.count(c) for c in (1, 2, 3, 4)] == [64, 144, 320, 72]
 
     @pytest.mark.parametrize("field, value", [
-        ("fs", math.inf), ("fs", math.nan), ("fs", 999.0), ("duration", math.nan),
-        ("event_time", 0.2), ("amplitude", 2.0), ("seed", -1)])
+        ("fs", math.inf), ("fs", math.nan), ("fs", 999.0), ("seed", -1)])
     def test_config_checked_when_built(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field}: "):
             DatasetConfig(**{field: value})
@@ -180,13 +180,9 @@ class TestDataset:
          r"fault_locations: \(632, 632\) repeats 632"),
         ({"hif_locations": (999,)}, "hif_locations: 999 not in"),
         ({"hif_locations": (632, 632), "hif_angles": 1}, "hif_locations: .* repeats"),
-        ({"cap_amplitude": math.nan}, "cap_amplitude: nan is not finite and >= 0"),
-        ({"cap_amplitude": math.inf}, "cap_amplitude: inf is not finite"),
-        ({"cap_amplitude": -1.0}, "cap_amplitude: -1.0 is not finite and >= 0"),
     ], ids=["negative_counts", "zero_count", "taps", "resistances", "fault_type",
             "no_fault_types", "fault_location", "repeated_fault_location",
-            "hif_location", "repeated_hif_location", "cap_amplitude_nan",
-            "cap_amplitude_inf", "negative_cap_amplitude"])
+            "hif_location", "repeated_hif_location"])
     def test_grid_field_checked_when_built(self, changes, says):
         with pytest.raises(ConfigError, match=rf"^{says}"):
             dataclasses.replace(tiny_grids(), **changes)
@@ -199,7 +195,7 @@ class TestDataset:
         cfg = DatasetConfig(fs=2000.0, seed=3, grids=tiny_grids())
         a = build_dataset(cfg)
         b = build_dataset(cfg)
-        assert a.counts == (2, 2, 2, 2)
+        assert a.config.grids.counts == (2, 2, 2, 2)
         assert len(a) == 8
         for ra, rb in zip(a.records, b.records):
             np.testing.assert_array_equal(ra.samples, rb.samples)
@@ -218,7 +214,7 @@ class TestDataset:
         assert [f.name for f in dataclasses.fields(synthgrid.Dataset)] == [
             "config", "samples"]
         cfg = tiny_dataset.config
-        specs = cfg.grids.specs(cfg.event_time)
+        specs = cfg.grids.specs()
         assert [r.spec for r in tiny_dataset.records] == specs
         assert [r.seed for r in tiny_dataset.records] == [
             derive_seed(cfg.seed, i) for i in range(len(specs))]
@@ -226,16 +222,14 @@ class TestDataset:
         assert tiny_dataset.records[7].seed == 17721808871337596510
         assert tiny_dataset.labels.tolist() == [int(s.event_class) for s in specs]
         assert tiny_dataset.records is tiny_dataset.records
-        assert (tiny_dataset.fs, tiny_dataset.seed, tiny_dataset.counts) == (
-            cfg.fs, cfg.seed, cfg.grids.counts)
 
     def test_clean_base_cached_read_only(self):
-        a = synthgrid._clean_base(5000.0, 0.15, 1.0)
-        assert synthgrid._clean_base(5000.0, 0.15, 1.0) is a
+        a = synthgrid._clean_base(5000.0)
+        assert synthgrid._clean_base(5000.0) is a
         with pytest.raises(ValueError):
             a[0, 0, 0] = 0.0
-        terms = synthgrid._hif_arc_terms(5000.0, 0.15, 1.0)
-        assert synthgrid._hif_arc_terms(5000.0, 0.15, 1.0) is terms
+        terms = synthgrid._hif_arc_terms(5000.0)
+        assert synthgrid._hif_arc_terms(5000.0) is terms
         for term in terms:
             assert term.shape == a.shape
             with pytest.raises(ValueError):
@@ -282,9 +276,9 @@ class TestWindow:
         assert window_length(fs) == w
 
     def test_zero_jitter_starts_at_event_sample(self):
-        rec = synth_steady(20000.0, 0.15, seed=0)
+        rec = synth_steady(20000.0, seed=0)
         window = extract_window(rec, jitter=False)
-        start = round(rec.event_time * rec.fs)
+        start = round(EVENT_TIME * rec.fs)
         for i, bus in enumerate(MONITORED_BUSES):
             np.testing.assert_array_equal(
                 window[i], rec.samples[i, :, start:start + 332]
@@ -296,7 +290,7 @@ class TestWindow:
         w1 = extract_window(rec)
         w2 = extract_window(rec)
         np.testing.assert_array_equal(w1[0], w2[0])
-        base = round(rec.event_time * rec.fs)
+        base = round(EVENT_TIME * rec.fs)
         # jittered start within [0, 0.5 ms] of the event sample
         for shift in range(0, 11):
             if np.array_equal(w1[0], rec.samples[0, :, base + shift:base + shift + 332]):
@@ -305,9 +299,8 @@ class TestWindow:
             pytest.fail("window start outside the jitter bound")
 
     def test_window_beyond_record_end(self):
-        rec = synth_steady(20000.0, 0.15, seed=0)
-        short = WaveformRecord(rec.spec, rec.fs, rec.duration,
-                               rec.samples[:, :, :1100], rec.seed)
+        rec = synth_steady(20000.0, seed=0)
+        short = WaveformRecord(rec.spec, rec.fs, rec.samples[:, :, :1100], rec.seed)
         with pytest.raises(ValueError, match="exceeds"):
             extract_window(short, jitter=False)
 
@@ -336,8 +329,8 @@ class TestPersistence:
     def test_round_trip_bit_identical(self, tiny_dataset, tmp_path):
         out = synthgrid.save_dataset(tiny_dataset, tmp_path / "ds.bin")
         loaded = synthgrid.load_dataset(out)
-        assert loaded.counts == tiny_dataset.counts
-        assert loaded.fs == tiny_dataset.fs
+        assert loaded.config.grids.counts == tiny_dataset.config.grids.counts
+        assert loaded.config.fs == tiny_dataset.config.fs
         for ra, rb in zip(tiny_dataset.records, loaded.records):
             np.testing.assert_array_equal(ra.samples, rb.samples)
             assert ra.seed == rb.seed
@@ -404,8 +397,10 @@ class TestPersistence:
             synthgrid.load_dataset(path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda c: c["grids"].pop("cap_amplitude"),
-         r"config: missing keys \['grids\.cap_amplitude'\]"),
+        # hif_draws falls back to 6 draws, which the declared counts match
+        (lambda c: c["grids"].pop("hif_draws") and c["grids"].update(
+            declared_counts=[2, 2, 2, 12]),
+         r"config: missing keys \['grids\.hif_draws'\]"),
         (lambda c: c.pop("seed"), r"config: missing keys \['seed'\]"),
         (None, "truncated file"),
         (lambda c: c.update(grids=[]), "config.grids: expected an object, got list"),
