@@ -21,6 +21,13 @@ the union of that rate's buses and drops it before its cells go to the
 worker pool; each bus subset takes its rows of those features, and all its
 methods see the same train/test index sets; the split fingerprint recorded
 per run makes that checkable.
+
+A run keeps every usable core busy: a large dataset build splits its records
+over forked processes (build_dataset), the pool trains one cell per core
+while the parent builds the next rate's dataset, and each rate submits its
+longest cells first (submission_order). Every seed derives from a record
+index or a cell's coordinates, never from a process, so the split and the
+order change no result.
 """
 
 from __future__ import annotations
@@ -324,21 +331,34 @@ def _fit_cell(config: ExperimentConfig, method: str, cell: Features,
     return fit_method(config, method, cell, split, repeat)[0]
 
 
+def submission_order(cells) -> list[int]:
+    """Indices of one rate's cells, each starting (fs, buses, method), longest
+    first: the CNN before the baselines, each by descending bus count, ties in
+    the given order. The last cells to start are then short ones, and no
+    worker idles while another still trains a long one."""
+    return sorted(range(len(cells)),
+                  key=lambda i: (cells[i][2] != "cnn", -len(cells[i][1])))
+
+
 def run_grid(config: ExperimentConfig, cells) -> dict:
     """RunResults of the distinct (fs, buses, method) cells, buses compared
     sorted, at each repeat, keyed by (repeat, fs, sorted buses, method) in grid
     order: repeats outermost, then order of first appearance. Each (repeat, fs)
     featurizes its dataset once over the union of its buses and drops it before
     its cells are submitted; a subset's methods share its rows of those features
-    and the (repeat, fs) split. The cells train in forked workers, one per usable
-    core, while the next dataset builds; each model is evaluated here in order."""
+    and the (repeat, fs) split.
+
+    Every usable core stays busy: build_dataset splits large builds over forked
+    processes, and the cells train in forked pool workers, one per usable core,
+    while the next dataset builds. Each (repeat, fs) submits its cells longest
+    first (submission_order); each model is evaluated here, in grid order."""
     import concurrent.futures  # here, not at the top: `swec train`/`eval` start no pool
     import multiprocessing
     grid = {}  # fs -> sorted buses -> methods
     for fs, buses, method in cells:
         grid.setdefault(fs, {}).setdefault(tuple(sorted(buses)), {})[method] = None
     count = config.repeats * sum(len(ms) for s in grid.values() for ms in s.values())
-    pending, results, broken = [], {}, None
+    pending, futures, results, broken = [], {}, {}, None
     with concurrent.futures.ProcessPoolExecutor(
             min(count, len(os.sched_getaffinity(0))),
             multiprocessing.get_context("fork")) as pool:
@@ -352,21 +372,25 @@ def run_grid(config: ExperimentConfig, cells) -> dict:
                         features, split = features_and_split(config, dataset, watched,
                                                              repeat)
                         del dataset  # no dataset is alive when the pool forks
+                        start = len(pending)
                         for buses, methods in subsets.items():
                             # take() keeps the rows C-contiguous, as featurize stacks them
                             rows = [watched.index(b) for b in buses]
                             cell = Features(features.values.take(rows, axis=1),
                                             features.labels)
-                            for method in methods:
-                                future = pool.submit(_fit_cell, config, method, cell,
-                                                     split, repeat)
-                                pending.append((future, method, fs, buses, repeat, cell,
-                                                split, digest))
+                            pending += [(fs, buses, method, repeat, cell, split, digest)
+                                        for method in methods]
+                        for i in submission_order(pending[start:]):
+                            _, _, method, _, cell, _, _ = pending[start + i]
+                            futures[start + i] = pool.submit(_fit_cell, config, method,
+                                                             cell, split, repeat)
             except concurrent.futures.process.BrokenProcessPool as exc:
                 broken = exc  # a worker died: the first unfinished cell names it
-            for future, method, fs, buses, repeat, cell, split, digest in pending:
+            for i, (fs, buses, method, repeat, cell, split, digest) in enumerate(pending):
+                if i not in futures:  # the pool broke before it was submitted
+                    continue
                 with _stage(f"train[{method}]"):
-                    model = future.result()
+                    model = futures[i].result()
                 report, cm = evaluate_method(method, model, cell, split)
                 results[repeat, fs, buses, method] = RunResult(
                     method, fs, buses, repeat, report.accuracy, report, cm,

@@ -157,7 +157,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
-    """Logits (B, classes) of a (B, H, W) batch, plus the backprop cache.
+    """Logits (B, classes) of a (B, H, W) batch, plus the backprop cache."""
+    cache = _conv_stage(model, xs)
+    return _head(model, cache["flat"]), cache
+
+
+def _conv_stage(model: CnnModel, xs) -> dict:
+    """The convolution, pooling and ReLU of a (B, H, W) batch: the backprop
+    cache, whose "flat" (B, flat_size) rows feed the head.
 
     Filter-major throughout: the pre-activations are (F, B, conv_h, conv_w).
     Pooling runs before the ReLU (the two commute) and takes the right
@@ -178,9 +185,12 @@ def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
     right = pairs[..., 1] > pairs[..., 0]
     pooled = np.maximum(np.maximum(pairs[..., 0], pairs[..., 1]), 0.0)
     flat = pooled.transpose(1, 0, 2, 3).reshape(b, -1)
-    logits = flat @ model.fc_w.T + model.fc_b
-    return logits, {"cols": cols, "pre": pre, "right": right, "pooled": pooled,
-                    "flat": flat}
+    return {"cols": cols, "pre": pre, "right": right, "pooled": pooled, "flat": flat}
+
+
+def _head(model: CnnModel, flat: np.ndarray) -> np.ndarray:
+    """The fully connected layer: logits (B, classes) of the conv stage's rows."""
+    return flat @ model.fc_w.T + model.fc_b
 
 
 def batch_loss_and_grads(model: CnnModel, xs, labels):
@@ -207,6 +217,14 @@ def batch_loss_and_grads(model: CnnModel, xs, labels):
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean loss -log softmax(logits)[label] over a (B, classes) batch with
     (B,) class codes, and its logit delta (softmax - onehot) / B."""
+    loss, probs, at = _nll(logits, labels)
+    probs[at] -= 1.0
+    return loss, probs / len(labels)
+
+
+def _nll(logits: np.ndarray, labels: np.ndarray):
+    """cross_entropy's loss, plus the softmax it came from and the (row,
+    label) index of each example's probability."""
     if len(labels) == 0:
         raise ValueError("empty batch")
     if labels.min() < 1 or labels.max() > logits.shape[1]:
@@ -214,9 +232,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
                          f"1..{logits.shape[1]}")
     probs = softmax(logits)
     at = np.arange(len(labels)), labels - 1
-    loss = float(-np.log(probs[at]).mean())
-    probs[at] -= 1.0
-    return loss, probs / len(labels)
+    return float(-np.log(probs[at]).mean()), probs, at
 
 
 def sgdm_step(params, grads, velocity, cfg) -> None:
@@ -297,15 +313,22 @@ class GradCheckReport:
 def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheckReport:
     """Central finite differences against the analytic gradient, every parameter.
 
-    Relative error as in central_difference_errors.
+    Relative error as in central_difference_errors. A nudged convolution
+    parameter runs the whole forward pass; a nudged head parameter (fc_w,
+    fc_b) cannot change the conv stage, so its loss runs the same _head on
+    the conv stage's cached rows, which gives the same bits.
     """
     _check_step(h)
     xs, labels = np.asarray([x], dtype=float), np.array([label])
     _, grads = batch_loss_and_grads(model, xs, labels)
     params = model.params()
+    flat = _conv_stage(model, xs)["flat"]
     errors = central_difference_errors(
-        lambda: cross_entropy(_forward_batch(model, xs)[0], labels)[0],
-        params.values(), grads, h)
+        lambda: _nll(_forward_batch(model, xs)[0], labels)[0],
+        [model.conv_w, model.conv_b], grads[:2], h)
+    errors += central_difference_errors(
+        lambda: _nll(_head(model, flat), labels)[0],
+        [model.fc_w, model.fc_b], grads[2:], h)
     per_tensor = dict(zip(params, errors))
     count = sum(p.size for p in params.values())
     return GradCheckReport(max(per_tensor.values()), per_tensor, count)
@@ -325,9 +348,9 @@ def central_difference_errors(loss, params, grads, h: float) -> list[float]:
     for p, g in zip(params, grads):
         worst = 0.0
         flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
+        flat_g = g.reshape(-1).tolist()  # Python floats: the same bits, less overhead
         for i in range(flat_p.size):
-            orig = flat_p[i]
+            orig = float(flat_p[i])
             flat_p[i] = orig + h
             up = loss()
             flat_p[i] = orig - h

@@ -14,6 +14,7 @@ import pytest
 import swec
 from swec import baselines, cli, expharness, metrics, store, synthgrid, tinycnn
 from conftest import tiny_config, write_non_finite
+from test_tinycnn import FULL_FORWARD_ERRORS
 
 from swec.expharness import config_to_json
 
@@ -74,6 +75,15 @@ class TestGradcheck:
         _, out2, _ = run_cli(capsys, "gradcheck", "--seed", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_errors_pinned(self, seed, capsys):
+        code, out, _ = run_cli(capsys, "gradcheck", "--seed", str(seed))
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        pinned = dict(zip(("conv_w", "conv_b", "fc_w", "fc_b"),
+                          FULL_FORWARD_ERRORS[seed]))
+        assert (code, rows) == (0, {**{k: repr(v) for k, v in pinned.items()},
+                                    "all": repr(max(pinned.values()))})
+
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1e-5"])
     def test_bad_step_fails_cleanly(self, step, capsys):
         code, out, err = run_cli(capsys, "gradcheck", f"--step={step}")
@@ -130,6 +140,24 @@ class TestWorkflow:
         block = np.array([[int(v) for v in row]
                           for row in rows[anchor + 1:anchor + 5]])
         assert block.sum() == 4  # tiny config: one test record per class
+
+    def test_integer_rates_name_the_data_a_model_was_trained_on(self, capsys,
+                                                                 tmp_path):
+        # "placement_fs": 4000 and "--fs 4000" give one dataset config digest.
+        # generate builds at --seed; compare's repeat 0 at the derived seed.
+        doc = {**config_to_json(tiny_config()), "placement_fs": 4000,
+               "fs_list": [2000, 4000]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        run, data = tmp_path / "run", tmp_path / "data.bin"
+        ds_seed = expharness.derive_seed(doc["seed"], 0, expharness._STAGE_DATASET, 4000)
+        assert run_cli(capsys, "compare", "--config", str(config),
+                       "--out", str(run))[0] == 0
+        assert run_cli(capsys, "generate", "--config", str(config), "--out", str(data),
+                       "--fs", "4000", "--seed", str(ds_seed))[0] == 0
+        code, _, err = run_cli(capsys, "eval", "--config", str(config), "--data",
+                               str(data), "--model", str(run / "models" / "cnn_r0.bin"))
+        assert (code, err) == (0, "")
 
     def test_eval_deterministic_stdout(self, capsys, tmp_path, tiny_config_file):
         data_dir = tmp_path / "data"
@@ -499,7 +527,7 @@ class TestSweepAndCompare:
     @pytest.mark.parametrize("content, says", [
         (b'{"seed": \xb4}', "malformed JSON"),
         (b"[1]", "ExperimentConfig: expected an object, got list"),
-        (b'{"svm": {"C": 0}}', "svm.C: 0 is not > 0"),
+        (b'{"svm": {"C": 0}}', "svm.C: 0.0 is not > 0"),
     ], ids=["undecodable", "not_object", "bad_value"])
     def test_config_file_error_names_the_file(self, content, says, capsys,
                                               tmp_path):

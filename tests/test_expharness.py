@@ -122,7 +122,7 @@ class TestConfig:
             ExperimentConfig(methods=("cnn", "cnn"))
 
     def test_repeated_rate_rejected(self):
-        with pytest.raises(ConfigError, match=r"\(2000\.0, 4000\.0, 2000\) repeats a rate"):
+        with pytest.raises(ConfigError, match=r"\(2000\.0, 4000\.0, 2000\.0\) repeats a rate"):
             config_from_json({"fs_list": [2000.0, 4000.0, 2000]})
 
     @pytest.mark.parametrize("method", expharness.METHODS)
@@ -200,12 +200,20 @@ class TestConfig:
         config = config_from_json(json.loads(block.split("```", 1)[0]))
         assert config.seed == 7
 
-    def test_int_accepted_and_kept_for_float_field(self):
+    def test_int_accepted_as_float_for_float_field(self):
         cfg = config_from_json({"placement_fs": 5000, "fs_list": [1250, 2500],
                                 "cnn": {"learning_rate": 1}})
-        assert cfg.fs_list == (1250, 2500)
-        assert type(cfg.placement_fs) is int
-        assert type(cfg.cnn.learning_rate) is int
+        assert cfg.fs_list == (1250.0, 2500.0)
+        assert {type(v) for v in cfg.fs_list} == {float}
+        assert type(cfg.placement_fs) is float
+        assert type(cfg.cnn.learning_rate) is float
+        # so one rate gives one dataset digest, however the document writes it
+        assert synthgrid.config_sha256(cfg.dataset_config(cfg.placement_fs, 0)) == \
+            synthgrid.config_sha256(synthgrid.DatasetConfig(fs=5000.0, seed=0))
+
+    def test_int_too_large_for_a_float_field_rejected(self):
+        with pytest.raises(ConfigError, match=r"placement_fs: int 10{400} is too large"):
+            config_from_json({"placement_fs": 10 ** 400})
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -466,6 +474,31 @@ class TestPool:
             assert res.config_sha256 == synthgrid.config_sha256(dataset.config)
             for name, value in vars(model).items():  # the tensors and the arch
                 np.testing.assert_array_equal(getattr(res.model, name), value)
+
+    @pytest.mark.parametrize("table, first", [
+        ("compare", ["cnn", "autoencoder", "svm", "tmlp"]),
+        ("placement", [(632, 671, 675), (632, 671), (671, 675), (632, 675),
+                       (675,), (671,), (632,)]),
+    ])
+    def test_longest_cells_submitted_first(self, table, first):
+        # the default compare and placement cells: the 3-bus CNN leads
+        cells = [cell for _, cell in expharness._table_cells(ExperimentConfig(), table)]
+        order = [cells[i] for i in expharness.submission_order(cells)]
+        assert order[0] == (20000.0, (632, 671, 675), "cnn")
+        assert [c[2] if table == "compare" else c[1] for c in order] == first
+
+    def test_grid_submits_longest_first_and_evaluates_in_order(self, monkeypatch):
+        submitted, submit = [], concurrent.futures.ProcessPoolExecutor.submit
+
+        def recorded(pool, fn, config, method, cell, *args):
+            submitted.append((method, cell.values.shape[1]))
+            return submit(pool, fn, config, method, cell, *args)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recorded)
+        cells = [(4000.0, b, m) for b in [(632,), (632, 675)] for m in ["svm", "cnn"]]
+        results = run_grid(tiny_config(), cells)
+        assert submitted == [("cnn", 2), ("cnn", 1), ("svm", 2), ("svm", 1)]
+        assert list(results) == [(0, *cell) for cell in cells]
 
     def test_worker_error_names_its_stage(self):
         # 4 training rows at C = 1: step / (C n) = 2.5 breaks the bound of 2

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
 import struct
 import sys
 from pathlib import Path
@@ -253,6 +256,65 @@ def _bench_rep():
     return rep
 
 
+class TestSplitBuild:
+    """A build of at least 2 * MIN_RECORDS_PER_PROCESS records splits them
+    over forked processes, which write into one shared array."""
+
+    # 132 records: 64 capacitor, 64 transformer, 2 fault, 2 HIF
+    GRIDS = DatasetGrids(cap_sizes=8, cap_angles=8, xfmr_taps=8, xfmr_angles=8,
+                         fault_types=("LG",), fault_locations=(632,),
+                         fault_resistances=1, fault_angles=2, hif_locations=(632,),
+                         hif_angles=2, hif_draws=1, declared_counts=(64, 64, 2, 2))
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_split_build_equals_serial_synthesis(self, two_cores, monkeypatch):
+        parent_share, synthesize = [], synthgrid._synthesize
+
+        def counted(records, fs):  # the helper's calls count in its own copy
+            parent_share.append(len(records))
+            synthesize(records, fs)
+
+        monkeypatch.setattr(synthgrid, "_synthesize", counted)
+        config = DatasetConfig(fs=1000.0, seed=5, grids=self.GRIDS)
+        dataset = build_dataset(config)
+        assert parent_share == [66]
+        assert dataset.samples.flags.c_contiguous
+        want = np.stack([synth_event(spec, config.fs, derive_seed(config.seed, i)).samples
+                         for i, spec in enumerate(self.GRIDS.specs())])
+        assert want.shape == dataset.samples.shape == (132, 3, 3, 150)
+        assert want.tobytes() == dataset.samples.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("death, code", [("raise", 1), ("kill", -signal.SIGKILL)])
+    def test_failing_helper_fails_the_build(self, two_cores, monkeypatch, death, code):
+        parent, synth = os.getpid(), synthgrid.synth_event
+
+        def failing(spec, fs, seed):
+            if os.getpid() != parent and seed == derive_seed(5, 101):
+                if death == "raise":
+                    raise RuntimeError("synthesis failed")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return synth(spec, fs, seed)
+
+        monkeypatch.setattr(synthgrid, "synth_event", failing)
+        with pytest.raises(RuntimeError, match=rf"^records 1::2 of 132: synthesis "
+                           rf"process exited with code {code}$"):
+            build_dataset(DatasetConfig(fs=1000.0, seed=5, grids=self.GRIDS))
+        assert multiprocessing.active_children() == []
+
+    def test_small_build_starts_no_process(self, two_cores, monkeypatch):
+        def no_fork():
+            raise AssertionError("a small build forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        grids = dataclasses.replace(self.GRIDS, cap_sizes=1, xfmr_taps=1,
+                                    declared_counts=(8, 8, 2, 2))
+        assert len(build_dataset(DatasetConfig(fs=1000.0, grids=grids))) == 20
+
+
 class TestReferenceHashes:
     def test_builds_match_reference_hashes(self):
         """Every 8-record dataset the tiny benchmark workloads build, and one
@@ -394,6 +456,15 @@ class TestPersistence:
                        lambda c: c["grids"].update(cap_sizes="1"))
         with pytest.raises(ValueError, match=r"ds\.bin: offset 8: "
                            r"config\.grids\.cap_sizes: expected int"):
+            synthgrid.load_dataset(path)
+
+    def test_missing_grid_key_named_before_the_grid_checks(self, tiny_dataset,
+                                                           tmp_path):
+        # the 6 draws hif_draws defaults to do not match the declared counts,
+        # but the missing key is the cause
+        path = _resave(tiny_dataset, tmp_path, lambda c: c["grids"].pop("hif_draws"))
+        with pytest.raises(ValueError, match=r"ds\.bin: offset 8: config: missing "
+                           r"keys \['grids\.hif_draws'\]; re-run `swec generate`"):
             synthgrid.load_dataset(path)
 
     @pytest.mark.parametrize("damage, message", [

@@ -11,6 +11,32 @@ from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, _forward_batch,
                           make_gradcheck_case, predict_batch, sgdm_step, softmax,
                           train)
 
+# Worst relative error per tensor (conv_w, conv_b, fc_w, fc_b) of the ten
+# criterion-3 cases (3x166 input, h = 1e-5), from central differences that
+# run the whole forward pass for every parameter (numpy 2.4, OpenBLAS 0.3).
+FULL_FORWARD_ERRORS = {
+    0: (1.442522417897331e-08, 3.1770486277933703e-10,
+        1.1936820959503144e-07, 3.142913030156239e-11),
+    1: (4.161372442085303e-08, 2.889847380047865e-09,
+        1.5214698154533965e-08, 2.52112930790858e-11),
+    2: (1.1286236617933074e-08, 3.198905818940583e-10,
+        5.437002342583134e-07, 6.353138968509528e-11),
+    3: (2.5452716094932834e-08, 3.090397156933226e-10,
+        4.202170089610656e-08, 5.1476715412757074e-11),
+    4: (2.6484422459848536e-09, 1.2213112427667852e-10,
+        1.2565439305337884e-07, 6.097734537806484e-11),
+    5: (2.3628987980629705e-08, 4.419770993325116e-10,
+        3.055161684235696e-08, 9.009005268391522e-11),
+    6: (9.446763809914654e-09, 8.421348278400877e-11,
+        4.227942552384573e-08, 2.1203518573086506e-11),
+    7: (1.1962346023140324e-08, 1.5511717417773872e-10,
+        1.642334839622766e-08, 3.591554244451751e-11),
+    8: (1.830848359284656e-08, 3.300311694508475e-10,
+        2.1577646904087792e-08, 8.116692332401612e-11),
+    9: (6.530622865697363e-09, 1.4004441765332622e-10,
+        1.1772735906622822e-08, 3.006903770713932e-11),
+}
+
 
 def manual_model(arch, conv_w, conv_b, fc_w, fc_b):
     return CnnModel(arch, np.asarray(conv_w, dtype=float),
@@ -185,6 +211,25 @@ class TestLossGrad:
         losses = iter([0.0, 0.0, math.nan, 0.0, 0.0, 0.0])
         assert tinycnn.central_difference_errors(lambda: next(losses), [p], [g],
                                                  1e-5) == [math.inf]
+
+    @pytest.mark.parametrize("seed, h", [(0, 1e-5), (1, 1e-5), (2, 5e-4)])
+    def test_head_errors_equal_full_forward_differences(self, seed, h):
+        # the head's differences reuse the conv stage's rows, to the last bit
+        model, x, label = make_gradcheck_case(seed, input_h=3, input_w=24, h=h)
+        report = grad_check(model, x, h=h, label=label)
+        xs, labels = x[None], np.array([label])
+        _, grads = batch_loss_and_grads(model, xs, labels)
+        full = tinycnn.central_difference_errors(
+            lambda: tinycnn.cross_entropy(_forward_batch(model, xs)[0], labels)[0],
+            model.params().values(), grads, h)
+        assert list(report.per_tensor.values()) == full
+
+    @pytest.mark.parametrize("seed", range(4, 10))
+    def test_criterion3_errors_pinned(self, seed):
+        # seeds 0-3 are pinned through `swec gradcheck` (test_cli)
+        model, x, label = make_gradcheck_case(seed, input_h=3, input_w=166)
+        report = grad_check(model, x, h=1e-5, label=label)
+        assert tuple(report.per_tensor.values()) == FULL_FORWARD_ERRORS[seed]
 
     def test_report_covers_every_tensor(self):
         model, x, label = make_gradcheck_case(5, input_h=2, input_w=16)
