@@ -44,6 +44,18 @@ def _parse_buses(text: str) -> tuple:
     return buses
 
 
+def _parse_tables(text: str) -> tuple:
+    names = text.split(",")
+    for name in names:
+        if name not in expharness.TABLES:
+            raise argparse.ArgumentTypeError(
+                f"unknown table {name!r} in {text!r}; expected names from "
+                + ",".join(expharness.TABLES))
+        if names.count(name) > 1:
+            raise argparse.ArgumentTypeError(f"table {name!r} repeated in {text!r}")
+    return tuple(name for name in expharness.TABLES if name in names)
+
+
 def _cmd_generate(args) -> int:
     config = _load_config(args)
     fs = args.fs if args.fs is not None else max(config.fs_list)
@@ -89,23 +101,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    sweep = getattr(expharness, args.sweep)
-    rows = expharness.sweep_rows(sweep(_load_config(args)), args.key_name)
-    if args.out:
-        expharness.save_report(rows, args.out)
-    _emit(rows)
-    return 0
-
-
-def _cmd_compare(args) -> int:
+def _cmd_tables(args) -> int:
     config = _load_config(args)
+    results = expharness.tables(config, args.only)
     if args.out:
-        out = expharness.write_comparison_run(config, args.out)
-        _emit(expharness.load_report(Path(out) / "reports" / "compare.csv"))
-    else:
-        comparisons = expharness.compare_methods(config)
-        _emit(expharness.comparison_rows(comparisons))
+        expharness.save_tables(config, results, args.out)
+    for name, rows in results.items():
+        _emit([["table", name], *expharness.table_rows(name, rows)])
     return 0
 
 
@@ -122,10 +124,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_report(args) -> int:
     root = Path(args.indir)
-    files = sorted((root / "reports").glob("*.csv")) if (root / "reports").is_dir() \
-        else sorted(root.glob("*.csv"))
+    files = sorted((root / "reports").glob("*.csv"))
     if not files:
-        raise ValueError(f"no report CSVs under {root}")
+        raise ValueError(f"no report CSVs under {root / 'reports'}")
     rows = []
     for path in files:
         rows.append(["file", path.name])
@@ -166,21 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(fn=_cmd_eval)
 
-    for name, help_text, sweep, key_name in (
-            ("sweep-fs", "accuracy vs sampling rate", "sweep_sampling_rate", "fs"),
-            ("sweep-placement", "accuracy vs sensor subsets", "sweep_placement",
-             "buses")):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--repeats", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.set_defaults(fn=_cmd_sweep, sweep=sweep, key_name=key_name)
-
-    p = sub.add_parser("compare", help="all methods on identical splits")
+    p = sub.add_parser("tables", help="the method, placement and sampling-rate "
+                       "tables from one grid")
     common(p)
+    p.add_argument("--only", type=_parse_tables, default=expharness.TABLES,
+                   metavar="NAME[,NAME...]",
+                   help=f"tables among {','.join(expharness.TABLES)} (default all)")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--out", default=None, help="run directory for artifacts")
-    p.set_defaults(fn=_cmd_compare)
+    p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient oracle")
     p.add_argument("--seed", type=int, default=0)

@@ -59,6 +59,7 @@ DEFAULT_BUS_SUBSETS = (
     (632, 671, 675),
 )
 DEFAULT_FS_LIST = (1250.0, 2500.0, 5000.0, 10000.0, 20000.0)
+TABLES = ("compare", "placement", "sampling_rate")
 
 
 class Method(NamedTuple):
@@ -438,8 +439,7 @@ def _table_cells(config: ExperimentConfig, name: str) -> list:
     raise ValueError(f"unknown table {name!r}")
 
 
-def tables(config: ExperimentConfig,
-           names=("compare", "placement", "sampling_rate")) -> dict[str, list[Row]]:
+def tables(config: ExperimentConfig, names=TABLES) -> dict[str, list[Row]]:
     """The rows of each named table, all from one grid over the union of
     their cells, so a cell that several tables share trains once per repeat."""
     keyed = {name: _table_cells(config, name) for name in names}
@@ -449,22 +449,10 @@ def tables(config: ExperimentConfig,
             for name, rows in keyed.items()}
 
 
-def sweep_sampling_rate(config: ExperimentConfig) -> list[Row]:
-    """Accuracy per sampling rate (all monitored buses, convolutional model),
-    over the configured repeats. Rows ascend in rate."""
-    return tables(config, ["sampling_rate"])["sampling_rate"]
-
-
 def sweep_placement(config: ExperimentConfig) -> list[Row]:
     """Accuracy per sensor subset at the placement-study sampling rate, rows
     in the config's subset order."""
     return tables(config, ["placement"])["placement"]
-
-
-def compare_methods(config: ExperimentConfig) -> list[Row]:
-    """All configured methods at the placement-study rate on all monitored
-    buses, on identical splits and features per repeat."""
-    return tables(config, ["compare"])["compare"]
 
 
 # ── Artifact persistence ─────────────────────────────────────────────────────
@@ -553,14 +541,24 @@ def sweep_rows(rows: list[Row], key_name: str) -> list[list[str]]:
     return out
 
 
-def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
-    """Full comparison run with persisted manifest, reports and models; each
-    run's report ends with its confusion counts."""
+def table_rows(name: str, rows: list[Row]) -> list[list[str]]:
+    """The CSV rows, header first, of the table tables() returned under name."""
+    if name == "compare":
+        return comparison_rows(rows)
+    return sweep_rows(rows, {"placement": "buses", "sampling_rate": "fs"}[name])
+
+
+def save_tables(config: ExperimentConfig, results: dict, out_dir) -> Path:
+    """Write reports/<name>.csv of each table of a tables() result; a compare
+    table adds manifest.json, and per method and repeat k models/<method>_r<k>.bin
+    and reports/<method>_r<k>.csv, which ends with its confusion counts."""
     out = Path(out_dir)
-    (out / "reports").mkdir(parents=True, exist_ok=True)
+    for name, rows in results.items():
+        save_report(table_rows(name, rows), out / "reports" / f"{name}.csv")
+    comparisons = results.get("compare")
+    if comparisons is None:
+        return out
     (out / "models").mkdir(exist_ok=True)
-    comparisons = compare_methods(config)
-    save_report(comparison_rows(comparisons), out / "reports" / "compare.csv")
     manifest = {
         "config": config_to_json(config),
         "results": {
@@ -582,3 +580,8 @@ def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
             save_report(metrics.report_rows(comp.key, run.report, run.cm),
                         out / "reports" / f"{tag}.csv")
     return out
+
+
+def write_comparison_run(config: ExperimentConfig, out_dir) -> Path:
+    """Full comparison run with persisted manifest, reports and models."""
+    return save_tables(config, tables(config, ["compare"]), out_dir)

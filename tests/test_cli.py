@@ -144,14 +144,14 @@ class TestWorkflow:
     def test_integer_rates_name_the_data_a_model_was_trained_on(self, capsys,
                                                                  tmp_path):
         # "placement_fs": 4000 and "--fs 4000" give one dataset config digest.
-        # generate builds at --seed; compare's repeat 0 at the derived seed.
+        # generate builds at --seed; the compare table's repeat 0 at the derived seed.
         doc = {**config_to_json(tiny_config()), "placement_fs": 4000,
                "fs_list": [2000, 4000]}
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         run, data = tmp_path / "run", tmp_path / "data.bin"
         ds_seed = expharness.derive_seed(doc["seed"], 0, expharness._STAGE_DATASET, 4000)
-        assert run_cli(capsys, "compare", "--config", str(config),
+        assert run_cli(capsys, "tables", "--only", "compare", "--config", str(config),
                        "--out", str(run))[0] == 0
         assert run_cli(capsys, "generate", "--config", str(config), "--out", str(data),
                        "--fs", "4000", "--seed", str(ds_seed))[0] == 0
@@ -181,6 +181,14 @@ class TestWorkflow:
                       "--model", str(tmp_path / "m.bin")])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "sweep-fs", "sweep-placement"])
+    def test_removed_command_is_usage_error(self, command, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_truncated_model_fails_cleanly(self, capsys, tmp_path,
                                            tiny_config_file):
@@ -377,7 +385,7 @@ class TestProvenance:
 
 class TestEvalAnyMethod:
     """eval reads the method and repeat from the model file,
-    so it scores every model file that compare --out writes."""
+    so it scores every model file that tables --only compare --out writes."""
 
     @pytest.fixture(scope="class")
     def compare_run(self, tmp_path_factory):
@@ -388,8 +396,8 @@ class TestEvalAnyMethod:
         config = tiny_config(methods=expharness.METHODS)
         config_path = root / "config.json"
         config_path.write_text(json.dumps(config_to_json(config)))
-        assert cli.main(["compare", "--config", str(config_path), "--repeats", "2",
-                         "--out", str(root / "run")]) == 0
+        assert cli.main(["tables", "--only", "compare", "--config", str(config_path),
+                         "--repeats", "2", "--out", str(root / "run")]) == 0
         fs, datasets = config.placement_fs, [root / "ds_r0", root / "ds_r1"]
         for repeat, path in enumerate(datasets):
             ds_seed = expharness.derive_seed(config.seed, repeat,
@@ -447,35 +455,124 @@ class TestEvalAnyMethod:
 
 class TestSweepAndCompare:
     def test_sweep_fs_stdout(self, capsys, tiny_config_file):
-        code, out, _ = run_cli(capsys, "sweep-fs", "--config",
+        code, out, _ = run_cli(capsys, "tables", "--only", "sampling_rate", "--config",
                                str(tiny_config_file))
         assert code == 0
-        lines = out.strip().splitlines()
+        title, *lines = out.strip().splitlines()
+        assert title == "table,sampling_rate"
         assert lines[0].startswith("fs,mean_accuracy")
         assert len(lines) == 3
 
-    def test_sweep_placement_stdout(self, capsys, tiny_config_file):
-        code, out, _ = run_cli(capsys, "sweep-placement", "--config",
-                               str(tiny_config_file))
+    def test_sweep_placement_stdout(self, capsys, tmp_path, tiny_config_file):
+        code, out, _ = run_cli(capsys, "tables", "--only", "placement", "--config",
+                               str(tiny_config_file), "--out", str(tmp_path / "run"))
         assert code == 0
-        assert out.startswith("buses,mean_accuracy")
+        assert out.startswith("table,placement\nbuses,mean_accuracy")
+        assert [str(p.relative_to(tmp_path)) for p in (tmp_path / "run").rglob("*")] \
+            == ["run/reports", "run/reports/placement.csv"]
 
     def test_compare_writes_run_dir(self, capsys, tmp_path, tiny_config_file):
         out_dir = tmp_path / "run"
-        code, out, _ = run_cli(capsys, "compare", "--config",
+        code, out, _ = run_cli(capsys, "tables", "--only", "compare", "--config",
                                str(tiny_config_file), "--out", str(out_dir))
         assert code == 0
         assert (out_dir / "reports" / "compare.csv").is_file()
-        assert out.startswith("method,acc")
+        assert out.startswith("table,compare\nmethod,acc")
+        assert sorted(p.name for p in (out_dir / "reports").iterdir()) == \
+            ["cnn_r0.csv", "compare.csv", "svm_r0.csv"]
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        """Fails the test if any dataset is built."""
+        def build(config):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(expharness, "build_dataset", build)
+
+    @staticmethod
+    def _blocks(out: str) -> dict:
+        """Each table's rows on stdout, keyed by the name of its title line."""
+        blocks = {}
+        for row in csv.reader(io.StringIO(out)):
+            if row[0] == "table":
+                rows = blocks[row[1]] = []
+            else:
+                rows.append(row)
+        return blocks
+
+    def test_one_grid_prints_and_writes_every_table(self, capsys, monkeypatch,
+                                                    tmp_path, tiny_config_file):
+        config = expharness.load_config(tiny_config_file)
+        want = expharness.tables(config)
+        grids, run_grid = [], expharness.run_grid
+
+        def counted(*args):
+            grids.append(args)
+            return run_grid(*args)
+
+        monkeypatch.setattr(expharness, "run_grid", counted)
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(capsys, "tables", "--config", str(tiny_config_file),
+                                 "--out", str(out_dir))
+        assert (code, err, len(grids)) == (0, "", 1)
+        blocks = self._blocks(out)
+        assert list(blocks) == ["compare", "placement", "sampling_rate"]
+        assert blocks == {"compare": expharness.comparison_rows(want["compare"]),
+                          "placement": expharness.sweep_rows(want["placement"], "buses"),
+                          "sampling_rate": expharness.sweep_rows(want["sampling_rate"],
+                                                                 "fs")}
+        for name, rows in blocks.items():
+            assert expharness.load_report(out_dir / "reports" / f"{name}.csv") == rows
 
     def test_report_aggregates(self, capsys, tmp_path, tiny_config_file):
         out_dir = tmp_path / "run"
-        run_cli(capsys, "compare", "--config", str(tiny_config_file),
+        run_cli(capsys, "tables", "--config", str(tiny_config_file),
                 "--out", str(out_dir))
         code, out, _ = run_cli(capsys, "report", "--in", str(out_dir))
         assert code == 0
         assert out.startswith("file,")
-        assert "compare.csv" in out
+        for name in ("compare.csv", "placement.csv", "sampling_rate.csv"):
+            assert f"file,{name}\n" in out
+
+    @pytest.mark.parametrize("only, says", [
+        ("bogus", "unknown table 'bogus' in 'bogus'"),
+        ("placement,compare,placement",
+         "table 'placement' repeated in 'placement,compare,placement'"),
+        ("", "unknown table '' in ''"),
+        ("compare,", "unknown table '' in 'compare,'"),
+    ], ids=["unknown", "repeated", "empty", "trailing_comma"])
+    def test_bad_only_is_usage_error(self, only, says, capsys, no_build, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tables", "--only", only, "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --only: {says}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_only_prints_in_table_order(self, capsys, tiny_config_file):
+        code, out, _ = run_cli(capsys, "tables", "--only", "sampling_rate,compare",
+                               "--config", str(tiny_config_file))
+        assert code == 0
+        assert list(self._blocks(out)) == ["compare", "sampling_rate"]
+
+    @pytest.mark.parametrize("override, says", [
+        ({"methods": ["cnn"]}, "comparison needs at least 2 methods"),
+        ({"fs_list": [4000.0]}, "sampling-rate sweep needs at least 2 rates"),
+    ], ids=["one_method", "one_rate"])
+    def test_table_the_config_cannot_fill_fails(self, override, says, capsys,
+                                                monkeypatch, no_build, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config_to_json(tiny_config()), **override}))
+        code, out, err = run_cli(capsys, "tables", "--config", str(path),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert says in err
+        monkeypatch.undo()  # builds from here on
+        code, out, _ = run_cli(capsys, "tables", "--only", "placement",
+                               "--config", str(path))
+        assert code == 0
+        assert out.startswith("table,placement\nbuses,mean_accuracy")
 
     def test_report_undecodable_csv_names_the_file(self, capsys, tmp_path):
         (tmp_path / "reports").mkdir()
@@ -495,7 +592,8 @@ class TestSweepAndCompare:
         # in the forked workers
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli(capsys, "compare", "--config", str(path))
+            code, out, err = run_cli(capsys, "tables", "--only", "compare",
+                                     "--config", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "stage 'train[tmlp]': epoch " in err
@@ -504,7 +602,7 @@ class TestSweepAndCompare:
     def test_compare_bad_config_type_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"cnn": {"epochs": 2.5}}))
-        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        code, out, err = run_cli(capsys, "tables", "--config", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -519,7 +617,7 @@ class TestSweepAndCompare:
                                                      tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        code, out, err = run_cli(capsys, "tables", "--config", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{field}: " in err
@@ -533,7 +631,7 @@ class TestSweepAndCompare:
                                               tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        code, out, err = run_cli(capsys, "tables", "--config", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{path}: " in err and says in err

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import signal
 import weakref
 from dataclasses import MISSING, fields, is_dataclass
@@ -12,13 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swec import baselines, expharness, store, synthgrid, tinycnn
-from swec.expharness import (ExperimentConfig, PipelineError, compare_methods,
-                             comparison_rows, config_from_json, config_to_json,
-                             derive_seed, largest_remainder_counts, load_report,
-                             run_grid, save_report, split_stratified,
-                             sweep_placement, sweep_rows, sweep_sampling_rate,
-                             tables, write_comparison_run)
+from swec import baselines, cli, expharness, store, synthgrid, tinycnn
+from swec.expharness import (ExperimentConfig, PipelineError, comparison_rows,
+                             config_from_json, config_to_json, derive_seed,
+                             largest_remainder_counts, load_report, run_grid,
+                             save_report, split_stratified, sweep_placement,
+                             sweep_rows, tables, write_comparison_run)
 from swec.synthgrid import ConfigError
 from conftest import tiny_config, tiny_grids, write_non_finite
 
@@ -200,6 +200,14 @@ class TestConfig:
         config = config_from_json(json.loads(block.split("```", 1)[0]))
         assert config.seed == 7
 
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1]
+        lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+        assert lines and all(line.startswith("swec ") for line in lines)
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
     def test_int_accepted_as_float_for_float_field(self):
         cfg = config_from_json({"placement_fs": 5000, "fs_list": [1250, 2500],
                                 "cnn": {"learning_rate": 1}})
@@ -331,14 +339,14 @@ class TestPredictorContract:
 
 class TestSweeps:
     def test_sampling_rate_rows_ascend(self):
-        rows = sweep_sampling_rate(tiny_config())
+        rows = tables(tiny_config(), ["sampling_rate"])["sampling_rate"]
         assert [r.key for r in rows] == [2000.0, 4000.0]
         for row in rows:
             assert len(row.accuracies) == 1
 
     def test_default_rate_ladder_has_five_rows(self):
         cfg = tiny_config(fs_list=ExperimentConfig().fs_list)
-        rows = sweep_sampling_rate(cfg)
+        rows = tables(cfg, ["sampling_rate"])["sampling_rate"]
         assert [r.key for r in rows] == [1250.0, 2500.0, 5000.0, 10000.0,
                                          20000.0]
 
@@ -350,11 +358,11 @@ class TestSweeps:
 
     def test_sampling_rate_needs_two_rates(self):
         with pytest.raises(ConfigError):
-            sweep_sampling_rate(tiny_config(fs_list=(2000.0,)))
+            tables(tiny_config(fs_list=(2000.0,)), ["sampling_rate"])
 
     def test_repeat_prefix_stable(self):
-        one = sweep_sampling_rate(tiny_config(repeats=1))
-        three = sweep_sampling_rate(tiny_config(repeats=3))
+        one = tables(tiny_config(repeats=1), ["sampling_rate"])["sampling_rate"]
+        three = tables(tiny_config(repeats=3), ["sampling_rate"])["sampling_rate"]
         for r1, r3 in zip(one, three):
             assert r3.accuracies[0] == r1.accuracies[0]
 
@@ -370,7 +378,8 @@ class TestSweeps:
         assert rows[0].accuracies[0] == direct.accuracy
 
     def test_sweep_rows_formatting(self):
-        rows = sweep_rows(sweep_sampling_rate(tiny_config()), "fs")
+        rates = tables(tiny_config(), ["sampling_rate"])["sampling_rate"]
+        rows = sweep_rows(rates, "fs")
         assert rows[0] == ["fs", "mean_accuracy", "accuracy_r0"]
         assert len(rows) == 3
 
@@ -411,10 +420,9 @@ class TestDatasetLifetime:
         sweep_placement(tiny_config(repeats=2))
         assert alive["build"] == [0, 0]
 
-    @pytest.mark.parametrize("table", ["compare_methods", "sweep_placement",
-                                       "sweep_sampling_rate"])
+    @pytest.mark.parametrize("table", expharness.TABLES)
     def test_trains_with_no_dataset_alive(self, alive, table):
-        getattr(expharness, table)(tiny_config(repeats=2))
+        tables(tiny_config(repeats=2), [table])
         assert alive["submit"] == [0, 0, 0, 0]
 
     def test_placement_featurizes_each_record_once(self, monkeypatch):
@@ -437,12 +445,10 @@ class TestDatasetLifetime:
         assert len(alive["build"]) == 2 * 2  # 2 rates per repeat
         assert alive["submit"] == [0] * 4 * 2  # 4 distinct cells per repeat
         assert multiprocessing.active_children() == []
-        singles = {"compare": compare_methods, "placement": sweep_placement,
-                   "sampling_rate": sweep_sampling_rate}
-        assert list(rows) == list(singles)
+        assert list(rows) == list(expharness.TABLES)
         assert [r.key for r in rows["placement"]] == [(632,), (675, 671, 632)]
-        for name, table in singles.items():
-            want = table(cfg)
+        for name in expharness.TABLES:
+            want = tables(cfg, [name])[name]
             assert [r.key for r in rows[name]] == [r.key for r in want]
             for got_row, want_row in zip(rows[name], want):
                 assert got_row.accuracies == want_row.accuracies
@@ -504,7 +510,7 @@ class TestPool:
         # 4 training rows at C = 1: step / (C n) = 2.5 breaks the bound of 2
         cfg = tiny_config(svm=baselines.SvmConfig(epochs=5, step=10.0))
         with pytest.raises(PipelineError, match=r"stage 'train\[svm\]': svm step 10 "):
-            compare_methods(cfg)
+            tables(cfg, ["compare"])
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_names_its_cell(self, monkeypatch):
@@ -517,28 +523,28 @@ class TestPool:
 
         monkeypatch.setattr(expharness, "fit_method", killed)
         with pytest.raises(PipelineError, match=r"stage 'train\[svm\]'"):
-            compare_methods(tiny_config())
+            tables(tiny_config(), ["compare"])
         assert multiprocessing.active_children() == []
 
 
 class TestCompare:
     def test_identical_splits_across_methods(self):
-        comps = compare_methods(tiny_config())
+        comps = tables(tiny_config(), ["compare"])["compare"]
         fingerprints = {c.key: [r.fingerprint for r in c.runs] for c in comps}
         reference = next(iter(fingerprints.values()))
         assert all(v == reference for v in fingerprints.values())
 
     def test_methods_in_config_order(self):
         cfg = tiny_config()
-        comps = compare_methods(cfg)
+        comps = tables(cfg, ["compare"])["compare"]
         assert [c.key for c in comps] == list(cfg.methods)
 
     def test_needs_two_methods(self):
         with pytest.raises(ConfigError):
-            compare_methods(tiny_config(methods=("cnn",)))
+            tables(tiny_config(methods=("cnn",)), ["compare"])
 
     def test_comparison_rows_layout(self):
-        rows = comparison_rows(compare_methods(tiny_config()))
+        rows = comparison_rows(tables(tiny_config(), ["compare"])["compare"])
         assert rows[0][:2] == ["method", "acc"]
         assert len(rows) == 3
 
