@@ -119,7 +119,11 @@ def _cmd_gradcheck(args) -> int:
         rows.append([name, repr(float(err))])
     rows.append(["all", repr(float(report.max_rel_error))])
     _emit(rows)
-    return 0 if report.max_rel_error < 1e-4 else 1
+    if report.max_rel_error < 1e-4:
+        return 0
+    print(f"error: gradient check failed: max relative error "
+          f"{float(report.max_rel_error)!r} is not below 1e-4", file=sys.stderr)
+    return 1
 
 
 def _cmd_report(args) -> int:

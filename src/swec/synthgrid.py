@@ -662,8 +662,16 @@ def build_dataset(config: DatasetConfig) -> Dataset:
     import mmap  # here, not at the top, as in run_grid: `swec train` builds nothing
     import multiprocessing
     shape = _samples_shape(config)
+    nbytes = math.prod(shape) * np.dtype(float).itemsize
+    # Checked before mmap: under memory overcommit a mapping larger than the
+    # machine is granted, and the build is then killed mid-synthesis.
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(f"fs: {config.fs:g} Hz needs a samples array of shape "
+                          f"{shape}, {nbytes / 1e9:.3g} GB, more than the "
+                          f"{memory / 1e9:.3g} GB of physical memory")
     try:
-        buffer = mmap.mmap(-1, math.prod(shape) * np.dtype(float).itemsize)
+        buffer = mmap.mmap(-1, nbytes)
     except (OSError, OverflowError, ValueError, MemoryError):
         raise ConfigError(f"fs: {config.fs:g} Hz needs a samples array of shape "
                           f"{shape}, which cannot be allocated") from None

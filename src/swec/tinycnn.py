@@ -13,18 +13,26 @@ feature matrix smaller than the nominal 2x20 filter; the width additionally
 backs off by one column when the valid convolution would leave a single
 column, which would make the 1x2 pool empty.
 
-Training and prediction run one batch at a time: the batch's im2col
-patches sit in one matrix, so the convolution and its weight gradient are
-one GEMM each (Chellapilla, Puri & Simard, 2006). Functions take stacked
-(N, H, W) inputs and (N,) class codes; train stacks its pairs once. train
-and predict_batch keep the contracts of all four methods (swec.baselines),
-and the predictors' block loop (predict_in_blocks), the minibatch engine
-(fit_sgdm) and the softmax cross-entropy head (cross_entropy) also serve
-the dense baselines. A model file is a swec.store tensor file.
+Training and prediction run one batch at a time through one kernel,
+Workspace: the batch's im2col patches sit in one matrix, so the convolution
+and its weight gradient are one GEMM each (Chellapilla, Puri & Simard,
+2006). A Workspace holds every buffer of one batch size (the gathered
+batch, the patches, pre-activations, pool winners, pooled and flat rows,
+deltas and gradients), and train and predict_batch allocate one per batch
+size per call: the full batch and a short last one. batch_loss_and_grads,
+grad_check and make_gradcheck_case run the same kernel on a single batch,
+so the gradient oracle checks the code that trains. Inputs are checked once
+per call. Functions take stacked (N, H, W) inputs and (N,) class codes;
+train stacks its pairs once. train and predict_batch keep the contracts of
+all four methods (swec.baselines), and the predictors' block loop
+(predict_in_blocks), the minibatch engine (fit_sgdm) and the softmax
+cross-entropy head (cross_entropy) also serve the dense baselines. A model
+file is a swec.store tensor file.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -142,97 +150,175 @@ def init_model(arch: CnnArch, seed: int, init_std: float = 0.01) -> CnnModel:
                     fc_w, np.zeros(arch.num_classes))
 
 
-def im2col(xs: np.ndarray, arch: CnnArch) -> np.ndarray:
-    """Valid-mode patches of a (B, H, W) batch, transposed to
-    (eff_fh * eff_fw, B * conv_h * conv_w) so the convolution is one GEMM."""
-    fh, fw = arch.eff_filter_h, arch.eff_filter_w
-    windows = np.lib.stride_tricks.sliding_window_view(xs, (fh, fw), axis=(1, 2))
-    return windows.transpose(3, 4, 0, 1, 2).reshape(fh * fw, -1)
+# ── The batch kernel ─────────────────────────────────────────────────────────
+
+class Workspace:
+    """The one forward and backward pass of the CNN, over batches of `rows`
+    inputs, in buffers allocated once and reused by every batch of that size.
+
+    Load a batch into x (and, to train, its class codes minus one into
+    codes), then call forward or loss_and_grads; what they leave in the
+    buffers, the returned logits and gradients too, holds until the next
+    call. Nothing is checked here: workspace() and the callers check a
+    call's inputs once.
+
+    Filter-major throughout: the pre-activations are (F, rows, conv_h,
+    conv_w). Pooling runs before the ReLU (the two commute) and takes the
+    right column only where it is strictly larger, so ties go to the left
+    one."""
+
+    def __init__(self, arch: CnnArch, rows: int):
+        f, ch, cw, pw = arch.num_filters, arch.conv_h, arch.conv_w, arch.pooled_w
+        fh, fw, paired = arch.eff_filter_h, arch.eff_filter_w, pw * arch.pool_w
+        self.x = np.empty((rows, arch.input_h, arch.input_w))
+        self.codes = np.empty(rows, dtype=np.intp)
+        # The im2col patches, transposed to (fh * fw, rows * conv_h * conv_w)
+        # so the convolution and its weight gradient are one GEMM each. They
+        # are copied through one window view of x, so the matrix is always
+        # C-contiguous and never shares memory with the batch.
+        self.cols = np.empty((fh * fw, rows * ch * cw))
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            self.x, (fh, fw), axis=(1, 2)).transpose(3, 4, 0, 1, 2)
+        self._patches = self.cols.reshape(fh, fw, rows, ch, cw)
+        self.pre = np.empty((f, rows, ch, cw))
+        self._pre_rows = self.pre.reshape(f, -1)
+        # The pooled column pairs, copied apart into two contiguous halves:
+        # one strided copy, then the pool's passes run on contiguous rows.
+        self._pairs = self.pre[..., :paired].reshape(
+            f, rows, ch, pw, arch.pool_w).transpose(4, 0, 1, 2, 3)
+        self._halves = np.empty(self._pairs.shape)
+        self.right = np.empty((f, rows, ch, pw), dtype=bool)  # pool winners
+        self.pooled = np.empty((f, rows, ch, pw))
+        self.flat = np.empty((rows, arch.flat_size))
+        self._flat_by_filter = self.flat.reshape(rows, f, ch, pw).transpose(1, 0, 2, 3)
+        self.logits = np.empty((rows, arch.num_classes))
+        self.dlogits = np.empty((rows, arch.num_classes))
+        self._at = np.arange(rows), self.codes
+        self._alive = np.empty((f, rows, ch, pw), dtype=bool)
+        self._dflat = np.empty((rows, arch.flat_size))
+        self._dflat_by_filter = self._dflat.reshape(rows, f, ch, pw).transpose(1, 0, 2, 3)
+        self._dpooled = np.empty((f, rows, ch, pw))
+        dpre = np.zeros((f, rows, ch, cw))  # an unpaired last column stays 0
+        self._dpre_rows = dpre.reshape(f, -1)
+        self._dpre_left, self._dpre_right = dpre[..., 0:paired:2], dpre[..., 1:paired:2]
+        self.grads = [np.empty((f, fh, fw)), np.empty(f),
+                      np.empty((arch.num_classes, arch.flat_size)),
+                      np.empty(arch.num_classes)]  # in params() order
+        self._conv_w_grad = self.grads[0].reshape(f, -1)
+
+    def forward(self, model: CnnModel) -> np.ndarray:
+        """Logits (rows, classes) of the batch in x: the convolution, pooling
+        and ReLU into flat, then the head."""
+        np.copyto(self._patches, self._windows)
+        np.matmul(model.conv_w.reshape(len(self.pre), -1), self.cols, out=self._pre_rows)
+        self.pre += model.conv_b[:, None, None, None]
+        np.copyto(self._halves, self._pairs)
+        left, right = self._halves
+        np.greater(right, left, out=self.right)
+        np.maximum(left, right, out=self.pooled)
+        np.maximum(self.pooled, 0.0, out=self.pooled)
+        np.copyto(self._flat_by_filter, self.pooled)
+        return self.head(model)
+
+    def head(self, model: CnnModel) -> np.ndarray:
+        """The fully connected layer: logits of the rows in flat."""
+        np.matmul(self.flat, model.fc_w.T, out=self.logits)
+        self.logits += model.fc_b
+        return self.logits
+
+    def loss(self) -> float:
+        """Mean cross-entropy of the logits against codes; leaves its logit
+        delta in dlogits."""
+        return _cross_entropy_into(self.logits, self._at, self.dlogits)
+
+    def backward(self, model: CnnModel) -> list[np.ndarray]:
+        """Gradients of the loss, in params() order, from dlogits and the
+        forward pass's buffers."""
+        g = self.grads
+        np.matmul(self.dlogits, model.fc_w, out=self._dflat)
+        np.greater(self.pooled, 0.0, out=self._alive)
+        np.multiply(self._dflat_by_filter, self._alive, out=self._dpooled)
+        np.multiply(self._dpooled, self.right, out=self._dpre_right)
+        np.subtract(self._dpooled, self._dpre_right, out=self._dpre_left)
+        np.matmul(self._dpre_rows, self.cols.T, out=self._conv_w_grad)
+        np.sum(self._dpre_rows, axis=1, out=g[1])
+        np.matmul(self.dlogits.T, self.flat, out=g[2])
+        np.sum(self.dlogits, axis=0, out=g[3])
+        return g
+
+    def loss_and_grads(self, model: CnnModel):
+        """Mean cross-entropy of the batch and its gradients in params() order."""
+        self.forward(model)
+        loss = self.loss()
+        return loss, self.backward(model)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _forward_batch(model: CnnModel, xs) -> tuple[np.ndarray, dict]:
-    """Logits (B, classes) of a (B, H, W) batch, plus the backprop cache."""
-    cache = _conv_stage(model, xs)
-    return _head(model, cache["flat"]), cache
-
-
-def _conv_stage(model: CnnModel, xs) -> dict:
-    """The convolution, pooling and ReLU of a (B, H, W) batch: the backprop
-    cache, whose "flat" (B, flat_size) rows feed the head.
-
-    Filter-major throughout: the pre-activations are (F, B, conv_h, conv_w).
-    Pooling runs before the ReLU (the two commute) and takes the right
-    column only where it is strictly larger, so ties go to the left one."""
-    arch = model.arch
-    xs = np.asarray(xs, dtype=float)
+def _check_batch(arch: CnnArch, xs: np.ndarray, labels=None) -> None:
+    """ValueError unless xs is a non-empty (N, H, W) stack of arch's inputs
+    and labels, if given, are class codes of arch."""
+    if xs.ndim and len(xs) == 0:
+        raise ValueError("empty batch")
     if xs.ndim != 3 or xs.shape[1:] != (arch.input_h, arch.input_w):
         raise ValueError(f"input shape {xs.shape[1:]} does not match architecture "
                          f"{(arch.input_h, arch.input_w)}")
-    if len(xs) == 0:
-        raise ValueError("empty batch")
-    f, b = arch.num_filters, len(xs)
-    cols = im2col(xs, arch)
-    pre = (model.conv_w.reshape(f, -1) @ cols).reshape(f, b, arch.conv_h, arch.conv_w)
-    pre += model.conv_b[:, None, None, None]
-    pairs = pre[..., : arch.pooled_w * arch.pool_w].reshape(
-        f, b, arch.conv_h, arch.pooled_w, arch.pool_w)
-    right = pairs[..., 1] > pairs[..., 0]
-    pooled = np.maximum(np.maximum(pairs[..., 0], pairs[..., 1]), 0.0)
-    flat = pooled.transpose(1, 0, 2, 3).reshape(b, -1)
-    return {"cols": cols, "pre": pre, "right": right, "pooled": pooled, "flat": flat}
+    if labels is not None:
+        _check_codes(labels, arch.num_classes)
 
 
-def _head(model: CnnModel, flat: np.ndarray) -> np.ndarray:
-    """The fully connected layer: logits (B, classes) of the conv stage's rows."""
-    return flat @ model.fc_w.T + model.fc_b
+def workspace(model: CnnModel, xs, labels=None) -> Workspace:
+    """A Workspace of len(xs) rows loaded with the checked (N, H, W) batch xs
+    and, if given, its (N,) class codes."""
+    xs = np.asarray(xs, dtype=float)
+    labels = None if labels is None else np.asarray(labels)
+    _check_batch(model.arch, xs, labels)
+    ws = Workspace(model.arch, len(xs))
+    ws.x[...] = xs
+    if labels is not None:
+        np.subtract(labels, 1, out=ws.codes)
+    return ws
 
 
 def batch_loss_and_grads(model: CnnModel, xs, labels):
     """Mean cross-entropy over a (B, H, W) batch with (B,) class codes, and
-    its gradients in params() order."""
-    arch = model.arch
-    f, b = arch.num_filters, len(xs)
-    logits, cache = _forward_batch(model, xs)
-    loss, dlogits = cross_entropy(logits, labels)
-    dpooled = (dlogits @ model.fc_w).reshape(b, f, arch.conv_h, arch.pooled_w)
-    dpooled = dpooled.transpose(1, 0, 2, 3) * (cache["pooled"] > 0.0)
-    to_right = dpooled * cache["right"]
-    dpre = np.zeros_like(cache["pre"])
-    pooled_cols = arch.pooled_w * arch.pool_w
-    dpre[..., 1:pooled_cols:2] = to_right
-    dpre[..., 0:pooled_cols:2] = dpooled - to_right
-    dpre = dpre.reshape(f, -1)
-    return loss, [(dpre @ cache["cols"].T).reshape(model.conv_w.shape),
-                  dpre.sum(axis=1), dlogits.T @ cache["flat"], dlogits.sum(axis=0)]
+    its gradients in params() order: one batch through a fresh Workspace."""
+    return workspace(model, xs, labels).loss_and_grads(model)
 
 
 # ── Training engine (shared with the dense baselines) ────────────────────────
 
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis, into out if given."""
+    out = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean loss -log softmax(logits)[label] over a (B, classes) batch with
     (B,) class codes, and its logit delta (softmax - onehot) / B."""
-    loss, probs, at = _nll(logits, labels)
-    probs[at] -= 1.0
-    return loss, probs / len(labels)
+    _check_codes(labels, logits.shape[1])
+    delta = np.empty(logits.shape)
+    loss = _cross_entropy_into(logits, (np.arange(len(labels)), labels - 1), delta)
+    return loss, delta
 
 
-def _nll(logits: np.ndarray, labels: np.ndarray):
-    """cross_entropy's loss, plus the softmax it came from and the (row,
-    label) index of each example's probability."""
+def _check_codes(labels: np.ndarray, classes: int) -> None:
     if len(labels) == 0:
         raise ValueError("empty batch")
-    if labels.min() < 1 or labels.max() > logits.shape[1]:
+    if labels.min() < 1 or labels.max() > classes:
         raise ValueError(f"class codes {np.unique(labels).tolist()} outside "
-                         f"1..{logits.shape[1]}")
-    probs = softmax(logits)
-    at = np.arange(len(labels)), labels - 1
-    return float(-np.log(probs[at]).mean()), probs, at
+                         f"1..{classes}")
+
+
+def _cross_entropy_into(logits, at, delta) -> float:
+    """cross_entropy's loss, unchecked, with its delta written into delta;
+    at is the (row, class code - 1) index of each example's probability."""
+    softmax(logits, out=delta)
+    loss = float(-np.log(delta[at]).mean())
+    delta[at] -= 1.0
+    delta /= len(delta)
+    return loss
 
 
 def sgdm_step(params, grads, velocity, cfg) -> None:
@@ -273,13 +359,24 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
 
 def train(model: CnnModel, train_set, cfg: TrainConfig, seed: int = 0):
     """Epoch loop with reshuffling seeded by seed over (feature matrix, class
-    code) pairs, stacked once; returns (model, per-epoch losses)."""
+    code) pairs, stacked and checked once; returns (model, per-epoch losses).
+    Each batch is gathered into the Workspace of its size: the full one, and
+    a short last one when cfg.batch_size does not divide the set."""
     xs = np.array([x for x, _ in train_set], dtype=float)
     labels = np.array([int(label) for _, label in train_set])
-    losses = fit_sgdm(
-        list(model.params().values()),
-        lambda idx: batch_loss_and_grads(model, xs[idx], labels[idx]),
-        len(xs), cfg.epochs, cfg, np.random.default_rng(seed))
+    if len(xs):  # fit_sgdm rejects an empty set
+        _check_batch(model.arch, xs, labels)
+    codes = labels - 1
+    sized = functools.cache(functools.partial(Workspace, model.arch))
+
+    def batch_loss_grads(idx):
+        ws = sized(len(idx))
+        np.take(xs, idx, axis=0, out=ws.x)
+        np.take(codes, idx, out=ws.codes)
+        return ws.loss_and_grads(model)
+
+    losses = fit_sgdm(list(model.params().values()), batch_loss_grads, len(xs),
+                      cfg.epochs, cfg, np.random.default_rng(seed))
     return model, losses
 
 
@@ -297,8 +394,18 @@ def predict_in_blocks(logits, xs) -> np.ndarray:
 
 
 def predict_batch(model: CnnModel, xs) -> np.ndarray:
-    """The CNN's predictor: predict_in_blocks over its logits."""
-    return predict_in_blocks(lambda block: _forward_batch(model, block)[0], xs)
+    """The CNN's predictor: predict_in_blocks over the forward pass, each
+    block copied into the Workspace of its size."""
+    xs = np.asarray(xs, dtype=float)
+    _check_batch(model.arch, xs)
+    sized = functools.cache(functools.partial(Workspace, model.arch))
+
+    def logits(block):
+        ws = sized(len(block))
+        ws.x[...] = block
+        return ws.forward(model)
+
+    return predict_in_blocks(logits, xs)
 
 
 # ── Finite-difference verification ───────────────────────────────────────────
@@ -313,22 +420,26 @@ class GradCheckReport:
 def grad_check(model: CnnModel, x, h: float = 1e-5, label: int = 1) -> GradCheckReport:
     """Central finite differences against the analytic gradient, every parameter.
 
-    Relative error as in central_difference_errors. A nudged convolution
-    parameter runs the whole forward pass; a nudged head parameter (fc_w,
-    fc_b) cannot change the conv stage, so its loss runs the same _head on
-    the conv stage's cached rows, which gives the same bits.
+    Relative error as in central_difference_errors. Both come from one
+    Workspace, the kernel that trains. A nudged convolution parameter runs
+    the whole forward pass; a nudged head parameter (fc_w, fc_b) cannot
+    change the conv stage, so its loss runs the head alone on the conv
+    stage's rows of the unnudged model, which gives the same bits.
     """
     _check_step(h)
-    xs, labels = np.asarray([x], dtype=float), np.array([label])
-    _, grads = batch_loss_and_grads(model, xs, labels)
+    ws = workspace(model, [x], [label])
+    _, grads = ws.loss_and_grads(model)
     params = model.params()
-    flat = _conv_stage(model, xs)["flat"]
-    errors = central_difference_errors(
-        lambda: _nll(_forward_batch(model, xs)[0], labels)[0],
-        [model.conv_w, model.conv_b], grads[:2], h)
-    errors += central_difference_errors(
-        lambda: _nll(_head(model, flat), labels)[0],
-        [model.fc_w, model.fc_b], grads[2:], h)
+
+    def loss(stage):
+        stage(model)
+        return ws.loss()
+
+    errors = central_difference_errors(lambda: loss(ws.forward),
+                                       [model.conv_w, model.conv_b], grads[:2], h)
+    ws.forward(model)  # the conv stage's rows of the unnudged model
+    errors += central_difference_errors(lambda: loss(ws.head),
+                                        [model.fc_w, model.fc_b], grads[2:], h)
     per_tensor = dict(zip(params, errors))
     count = sum(p.size for p in params.values())
     return GradCheckReport(max(per_tensor.values()), per_tensor, count)
@@ -388,7 +499,9 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
         )
         x = rng.uniform(0.0, 1.0, (input_h, input_w))
         label = int(rng.integers(1, arch.num_classes + 1))
-        pre = _forward_batch(model, x[None])[1]["pre"]
+        ws = workspace(model, x[None], [label])
+        ws.forward(model)
+        pre = ws.pre
         if np.abs(pre).min() <= margin:
             continue
         trimmed = pre[..., : arch.pooled_w * arch.pool_w].reshape(
@@ -398,7 +511,7 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
         both_dead = (trimmed[..., 0] < 0) & (trimmed[..., 1] < 0)
         if np.any(~both_dead & (gaps <= margin)):
             continue
-        _, grads = batch_loss_and_grads(model, x[None], np.array([label]))
+        _, grads = ws.loss_and_grads(model)
         if all(np.abs(g[g != 0.0]).min(initial=np.inf) > 1e-6 for g in grads):
             return model, x, label
     raise RuntimeError(f"no finite-difference-safe case found for seed {seed} "

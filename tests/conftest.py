@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -57,3 +58,10 @@ def write_non_finite(path, offset: int, value: float = math.nan) -> None:
     raw[offset:offset + 8] = struct.pack("<d", value)
     raw[-store.DIGEST_BYTES:] = hashlib.sha256(raw[:-store.DIGEST_BYTES]).digest()
     Path(path).write_bytes(bytes(raw))
+
+
+def physical_memory(pages: int, page_size: int = 4096):
+    """An os.sysconf that reports pages * page_size bytes of physical memory
+    and passes every other name through."""
+    fake, real = {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}, os.sysconf
+    return lambda name: fake[name] if name in fake else real(name)

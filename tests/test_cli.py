@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,15 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swec
 from swec import baselines, cli, expharness, metrics, store, synthgrid, tinycnn
-from conftest import tiny_config, write_non_finite
+from conftest import physical_memory, tiny_config, write_non_finite
 from test_tinycnn import FULL_FORWARD_ERRORS
 
 from swec.expharness import config_to_json
@@ -103,6 +106,14 @@ class TestGradcheck:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "no finite-difference-safe case found for seed 0 at step h 0.001" in err
+
+    def test_failing_oracle_says_so(self, capsys):
+        # at h = 1e-12 the differences are mostly rounding
+        code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-12")
+        worst = out.splitlines()[-1]
+        assert code == 1 and worst.startswith("all,") and float(worst[4:]) >= 1e-4
+        assert err.splitlines() == [f"error: gradient check failed: max relative "
+                                    f"error {worst[4:]} is not below 1e-4"]
 
     def test_case_built_for_the_step(self, capsys):
         # a case drawn for the default 1e-5 puts a kink within 5e-4 (error 7e-3)
@@ -688,3 +699,98 @@ class TestSweepAndCompare:
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path))
         assert code == 1
         assert "error" in err
+
+
+def _no_mmap(*args):
+    raise AssertionError("the samples array was mapped")
+
+
+def test_rate_too_big_for_memory_exits_1_before_allocating(capsys, tmp_path,
+                                                           monkeypatch):
+    import mmap
+    monkeypatch.setattr(os, "sysconf", physical_memory(2**21))  # 8.59 GB
+    monkeypatch.setattr(mmap, "mmap", _no_mmap)
+    out_path = tmp_path / "ds.bin"
+    code, out, err = run_cli(capsys, "generate", "--out", str(out_path), "--fs", "1e7")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: ConfigError: fs: 1e+07 Hz needs a samples array of shape "
+        "(600, 3, 3, 1500000), 64.8 GB, more than the 8.59 GB of physical memory"]
+    assert not out_path.exists()
+
+
+# Values for each flag the table, dataset and gradient commands take: valid
+# ones, out-of-range ones and text that is no value at all. Rates and repeats
+# stay small enough that a run that succeeds takes milliseconds.
+_TEXT = st.sampled_from(["", "x", "1.5", "-", "0x10", "1e3", " 7"])
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)).map(str)
+_FLAGS = {
+    "--fs": st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "1e7", "1e12", "1e300", "999.9"]),
+        st.floats(-1e4, 1e4).map(repr), _TEXT),
+    "--seed": st.one_of(_INTS, _TEXT),
+    "--repeats": st.one_of(st.integers(-2, 2).map(str), _TEXT),
+    "--buses": st.one_of(st.lists(st.sampled_from(
+        ["632", "671", "675", "634", "0", "-1", "x", ""]), max_size=4).map(",".join),
+        _TEXT),
+    "--only": st.one_of(st.lists(st.sampled_from(
+        ["compare", "placement", "sampling_rate", "", "x"]), max_size=4).map(",".join),
+        _TEXT),
+    "--step": st.one_of(
+        st.sampled_from(["nan", "inf", "0", "-0.0", "1e-5", "1e300", "5e-324"]),
+        _TEXT),
+}
+_COMMAND_FLAGS = {
+    "generate": ("--fs", "--seed"), "train": ("--buses", "--seed"),
+    "eval": ("--seed",), "tables": ("--only", "--repeats", "--seed"),
+    "gradcheck": ("--seed", "--step"),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A tiny config file, a dataset built from it and a model trained on it."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    config = root / "config.json"
+    config.write_text(json.dumps(config_to_json(tiny_config())))
+    for argv in (["generate", "--out", str(root / "ds.bin"), "--fs", "2000"],
+                 ["train", "--data", str(root / "ds.bin"), "--model", str(root / "m.bin")]):
+        assert cli.main([*argv, "--config", str(config)]) == 0
+    return root
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True).flatmap(
+        lambda flags: st.tuples(*(st.tuples(st.just(f), _FLAGS[f]) for f in flags))))))
+def test_any_flag_values_exit_cleanly(cli_inputs, command_flags):
+    command, flags = command_flags
+    out_dir = Path(tempfile.mkdtemp(dir=cli_inputs))
+    config = ["--config", str(cli_inputs / "config.json")]
+    argv = [command, *{
+        "generate": [*config, "--out", str(out_dir / "ds.bin")],
+        "train": [*config, "--data", str(cli_inputs / "ds.bin"),
+                  "--model", str(out_dir / "m.bin")],
+        "eval": [*config, "--data", str(cli_inputs / "ds.bin"),
+                 "--model", str(cli_inputs / "m.bin")],
+        "tables": [*config, "--out", str(out_dir / "run")],
+        "gradcheck": [],
+    }[command], *(f"{flag}={value}" for flag, value in flags)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # memory for a 20 kHz tiny dataset, not for the largest rates drawn
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        mp.setattr(os, "sysconf", physical_memory(2**10))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+    if code == 0:
+        assert errors == [], argv
+    else:
+        assert code in (1, 2) and len(errors) == 1, (argv, stderr.getvalue())
+        assert code == 2 or errors[0].startswith("error: "), argv
+        assert list(out_dir.iterdir()) == [], argv
+    assert "Traceback" not in stderr.getvalue()

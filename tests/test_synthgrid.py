@@ -19,7 +19,7 @@ from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, EVENT_TIME, ConfigError,
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
                             build_dataset, derive_seed, extract_window,
                             synth_event, synth_steady, window_length)
-from conftest import tiny_config, tiny_grids, write_non_finite
+from conftest import physical_memory, tiny_config, tiny_grids, write_non_finite
 
 REFERENCE_HASHES = (Path(__file__).resolve().parents[1] / "swecbench"
                     / "reference_hashes.json")
@@ -313,6 +313,29 @@ class TestSplitBuild:
         grids = dataclasses.replace(self.GRIDS, cap_sizes=1, xfmr_taps=1,
                                     declared_counts=(8, 8, 2, 2))
         assert len(build_dataset(DatasetConfig(fs=1000.0, grids=grids))) == 20
+
+
+class TestSizeCheck:
+    """build_dataset compares the samples array with physical memory before
+    it maps one; tested by its arithmetic, never by allocating."""
+
+    @pytest.mark.parametrize("pages, fits", [(2700, True), (2699, False)])
+    def test_array_larger_than_memory_is_refused_before_mmap(self, pages, fits,
+                                                             monkeypatch):
+        import mmap
+        real_mmap, mapped = mmap.mmap, []
+        monkeypatch.setattr(os, "sysconf", physical_memory(pages, page_size=64))
+        monkeypatch.setattr(mmap, "mmap", lambda *a: mapped.append(a) or real_mmap(*a))
+        config = DatasetConfig(fs=2000.0, grids=tiny_grids())  # 172,800 bytes
+        if fits:
+            assert len(build_dataset(config)) == 8
+            assert mapped == [(-1, 172800)]
+        else:
+            with pytest.raises(ConfigError, match=r"^fs: 2000 Hz needs a samples array "
+                               r"of shape \(8, 3, 3, 300\), 0.000173 GB, more than "
+                               r"the 0.000173 GB of physical memory$"):
+                build_dataset(config)
+            assert mapped == []
 
 
 class TestReferenceHashes:

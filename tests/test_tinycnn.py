@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swec import tinycnn
-from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, _forward_batch,
+from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, Workspace,
                           batch_loss_and_grads, fit_sgdm, grad_check, init_model,
                           make_gradcheck_case, predict_batch, sgdm_step, softmax,
-                          train)
+                          train, workspace)
 
 # Worst relative error per tensor (conv_w, conv_b, fc_w, fc_b) of the ten
 # criterion-3 cases (3x166 input, h = 1e-5), from central differences that
@@ -47,7 +47,14 @@ def manual_model(arch, conv_w, conv_b, fc_w, fc_b):
 
 def probs_of(model, xs):
     """Class probabilities of each input of xs."""
-    return softmax(_forward_batch(model, xs)[0])
+    return softmax(workspace(model, xs).forward(model))
+
+
+def forwarded(model, xs):
+    """A fresh workspace after the forward pass of xs."""
+    ws = workspace(model, xs)
+    ws.forward(model)
+    return ws
 
 
 class TestArch:
@@ -103,8 +110,8 @@ class TestForward:
         arch = CnnArch(input_h=2, input_w=3, num_filters=1)  # 2x2 filter
         model = manual_model(arch, np.ones((1, 2, 2)), [0.0],
                              np.zeros((4, arch.flat_size)), np.zeros(4))
-        _, cache = _forward_batch(model, np.ones((1, 2, 3)))
-        np.testing.assert_array_equal(cache["pre"], [[[[4.0, 4.0]]]])
+        ws = forwarded(model, np.ones((1, 2, 3)))
+        np.testing.assert_array_equal(ws.pre, [[[[4.0, 4.0]]]])
 
     def test_max_pool(self):
         # a 1x20 filter that passes its first tap: pre-activations 1, 3, 2, 5
@@ -115,8 +122,7 @@ class TestForward:
                              np.zeros((4, arch.flat_size)), np.zeros(4))
         x = np.zeros((1, 1, 23))
         x[0, 0, :4] = [1.0, 3.0, 2.0, 5.0]
-        _, cache = _forward_batch(model, x)
-        np.testing.assert_array_equal(cache["flat"], [[3.0, 5.0]])
+        np.testing.assert_array_equal(forwarded(model, x).flat, [[3.0, 5.0]])
 
     def test_zero_logits_uniform(self):
         arch = CnnArch(3, 24)
@@ -134,8 +140,28 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         model = init_model(CnnArch(3, 24), seed=0)
-        with pytest.raises(ValueError):
-            _forward_batch(model, np.zeros((1, 2, 24)))
+        for run in (lambda: workspace(model, np.zeros((1, 2, 24))),
+                    lambda: predict_batch(model, np.zeros((1, 2, 24)))):
+            with pytest.raises(ValueError, match=r"input shape \(2, 24\) does not "
+                                                 r"match architecture \(3, 24\)"):
+                run()
+
+    @pytest.mark.parametrize("rows, h, w", [(1, 1, 166), (1, 1, 41), (8, 1, 166),
+                                            (1, 3, 166), (5, 2, 24), (1, 1, 10)])
+    def test_patch_matrix_is_contiguous_and_owns_its_memory(self, rows, h, w):
+        # a one-row input once gave a one-record batch a (8, 8)-strided view
+        # of the batch here, so its GEMMs ran on another memory layout
+        model = init_model(CnnArch(h, w), seed=0)
+        xs = np.random.default_rng(rows * h * w).random((rows, h, w))
+        ws = forwarded(model, xs)
+        assert ws.cols.flags.c_contiguous
+        assert not np.shares_memory(ws.cols, ws.x)
+        arch = model.arch
+        patches = np.array([
+            [xs[b, r + i, c + j] for b in range(rows) for r in range(arch.conv_h)
+             for c in range(arch.conv_w)]
+            for i in range(arch.eff_filter_h) for j in range(arch.eff_filter_w)])
+        np.testing.assert_array_equal(ws.cols, patches)
 
     def test_filter_permutation_consistency(self):
         # permuting filters together with the matching FC blocks keeps logits
@@ -220,7 +246,8 @@ class TestLossGrad:
         xs, labels = x[None], np.array([label])
         _, grads = batch_loss_and_grads(model, xs, labels)
         full = tinycnn.central_difference_errors(
-            lambda: tinycnn.cross_entropy(_forward_batch(model, xs)[0], labels)[0],
+            lambda: tinycnn.cross_entropy(workspace(model, xs).forward(model),
+                                          labels)[0],
             model.params().values(), grads, h)
         assert list(report.per_tensor.values()) == full
 
@@ -282,6 +309,53 @@ class TestBatchRelations:
         model = init_model(CnnArch(3, 24), seed=0)
         with pytest.raises(ValueError, match="class codes"):
             batch_loss_and_grads(model, np.zeros((2, 3, 24)), np.array([1, 5]))
+
+
+class TestWorkspaceReuse:
+    """train and predict_batch reuse one Workspace per batch size; a buffer
+    left stale by the previous batch would show against fresh ones."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("w", [10, 166])
+    def test_train_equals_fresh_single_batch_steps(self, h, w):
+        rng = np.random.default_rng([h, w])
+        xs, labels = rng.random((13, h, w)), rng.integers(1, 5, 13)  # batches 8 + 5
+        cfg = TrainConfig(epochs=3, learning_rate=0.05)
+        trained, losses = train(init_model(CnnArch(h, w), 7, init_std=0.1),
+                                list(zip(xs, labels)), cfg, 5)
+        model = init_model(CnnArch(h, w), 7, init_std=0.1)
+        params = list(model.params().values())
+        velocity = [np.zeros_like(p) for p in params]
+        order_rng, expected = np.random.default_rng(5), []
+        for _ in range(cfg.epochs):
+            order, total = order_rng.permutation(len(xs)), 0.0
+            for start in range(0, len(xs), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss, grads = batch_loss_and_grads(model, xs[idx], labels[idx])
+                sgdm_step(params, grads, velocity, cfg)
+                total += loss * len(idx)
+            expected.append(total / len(xs))
+        assert losses == expected
+        for name, p in model.params().items():
+            assert trained.params()[name].tobytes() == p.tobytes(), name
+
+    @pytest.mark.parametrize("h, w", [(1, 10), (3, 166)])
+    def test_predict_blocks_match_fresh_workspaces(self, h, w):
+        rng = np.random.default_rng(h * w)
+        model = init_model(CnnArch(h, w), 3, init_std=0.5)
+        xs = rng.normal(size=(26, h, w)) * rng.uniform(0, 4, (26, 1, 1))
+        reused = {8: Workspace(model.arch, 8), 5: Workspace(model.arch, 5)}
+        for start, stop in [(0, 8), (8, 13), (13, 21), (21, 26), (5, 13), (0, 5)]:
+            ws = reused[stop - start]
+            ws.x[...] = xs[start:stop]
+            fresh = workspace(model, xs[start:stop]).forward(model)
+            assert ws.forward(model).tobytes() == fresh.tobytes()
+        for n in (8, 5, 16, 13, 21, 26):
+            expected = [np.argmax(workspace(model, xs[s:min(s + 8, n)]).forward(model),
+                                  axis=1) + 1 for s in range(0, n, 8)]
+            codes = predict_batch(model, xs[:n])
+            assert codes.tolist() == np.concatenate(expected).tolist()
+            assert len(set(codes.tolist())) > 1
 
 
 class TestSgdm:
