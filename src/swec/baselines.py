@@ -16,10 +16,8 @@ its softmax cross-entropy head (cross_entropy) or a squared-error head. The
 SVM's per-sample subgradient loop stays sequential, because its result
 depends on the sample order. It holds w as scale * v and every training
 row's v . x in margins, so a step outside the margin multiplies one scalar
-and a step inside it costs one (n, dim) product; scale is folded into v and
-margins once |scale| <= 1e-100, which includes the 0 of a shrink factor
-of 0. Every model file is a swec.store tensor file of the same layout under
-its method's magic.
+and a step inside it costs one (n, dim) product. Every model file is a
+swec.store tensor file of the same layout under its method's magic.
 """
 from __future__ import annotations
 
@@ -36,22 +34,26 @@ TMLP_MAGIC = b"SWML"
 AE_MAGIC = b"SWAE"
 
 
-def energy_feature_set(xs, num_intervals: int = 8) -> np.ndarray:
+ENERGY_INTERVALS = 8  # fits the 8-wide feature rows of the lowest rate, 1000 Hz
+
+
+def energy_feature_set(xs) -> np.ndarray:
     """Per-interval statistics of every feature row of a (N, rows, W) stack,
     one vector per matrix, bus-major interval-minor.
 
-    Each row is cut into num_intervals contiguous segments (the last absorbs
-    the remainder); each segment contributes (mean, sum, L2 norm, Linf norm).
-    The reductions run on a C-ordered copy, so the result does not depend on
-    the memory layout of xs.
+    Each row is cut into ENERGY_INTERVALS contiguous segments (the last
+    absorbs the remainder); each segment contributes (mean, sum, L2 norm,
+    Linf norm). The reductions run on a C-ordered copy, so the result does
+    not depend on the memory layout of xs.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     width = xs.shape[-1]
-    if not 1 <= num_intervals <= width:
-        raise ValueError(f"num_intervals {num_intervals} outside 1..{width}")
-    seg = width // num_intervals
-    cut = (num_intervals - 1) * seg
-    segments = (xs[..., :cut].reshape(*xs.shape[:-1], num_intervals - 1, seg),
+    if width < ENERGY_INTERVALS:
+        raise ValueError(f"feature rows of width {width} are narrower than the "
+                         f"{ENERGY_INTERVALS} energy intervals")
+    seg = width // ENERGY_INTERVALS
+    cut = (ENERGY_INTERVALS - 1) * seg
+    segments = (xs[..., :cut].reshape(*xs.shape[:-1], ENERGY_INTERVALS - 1, seg),
                 xs[..., None, cut:])
     stats = [np.stack([s.mean(axis=-1), s.sum(axis=-1), np.linalg.norm(s, axis=-1),
                        np.abs(s).max(axis=-1)], axis=-1) for s in segments]
@@ -64,6 +66,10 @@ def flatten_features(xs) -> np.ndarray:
 
 
 # ── Dense nets (all three baselines) ────────────────────────────────────────
+
+LEARNING_RATE = 0.01  # the dense nets' SGD rate; batch and momentum are tinycnn's
+INIT_STD = 0.1
+
 
 @dataclass
 class DenseNet:
@@ -121,14 +127,14 @@ def _dense_loss_and_grads(weights, biases, x, targets, head):
     return loss, _dense_backward(weights, acts, delta)
 
 
-def _fit_dense(weights, biases, inputs, targets, head, epochs, config, rng):
+def _fit_dense(weights, biases, inputs, targets, head, epochs, rng):
     """Train the dense net in place on the rows of inputs and targets;
     returns the per-epoch losses."""
     return fit_sgdm(
         [*weights, *biases],
         lambda idx: _dense_loss_and_grads(weights, biases, inputs[idx],
                                           targets[idx], head),
-        len(inputs), epochs, config, rng)
+        len(inputs), epochs, LEARNING_RATE, rng)
 
 
 def _dense_predict(model: DenseNet, features) -> np.ndarray:
@@ -139,11 +145,13 @@ def _dense_predict(model: DenseNet, features) -> np.ndarray:
 
 # ── Linear one-vs-rest SVM ───────────────────────────────────────────────────
 
+SVM_C = 1.0
+SVM_STEP = 1e-3  # decays as SVM_STEP / epoch
+
+
 @dataclass(frozen=True)
 class SvmConfig(TrainerConfig):
-    C: float = 1.0
     epochs: int = 200
-    step: float = 1e-3  # decays as step / epoch
 
 
 def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig(), seed: int = 0):
@@ -157,10 +165,7 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig(), seed: int =
     missing = [c for c in range(1, NUM_CLASSES + 1) if c not in present]
     if missing:
         raise ValueError(f"no training examples for classes {missing}")
-    lam = 1.0 / (config.C * n)
-    if config.step * lam > 2.0:  # the epoch-1 shrink factor 1 - step * lam < -1
-        raise ValueError(f"svm step {config.step:g} / (C {config.C:g} * {n} training "
-                         f"rows) is {config.step * lam:g}, above 2: training diverges")
+    lam = 1.0 / (SVM_C * n)
     weights = np.zeros((NUM_CLASSES, dim))
     biases = np.zeros(NUM_CLASSES)
     rng = np.random.default_rng(seed)
@@ -169,13 +174,11 @@ def train_svm_ovr(features, labels, config: SvmConfig = SvmConfig(), seed: int =
         v, margins = np.zeros(dim), np.zeros(n)  # w = scale * v; margins = X @ v
         scale, b = 1.0, 0.0
         for epoch in range(1, config.epochs + 1):
-            eta = config.step / epoch
+            eta = SVM_STEP / epoch
             shrink = 1.0 - eta * lam
             for i in rng.permutation(n).tolist():
                 hinge = y[i] * (scale * margins.item(i) + b) < 1.0
                 scale *= shrink
-                if abs(scale) <= 1e-100:  # far above underflow
-                    v, margins, scale = scale * v, scale * margins, 1.0
                 if hinge:
                     dv = (eta * y[i] / scale) * features[i]
                     v += dv
@@ -192,19 +195,17 @@ def svm_predict(model: DenseNet, features) -> np.ndarray:
 
 # ── Tapered MLP ──────────────────────────────────────────────────────────────
 
+HIDDEN = (64, 16)  # the tapered MLP's hidden widths, those below the input kept
+
+
 @dataclass(frozen=True)
 class MlpConfig(TrainerConfig):
-    hidden: tuple = (64, 16)
     epochs: int = 50
-    batch_size: int = 8
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    init_std: float = 0.1
 
 
-def _taper(input_dim: int, hidden: tuple) -> tuple:
+def _taper(input_dim: int) -> tuple:
     """Strictly decreasing layer widths from the input down to the 4 classes."""
-    widths = [w for w in hidden if w < input_dim]
+    widths = [w for w in HIDDEN if w < input_dim]
     sizes = (input_dim, *widths, NUM_CLASSES)
     if any(a <= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"layer widths {sizes} are not strictly decreasing")
@@ -216,11 +217,11 @@ def train_tmlp(features, labels, config: MlpConfig = MlpConfig(), seed: int = 0)
     (model, per-epoch losses)."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    sizes = _taper(features.shape[1], config.hidden)
+    sizes = _taper(features.shape[1])
     rng = np.random.default_rng(seed)
-    weights, biases = _init_layers(sizes, rng, config.init_std)
+    weights, biases = _init_layers(sizes, rng, INIT_STD)
     losses = _fit_dense(weights, biases, features, labels, cross_entropy,
-                        config.epochs, config, rng)
+                        config.epochs, rng)
     return DenseNet(weights, biases), losses
 
 
@@ -230,15 +231,13 @@ def tmlp_predict(model: DenseNet, features) -> np.ndarray:
 
 # ── Autoencoder classifier ───────────────────────────────────────────────────
 
+CODE_WIDTH = 32
+
+
 @dataclass(frozen=True)
 class AeConfig(TrainerConfig):
-    code_width: int = 32
     recon_epochs: int = 60
     head_epochs: int = 60
-    batch_size: int = 8
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    init_std: float = 0.1
 
 
 def train_autoencoder_clf(features, labels, config: AeConfig = AeConfig(),
@@ -251,15 +250,13 @@ def train_autoencoder_clf(features, labels, config: AeConfig = AeConfig(),
     labels = np.asarray(labels, dtype=int)
     dim = features.shape[1]
     rng = np.random.default_rng(seed)
-    (enc_w, dec_w), (enc_b, dec_b) = _init_layers(
-        (dim, config.code_width, dim), rng, config.init_std)
-    (head_w,), (head_b,) = _init_layers(
-        (config.code_width, NUM_CLASSES), rng, config.init_std)
+    (enc_w, dec_w), (enc_b, dec_b) = _init_layers((dim, CODE_WIDTH, dim), rng, INIT_STD)
+    (head_w,), (head_b,) = _init_layers((CODE_WIDTH, NUM_CLASSES), rng, INIT_STD)
     losses = _fit_dense([enc_w, dec_w], [enc_b, dec_b], features, features,
-                        _squared_error, config.recon_epochs, config, rng)
+                        _squared_error, config.recon_epochs, rng)
     codes = _dense_forward([enc_w, dec_w], [enc_b, dec_b], features)[1]
     losses += _fit_dense([head_w], [head_b], codes, labels, cross_entropy,
-                         config.head_epochs, config, rng)
+                         config.head_epochs, rng)
     return DenseNet([enc_w, head_w], [enc_b, head_b]), losses
 
 

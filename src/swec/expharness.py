@@ -74,14 +74,13 @@ class Method(NamedTuple):
 
 def _fit_cnn(xs, labels, cfg, seed):
     arch = tinycnn.CnnArch(*xs.shape[1:])
-    model = tinycnn.init_model(arch, seed, cfg.init_std)
+    model = tinycnn.init_model(arch, seed)
     return tinycnn.train(model, list(zip(xs, labels)), cfg, seed)
 
 
 # The entries look the trainers and predictors up on their modules at call
 # time. The order fixes each method's training seed and the default
-# comparison order. energy_feature_set's default 8 intervals fit the 8-wide
-# feature rows of the lowest accepted rate, 1000 Hz.
+# comparison order.
 METHOD_TABLE = {
     "autoencoder": Method(
         baselines.AE_MAGIC, lambda xs: baselines.energy_feature_set(xs),

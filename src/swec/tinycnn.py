@@ -106,41 +106,31 @@ class CnnModel:
                 "fc_w": self.fc_w, "fc_b": self.fc_b}
 
 
-# Lower bound of each trainer-config field that has one, and whether the
-# bound itself is allowed; a tuple field bounds each of its entries.
-TRAINER_BOUNDS = {
-    "epochs": (1, True), "recon_epochs": (1, True), "head_epochs": (1, True),
-    "batch_size": (1, True), "code_width": (1, True), "hidden": (1, True),
-    "momentum": (0, True), "learning_rate": (0, False), "init_std": (0, False),
-    "C": (0, False), "step": (0, False),
-}
-
-
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Base of the trainer configs: construction rejects a field outside
-    TRAINER_BOUNDS with a ConfigError naming the field."""
+    """Base of the trainer configs, whose fields are all epoch counts:
+    construction rejects one below 1 with a ConfigError naming the field."""
 
     def __post_init__(self):
         for f in fields(self):
-            low, closed = TRAINER_BOUNDS.get(f.name, (-math.inf, True))
             value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
-                if not (v >= low if closed else v > low):
-                    raise ConfigError(f"{f.name}: {v!r} is not "
-                                      f"{'>=' if closed else '>'} {low}")
+            if not value >= 1:
+                raise ConfigError(f"{f.name}: {value!r} is not >= 1")
+
+
+BATCH_SIZE = 8  # examples per step of every SGD trainer (fit_sgdm)
+MOMENTUM = 0.9
+LEARNING_RATE = 1e-4  # the CNN's; the dense baselines have their own
+INIT_STD = 0.01
 
 
 @dataclass(frozen=True)
 class TrainConfig(TrainerConfig):
     epochs: int = 50
-    batch_size: int = 8
-    learning_rate: float = 1e-4
-    momentum: float = 0.9
-    init_std: float = 0.01
+    batch_size: ClassVar[int] = BATCH_SIZE  # readable, not a field
 
 
-def init_model(arch: CnnArch, seed: int, init_std: float = 0.01) -> CnnModel:
+def init_model(arch: CnnArch, seed: int, init_std: float = INIT_STD) -> CnnModel:
     """Gaussian weights (std init_std), zero biases, from one seeded stream."""
     rng = np.random.default_rng(seed)
     conv_w = rng.normal(0.0, init_std,
@@ -321,20 +311,20 @@ def _cross_entropy_into(logits, at, delta) -> float:
     return loss
 
 
-def sgdm_step(params, grads, velocity, cfg) -> None:
-    """v <- momentum*v - lr*g; w <- w + v, in place, over parallel sequences
-    of parameter, gradient and velocity tensors. cfg supplies learning_rate
-    and momentum."""
+def sgdm_step(params, grads, velocity, learning_rate: float) -> None:
+    """v <- MOMENTUM*v - learning_rate*g; w <- w + v, in place, over parallel
+    sequences of parameter, gradient and velocity tensors."""
     for p, g, v in zip(params, grads, velocity):
-        v *= cfg.momentum
-        v -= cfg.learning_rate * g
+        v *= MOMENTUM
+        v -= learning_rate * g
         p += v
 
 
-def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[float]:
+def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, learning_rate: float,
+             rng) -> list[float]:
     """Minibatch SGD with momentum over examples 0..n-1, updating params in
     place: each epoch cuts one permutation from rng into batches of
-    cfg.batch_size (the last may be short), and batch_loss_grads(indices)
+    BATCH_SIZE (the last may be short), and batch_loss_grads(indices)
     returns (mean loss, gradients parallel to params). Returns each epoch's
     example-weighted mean batch loss; one that is not finite ends training
     with a ValueError, since the parameters have diverged."""
@@ -345,15 +335,15 @@ def fit_sgdm(params, batch_loss_grads, n: int, epochs: int, cfg, rng) -> list[fl
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             loss, grads = batch_loss_grads(idx)
-            sgdm_step(params, grads, velocity, cfg)
+            sgdm_step(params, grads, velocity, learning_rate)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
         if not math.isfinite(losses[-1]):
             raise ValueError(f"epoch {epoch}: loss {losses[-1]} is not finite; training "
-                             f"diverged at learning_rate {cfg.learning_rate:g}")
+                             f"diverged at learning_rate {learning_rate:g}")
     return losses
 
 
@@ -361,7 +351,7 @@ def train(model: CnnModel, train_set, cfg: TrainConfig, seed: int = 0):
     """Epoch loop with reshuffling seeded by seed over (feature matrix, class
     code) pairs, stacked and checked once; returns (model, per-epoch losses).
     Each batch is gathered into the Workspace of its size: the full one, and
-    a short last one when cfg.batch_size does not divide the set."""
+    a short last one when BATCH_SIZE does not divide the set."""
     xs = np.array([x for x, _ in train_set], dtype=float)
     labels = np.array([int(label) for _, label in train_set])
     if len(xs):  # fit_sgdm rejects an empty set
@@ -376,7 +366,7 @@ def train(model: CnnModel, train_set, cfg: TrainConfig, seed: int = 0):
         return ws.loss_and_grads(model)
 
     losses = fit_sgdm(list(model.params().values()), batch_loss_grads, len(xs),
-                      cfg.epochs, cfg, np.random.default_rng(seed))
+                      cfg.epochs, LEARNING_RATE, np.random.default_rng(seed))
     return model, losses
 
 

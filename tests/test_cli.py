@@ -429,6 +429,15 @@ class TestEvalAnyMethod:
         expected = expharness.load_report(run_dir / "reports" / f"{method}_r0.csv")
         assert list(csv.reader(io.StringIO(out))) == expected
 
+    def test_train_writes_the_grid_cell(self, capsys, compare_run, tmp_path):
+        # the CLI and the pool workers train from the same constants and seeds
+        config_path, run_dir, (data, _) = compare_run
+        model_path = tmp_path / "cnn.bin"
+        code, _, err = run_cli(capsys, "train", "--config", str(config_path),
+                               "--data", str(data), "--model", str(model_path))
+        assert (code, err) == (0, "")
+        assert model_path.read_bytes() == (run_dir / "models" / "cnn_r0.bin").read_bytes()
+
     @pytest.mark.parametrize("method", expharness.METHODS)
     def test_eval_scores_a_later_repeat(self, method, capsys, compare_run):
         config_path, run_dir, (_, data) = compare_run
@@ -593,10 +602,10 @@ class TestSweepAndCompare:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{tmp_path / 'reports' / 'bad.csv'}: cannot read report" in err
 
-    def test_diverging_trainer_fails_the_compare(self, capsys, tmp_path):
-        config = tiny_config(methods=("tmlp", "cnn"),
-                             cnn=tinycnn.TrainConfig(epochs=2, learning_rate=1e200),
-                             tmlp=baselines.MlpConfig(epochs=2, learning_rate=1e200))
+    def test_diverging_trainer_fails_the_compare(self, capsys, tmp_path, monkeypatch):
+        config = tiny_config(methods=("tmlp", "cnn"))
+        for module in (tinycnn, baselines):  # the forked workers inherit them
+            monkeypatch.setattr(module, "LEARNING_RATE", 1e200)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_json(config)))
         # no overflow warning may stand in for the check, in this process or
@@ -619,24 +628,25 @@ class TestSweepAndCompare:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "cnn.epochs" in err
 
-    @pytest.mark.parametrize("doc, field", [
-        ({"autoencoder": {"code_width": 0}}, "autoencoder.code_width"),
-        ({"tmlp": {"learning_rate": -1.0}}, "tmlp.learning_rate"),
-        ({"svm": {"C": 0}}, "svm.C"),
-    ], ids=["code_width", "learning_rate", "C"])
-    def test_degenerate_trainer_config_fails_cleanly(self, doc, field, capsys,
+    @pytest.mark.parametrize("doc, says", [
+        ({"autoencoder": {"code_width": 0}}, "autoencoder: unknown keys ['code_width']"),
+        ({"tmlp": {"learning_rate": -1.0}}, "tmlp: unknown keys ['learning_rate']"),
+        ({"svm": {"C": 0}}, "svm: unknown keys ['C']"),
+        ({"svm": {"epochs": 0}}, "svm.epochs: 0 is not >= 1"),
+    ], ids=["code_width", "learning_rate", "C", "epochs"])
+    def test_degenerate_trainer_config_fails_cleanly(self, doc, says, capsys,
                                                      tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "tables", "--config", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert f"{field}: " in err
+        assert says in err
 
     @pytest.mark.parametrize("content, says", [
         (b'{"seed": \xb4}', "malformed JSON"),
         (b"[1]", "ExperimentConfig: expected an object, got list"),
-        (b'{"svm": {"C": 0}}', "svm.C: 0.0 is not > 0"),
+        (b'{"svm": {"epochs": 0}}', "svm.epochs: 0 is not >= 1"),
     ], ids=["undecodable", "not_object", "bad_value"])
     def test_config_file_error_names_the_file(self, content, says, capsys,
                                               tmp_path):

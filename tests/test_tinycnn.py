@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,7 +319,7 @@ class TestWorkspaceReuse:
     def test_train_equals_fresh_single_batch_steps(self, h, w):
         rng = np.random.default_rng([h, w])
         xs, labels = rng.random((13, h, w)), rng.integers(1, 5, 13)  # batches 8 + 5
-        cfg = TrainConfig(epochs=3, learning_rate=0.05)
+        cfg = TrainConfig(epochs=3)
         trained, losses = train(init_model(CnnArch(h, w), 7, init_std=0.1),
                                 list(zip(xs, labels)), cfg, 5)
         model = init_model(CnnArch(h, w), 7, init_std=0.1)
@@ -329,10 +328,10 @@ class TestWorkspaceReuse:
         order_rng, expected = np.random.default_rng(5), []
         for _ in range(cfg.epochs):
             order, total = order_rng.permutation(len(xs)), 0.0
-            for start in range(0, len(xs), cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
+            for start in range(0, len(xs), tinycnn.BATCH_SIZE):
+                idx = order[start:start + tinycnn.BATCH_SIZE]
                 loss, grads = batch_loss_and_grads(model, xs[idx], labels[idx])
-                sgdm_step(params, grads, velocity, cfg)
+                sgdm_step(params, grads, velocity, tinycnn.LEARNING_RATE)
                 total += loss * len(idx)
             expected.append(total / len(xs))
         assert losses == expected
@@ -368,17 +367,15 @@ class TestSgdm:
         model = self._scalarish_model()
         state = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads = {n: np.full_like(p, 2.0) for n, p in model.params().items()}
-        cfg = TrainConfig(learning_rate=1e-4, momentum=0.9)
-        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
+        sgdm_step(model.params().values(), grads.values(), state.values(), 1e-4)
         assert model.conv_w[0, 0, 0] == pytest.approx(-2e-4, abs=1e-18)
 
     def test_second_step_velocity(self):
         model = self._scalarish_model()
         state = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads = {n: np.full_like(p, 2.0) for n, p in model.params().items()}
-        cfg = TrainConfig(learning_rate=1e-4, momentum=0.9)
-        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
-        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
+        for _ in range(2):  # momentum 0.9
+            sgdm_step(model.params().values(), grads.values(), state.values(), 1e-4)
         assert state["conv_w"][0, 0, 0] == pytest.approx(-3.8e-4, abs=1e-18)
 
     def test_zero_learning_rate_is_identity(self):
@@ -386,15 +383,19 @@ class TestSgdm:
         model.conv_w[0, 0, 0] = 1.5
         state = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads = {n: np.full_like(p, 7.0) for n, p in model.params().items()}
-        cfg = SimpleNamespace(learning_rate=0.0, momentum=0.9)
-        sgdm_step(model.params().values(), grads.values(), state.values(), cfg)
+        sgdm_step(model.params().values(), grads.values(), state.values(), 0.0)
         assert model.conv_w[0, 0, 0] == 1.5
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^epochs: 0 is not >= 1$"):
             TrainConfig(epochs=0)
+        with pytest.raises(TypeError):
+            TrainConfig(learning_rate=1e-4)
+
+    def test_batch_size_is_the_constant_not_a_field(self):
+        assert TrainConfig().batch_size == tinycnn.BATCH_SIZE == 8
+        with pytest.raises(TypeError):
+            TrainConfig(batch_size=16)
 
 
 class TestFitSgdm:
@@ -406,25 +407,29 @@ class TestFitSgdm:
             batches.append(list(idx))
             return float(sum(idx)) + 0.5, [np.ones(1)]
 
-        cfg = SimpleNamespace(batch_size=2, learning_rate=0.1, momentum=0.0)
-        losses = fit_sgdm([param], batch_loss_grads, 5, 3, cfg,
+        losses = fit_sgdm([param], batch_loss_grads, 21, 3, 0.1,
                           np.random.default_rng(0))
         assert len(losses) == 3 and len(batches) == 9
         for epoch, loss in enumerate(losses):
             epoch_batches = batches[3 * epoch:3 * epoch + 3]
-            assert [len(b) for b in epoch_batches] == [2, 2, 1]
-            assert sorted(i for b in epoch_batches for i in b) == [0, 1, 2, 3, 4]
-            weighted = sum((sum(b) + 0.5) * len(b) for b in epoch_batches) / 5
+            assert [len(b) for b in epoch_batches] == [8, 8, 5]
+            assert sorted(i for b in epoch_batches for i in b) == list(range(21))
+            weighted = sum((sum(b) + 0.5) * len(b) for b in epoch_batches) / 21
             assert loss == pytest.approx(weighted, rel=1e-15)
-        assert param[0] == pytest.approx(-0.9, abs=1e-15)  # one step per batch
+        velocity = position = 0.0
+        for _ in range(9):  # one momentum step per batch
+            velocity = 0.9 * velocity - 0.1
+            position += velocity
+        assert param[0] == pytest.approx(position, abs=1e-14)
 
-    def test_diverging_loss_names_epoch_and_learning_rate(self):
+    def test_diverging_loss_names_epoch_and_learning_rate(self, monkeypatch):
         data = TestTrain._toy_set(None)
         model = init_model(CnnArch(2, 24), seed=0)
+        monkeypatch.setattr(tinycnn, "LEARNING_RATE", 1e200)
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"^epoch 1: loss nan is not finite; training "
                                   r"diverged at learning_rate 1e\+200$"):
-            train(model, data, TrainConfig(epochs=3, learning_rate=1e200), 0)
+            train(model, data, TrainConfig(epochs=3), 0)
 
 
 class TestTrain:
