@@ -476,9 +476,11 @@ class ModelRun(NamedTuple):
 
 
 def save_model(method: str, model, path, run: ModelRun) -> None:
-    """Write the method's model file, recording run, its buses in row order
-    (ascending, as featurize stacks them)."""
+    """Write the method's model file, and any missing parent directory,
+    recording run, its buses in row order (ascending, as featurize stacks
+    them)."""
     fields = run._replace(buses=sorted(run.buses), fs=float(run.fs))._asdict()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     _MODEL_SAVERS[method](model, path, run=fields)
 
 
@@ -557,7 +559,6 @@ def save_tables(config: ExperimentConfig, results: dict, out_dir) -> Path:
     comparisons = results.get("compare")
     if comparisons is None:
         return out
-    (out / "models").mkdir(exist_ok=True)
     manifest = {
         "config": config_to_json(config),
         "results": {

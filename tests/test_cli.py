@@ -310,6 +310,14 @@ class TestWorkflow:
         assert "bus 632 repeated" in err
         assert not model_path.exists()
 
+    def test_outputs_go_into_new_directories(self, capsys, tmp_path, tiny_config_file):
+        data, model = tmp_path / "data" / "ds.bin", tmp_path / "sub" / "m.bin"
+        for argv in (["generate", "--out", str(data), "--fs", "2000"],
+                     ["train", "--data", str(data), "--model", str(model)]):
+            code, _, err = run_cli(capsys, *argv, "--config", str(tiny_config_file))
+            assert (code, err) == (0, "")
+        assert model.read_bytes()[:4] == tinycnn.MODEL_MAGIC
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data",
                                str(tmp_path / "nope"),

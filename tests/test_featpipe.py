@@ -211,7 +211,7 @@ class TestFeaturize:
         steady = synthgrid.synth_steady(20000.0, seed=3, snr_db=math.inf)
         spec = synthgrid.EventSpec(
             synthgrid.EventClass.CAPACITOR_SWITCHING, 0.0, 675,
-            {"size_index": 0, "amplitude": synthgrid.CAP_AMPLITUDE},
+            {"size_index": 0},
         )
         event = synthgrid.synth_event(spec, 20000.0, 3, snr_db=math.inf)
 

@@ -72,9 +72,9 @@ class TestSteady:
 
 
 class TestEvents:
-    def test_zero_amplitude_cap_equals_steady(self):
-        spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 45.0, 675,
-                         {"size_index": 3, "amplitude": 0.0})
+    def test_zero_amplitude_cap_equals_steady(self, monkeypatch):
+        monkeypatch.setattr(synthgrid, "CAP_AMPLITUDE", 0.0)
+        spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 45.0, 675, {"size_index": 3})
         event = synth_event(spec, 5000.0, seed=7)
         steady = synth_steady(5000.0, seed=7)
         np.testing.assert_array_equal(event.samples, steady.samples)
@@ -131,25 +131,11 @@ class TestEvents:
         assert diff[0, 2] < 0.01
 
     def test_attenuation_orders_disturbance_across_buses(self):
-        spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 0.0, 675,
-                         {"size_index": 0, "amplitude": 0.25})
+        spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 0.0, 675, {"size_index": 0})
         rec = synth_event(spec, 20000.0, seed=5, snr_db=math.inf)
         steady = synth_steady(20000.0, seed=5, snr_db=math.inf)
         energy = ((rec.samples - steady.samples) ** 2).sum(axis=(1, 2))
         assert energy[2] > energy[1] > energy[0]  # 675 closest, 632 farthest
-
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            EventSpec(EventClass.FAULT, 0.0, 671,
-                      {"fault_type": "LG", "resistance_index": 0})
-        with pytest.raises(ValueError):
-            EventSpec(EventClass.CAPACITOR_SWITCHING, 0.0, 675,
-                      {"size_index": 3})
-        with pytest.raises(ValueError):
-            EventSpec(EventClass.HIF, 360.0, 680, {"draw_index": 0})
-        with pytest.raises(ValueError):
-            EventSpec(EventClass.FAULT, 0.0, 632,
-                      {"fault_type": "XX", "resistance_index": 0})
 
 
 class TestDataset:
@@ -242,6 +228,59 @@ class TestDataset:
         seeds = [derive_seed(42, i) for i in range(50)]
         assert len(set(seeds)) == 50
         assert seeds[0] == derive_seed(42, 0)
+
+
+@st.composite
+def small_grids(draw):
+    """A valid DatasetGrids of at most a few hundred specs, every count up
+    to its table's levels and every list a subset of its known entries."""
+    def subset(known):
+        return tuple(draw(st.lists(st.sampled_from(known), min_size=1, unique=True)))
+
+    g = dict(cap_sizes=draw(st.integers(1, synthgrid.CAP_SIZE_LEVELS)),
+             cap_angles=draw(st.integers(1, 5)),
+             xfmr_taps=draw(st.integers(1, synthgrid.TAP_LEVELS)),
+             xfmr_angles=draw(st.integers(1, 5)),
+             fault_types=subset(synthgrid.FAULT_TYPES),
+             fault_locations=subset(synthgrid.FAULT_LOCATIONS),
+             fault_resistances=draw(st.integers(1, synthgrid.FAULT_RESISTANCE_LEVELS - 1)),
+             fault_angles=draw(st.integers(1, 3)),
+             hif_locations=subset(tuple(synthgrid.ATTENUATION)),
+             hif_angles=draw(st.integers(1, 3)),
+             hif_draws=draw(st.integers(1, 8)))
+    counts = (g["cap_sizes"] * g["cap_angles"], g["xfmr_taps"] * g["xfmr_angles"],
+              len(g["fault_types"]) * len(g["fault_locations"])
+              * g["fault_resistances"] * g["fault_angles"],
+              len(g["hif_locations"]) * g["hif_angles"] * g["hif_draws"])
+    return DatasetGrids(**g, declared_counts=counts)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(grids=small_grids())
+def test_grid_specs_stay_in_their_tables(grids):
+    """What EventSpec once checked at run time holds for every spec a valid
+    grid expands to."""
+    specs = grids.specs()
+    assert [sum(s.event_class is c for s in specs) for c in EventClass] == list(grids.counts)
+    params = {EventClass.CAPACITOR_SWITCHING: {"size_index"},
+              EventClass.TRANSFORMER_ENERGIZATION: {"tap_index"},
+              EventClass.FAULT: {"fault_type", "resistance_index"},
+              EventClass.HIF: {"draw_index"}}
+    for spec in specs:
+        p = spec.class_params
+        assert 0.0 <= spec.inception_angle < 360.0
+        assert spec.location in synthgrid.ATTENUATION
+        assert set(p) == params[spec.event_class]
+        if spec.event_class is EventClass.CAPACITOR_SWITCHING:
+            assert 0 <= p["size_index"] < synthgrid.CAP_SIZE_LEVELS
+        elif spec.event_class is EventClass.TRANSFORMER_ENERGIZATION:
+            assert 0 <= p["tap_index"] < synthgrid.TAP_LEVELS
+        elif spec.event_class is EventClass.FAULT:
+            assert spec.location in synthgrid.FAULT_LOCATIONS
+            assert p["fault_type"] in synthgrid.FAULT_TYPES
+            assert 0 <= p["resistance_index"] < synthgrid.FAULT_RESISTANCE_LEVELS
+        else:
+            assert p["draw_index"] >= 0
 
 
 def _bench_rep():
@@ -341,7 +380,8 @@ class TestSizeCheck:
 class TestReferenceHashes:
     def test_builds_match_reference_hashes(self):
         """Every 8-record dataset the tiny benchmark workloads build, and one
-        600-record 5 kHz dataset, against the recorded waveform sha256."""
+        600-record 5 kHz and one 20 kHz dataset, against the recorded
+        waveform sha256."""
         rep = _bench_rep()
         reference = json.loads(REFERENCE_HASHES.read_text())
         configs = [rep.dataset_config(workload, seed)
@@ -349,7 +389,7 @@ class TestReferenceHashes:
                    for seed in range(rep.REFERENCE_SEEDS)]
         assert {rep.reference_key(c) for c in configs} == {
             key for key in reference if key.startswith("8@4000/")}
-        configs.append(rep.dataset_config("cli-5k", 0))
+        configs += [rep.dataset_config("cli-5k", 0), rep.dataset_config("compare-20k", 0)]
         for config in configs:
             key = rep.reference_key(config)
             assert rep.waveform_sha256(build_dataset(config)) == reference[key], key
