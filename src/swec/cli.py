@@ -58,7 +58,7 @@ def _parse_tables(text: str) -> tuple:
 
 def _cmd_generate(args) -> int:
     config = _load_config(args)
-    fs = args.fs if args.fs is not None else max(config.fs_list)
+    fs = args.fs if args.fs is not None else max(expharness.FS_LIST)
     ds_config = config.dataset_config(fs, config.seed)
     dataset = synthgrid.build_dataset(ds_config)
     out = synthgrid.save_dataset(dataset, args.out)
@@ -103,9 +103,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_tables(args) -> int:
     config = _load_config(args)
+    out = Path(args.out) if args.out else None
+    if out and out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"{out}: --out exists and is not an empty directory; "
+                         "a run directory holds one run")
     results = expharness.tables(config, args.only)
-    if args.out:
-        expharness.save_tables(config, results, args.out)
+    if out:
+        expharness.save_tables(config, results, out)
     for name, rows in results.items():
         _emit([["table", name], *expharness.table_rows(name, rows)])
     return 0

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -29,6 +30,13 @@ def tiny_config_file(tmp_path):
     return path
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's swec first on PYTHONPATH."""
+    src = str(Path(swec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -37,12 +45,9 @@ def run_cli(capsys, *argv):
 
 class TestUsage:
     def test_module_entry_point_starts_without_warnings(self):
-        src = str(Path(swec.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "swec.cli", "--help"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_src_env())
         assert result.returncode == 0
         assert result.stderr == ""
 
@@ -156,8 +161,7 @@ class TestWorkflow:
                                                                  tmp_path):
         # "placement_fs": 4000 and "--fs 4000" give one dataset config digest.
         # generate builds at --seed; the compare table's repeat 0 at the derived seed.
-        doc = {**config_to_json(tiny_config()), "placement_fs": 4000,
-               "fs_list": [2000, 4000]}
+        doc = {**config_to_json(tiny_config()), "placement_fs": 4000}
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         run, data = tmp_path / "run", tmp_path / "data.bin"
@@ -412,7 +416,7 @@ class TestEvalAnyMethod:
         run over two repeats and the dataset of each repeat, rebuilt by
         generate."""
         root = tmp_path_factory.mktemp("compare")
-        config = tiny_config(methods=expharness.METHODS)
+        config = tiny_config()
         config_path = root / "config.json"
         config_path.write_text(json.dumps(config_to_json(config)))
         assert cli.main(["tables", "--only", "compare", "--config", str(config_path),
@@ -489,7 +493,7 @@ class TestSweepAndCompare:
         title, *lines = out.strip().splitlines()
         assert title == "table,sampling_rate"
         assert lines[0].startswith("fs,mean_accuracy")
-        assert len(lines) == 3
+        assert len(lines) == 1 + len(expharness.FS_LIST)
 
     def test_sweep_placement_stdout(self, capsys, tmp_path, tiny_config_file):
         code, out, _ = run_cli(capsys, "tables", "--only", "placement", "--config",
@@ -507,15 +511,17 @@ class TestSweepAndCompare:
         assert (out_dir / "reports" / "compare.csv").is_file()
         assert out.startswith("table,compare\nmethod,acc")
         assert sorted(p.name for p in (out_dir / "reports").iterdir()) == \
-            ["cnn_r0.csv", "compare.csv", "svm_r0.csv"]
+            ["autoencoder_r0.csv", "cnn_r0.csv", "compare.csv", "svm_r0.csv",
+             "tmlp_r0.csv"]
+
+    @staticmethod
+    def _no_build(config):
+        raise AssertionError("dataset built")
 
     @pytest.fixture
     def no_build(self, monkeypatch):
         """Fails the test if any dataset is built."""
-        def build(config):
-            raise AssertionError("dataset built")
-
-        monkeypatch.setattr(expharness, "build_dataset", build)
+        monkeypatch.setattr(expharness, "build_dataset", self._no_build)
 
     @staticmethod
     def _blocks(out: str) -> dict:
@@ -583,24 +589,62 @@ class TestSweepAndCompare:
         assert code == 0
         assert list(self._blocks(out)) == ["compare", "sampling_rate"]
 
-    @pytest.mark.parametrize("override, says", [
-        ({"methods": ["cnn"]}, "comparison needs at least 2 methods"),
-        ({"fs_list": [4000.0]}, "sampling-rate sweep needs at least 2 rates"),
-    ], ids=["one_method", "one_rate"])
-    def test_table_the_config_cannot_fill_fails(self, override, says, capsys,
-                                                monkeypatch, no_build, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**config_to_json(tiny_config()), **override}))
-        code, out, err = run_cli(capsys, "tables", "--config", str(path),
-                                 "--out", str(tmp_path / "run"))
+    @staticmethod
+    def _files(root: Path) -> dict:
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_second_run_into_one_dir_refused(self, capsys, monkeypatch, tmp_path,
+                                             tiny_config_file):
+        out_dir = tmp_path / "run"
+        assert run_cli(capsys, "tables", "--config", str(tiny_config_file),
+                       "--repeats", "2", "--out", str(out_dir))[0] == 0
+        first = self._files(out_dir)
+        monkeypatch.setattr(expharness, "build_dataset", self._no_build)
+        code, out, err = run_cli(capsys, "tables", "--config", str(tiny_config_file),
+                                 "--seed", "5", "--repeats", "1", "--only", "compare",
+                                 "--out", str(out_dir))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert says in err
-        monkeypatch.undo()  # builds from here on
-        code, out, _ = run_cli(capsys, "tables", "--only", "placement",
-                               "--config", str(path))
-        assert code == 0
-        assert out.startswith("table,placement\nbuses,mean_accuracy")
+        assert f"{out_dir}: --out exists and is not an empty directory" in err
+        assert self._files(out_dir) == first
+
+    def test_file_as_out_dir_refused(self, capsys, no_build, tmp_path):
+        path = tmp_path / "run"
+        path.write_text("kept\n")
+        code, out, err = run_cli(capsys, "tables", "--only", "compare", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path}: --out exists and is not an empty directory" in err
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["fresh", "empty"])
+    def test_fresh_or_empty_out_dir_written(self, empty, capsys, tmp_path,
+                                            tiny_config_file):
+        out_dir = tmp_path / "runs" / "run"
+        if empty:
+            out_dir.mkdir(parents=True)
+        code, _, err = run_cli(capsys, "tables", "--only", "placement", "--config",
+                               str(tiny_config_file), "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        assert list(self._files(out_dir)) == ["reports/placement.csv"]
+        assert list((tmp_path / "runs").iterdir()) == [out_dir]  # no partial sibling
+
+    @pytest.mark.parametrize("where", ["features_and_split", "save_model"],
+                             ids=["in_run_grid", "in_save_tables"])
+    def test_killed_run_leaves_no_dir(self, where, tmp_path, tiny_config_file):
+        # features_and_split first runs in run_grid before any worker starts
+        code = ("import os, signal, sys\n"
+                "from swec import cli, expharness\n"
+                f"expharness.{where} = lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL)\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        out_dir = tmp_path / "run"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "tables", "--only", "compare", "--config",
+             str(tiny_config_file), "--out", str(out_dir)],
+            capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert result.returncode == -signal.SIGKILL
+        assert not out_dir.exists()
 
     def test_report_undecodable_csv_names_the_file(self, capsys, tmp_path):
         (tmp_path / "reports").mkdir()
@@ -611,7 +655,9 @@ class TestSweepAndCompare:
         assert f"{tmp_path / 'reports' / 'bad.csv'}: cannot read report" in err
 
     def test_diverging_trainer_fails_the_compare(self, capsys, tmp_path, monkeypatch):
-        config = tiny_config(methods=("tmlp", "cnn"))
+        # the autoencoder, first in grid order, would diverge first
+        monkeypatch.setattr(expharness.ExperimentConfig, "methods", ("tmlp", "cnn"))
+        config = tiny_config()
         for module in (tinycnn, baselines):  # the forked workers inherit them
             monkeypatch.setattr(module, "LEARNING_RATE", 1e200)
         path = tmp_path / "config.json"
