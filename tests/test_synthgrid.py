@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swec import featpipe, store, synthgrid
+from swec import expharness, featpipe, store, synthgrid
 from swec.synthgrid import (BUS_AMPLITUDE, BUS_PHASE, EVENT_TIME, ConfigError,
                             DatasetConfig, DatasetGrids, EventClass, EventSpec, F0,
                             MONITORED_BUSES, PHASE_OFFSETS, WaveformRecord,
@@ -393,6 +393,32 @@ class TestReferenceHashes:
         for config in configs:
             key = rep.reference_key(config)
             assert rep.waveform_sha256(build_dataset(config)) == reference[key], key
+
+    # The default config's repeat-0 build at each table rate but the top one,
+    # whose build is compare-20k's seed-0 build, keyed in the reference file.
+    DEFAULT_BUILD_HASHES = {
+        1250.0: "95f3763af857dcc7d4642256aeb8b8c17fdc5571db4bf17f420ef4af89454c58",
+        2500.0: "9483ba298ab7a1bb1357a59aba8d69df563fe40dce4609e4d9fa00b6f91da7c0",
+        5000.0: "49e49088036a098765c9c777595a9ff3ac44310261916f616d1c32569ecc3cdc",
+        10000.0: "8ce3f77160f3a62fae17a8a135f8379a05f89e6937365e00d8f356d7ebd6df18",
+    }
+
+    @staticmethod
+    def default_build_config(fs):
+        config = expharness.ExperimentConfig()
+        ds_seed = derive_seed(config.seed, 0, expharness._STAGE_DATASET, fs)
+        return config.dataset_config(fs, ds_seed)
+
+    def test_pins_cover_every_table_rate(self):
+        top = max(expharness.FS_LIST)
+        assert set(self.DEFAULT_BUILD_HASHES) | {top} == set(expharness.FS_LIST)
+        assert self.default_build_config(top) == _bench_rep().dataset_config(
+            "compare-20k", 0)
+
+    @pytest.mark.parametrize("fs", sorted(DEFAULT_BUILD_HASHES))
+    def test_default_build_matches_pinned_hash(self, fs):
+        dataset = build_dataset(self.default_build_config(fs))
+        assert _bench_rep().waveform_sha256(dataset) == self.DEFAULT_BUILD_HASHES[fs]
 
 
 class TestWindow:
