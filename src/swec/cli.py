@@ -104,7 +104,10 @@ def _cmd_eval(args) -> int:
 def _cmd_tables(args) -> int:
     config = _load_config(args)
     out = Path(args.out) if args.out else None
-    if out and out.exists() and not (out.is_dir() and not any(out.iterdir())):
+    # a symlink counts as taken even when it dangles or names an empty
+    # directory: save_tables renames the finished run onto the path itself
+    if out and (out.is_symlink()
+                or out.exists() and not (out.is_dir() and not any(out.iterdir()))):
         raise ValueError(f"{out}: --out exists and is not an empty directory; "
                          "a run directory holds one run")
     results = expharness.tables(config, args.only)

@@ -130,12 +130,12 @@ class TrainConfig(TrainerConfig):
     batch_size: ClassVar[int] = BATCH_SIZE  # readable, not a field
 
 
-def init_model(arch: CnnArch, seed: int, init_std: float = INIT_STD) -> CnnModel:
-    """Gaussian weights (std init_std), zero biases, from one seeded stream."""
+def init_model(arch: CnnArch, seed: int) -> CnnModel:
+    """Gaussian weights (std INIT_STD), zero biases, from one seeded stream."""
     rng = np.random.default_rng(seed)
-    conv_w = rng.normal(0.0, init_std,
+    conv_w = rng.normal(0.0, INIT_STD,
                         (arch.num_filters, arch.eff_filter_h, arch.eff_filter_w))
-    fc_w = rng.normal(0.0, init_std, (arch.num_classes, arch.flat_size))
+    fc_w = rng.normal(0.0, INIT_STD, (arch.num_classes, arch.flat_size))
     return CnnModel(arch, conv_w, np.zeros(arch.num_filters),
                     fc_w, np.zeros(arch.num_classes))
 

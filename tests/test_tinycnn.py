@@ -37,6 +37,13 @@ FULL_FORWARD_ERRORS = {
 }
 
 
+def init_at_std(arch, seed, std):
+    """init_model with its weights drawn at std `std` in place of INIT_STD."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tinycnn, "INIT_STD", std)
+        return init_model(arch, seed)
+
+
 def manual_model(arch, conv_w, conv_b, fc_w, fc_b):
     return CnnModel(arch, np.asarray(conv_w, dtype=float),
                     np.asarray(conv_b, dtype=float),
@@ -272,7 +279,7 @@ class TestBatchRelations:
 
     def _case(self):
         rng = np.random.default_rng(21)
-        model = init_model(CnnArch(3, 166), seed=21, init_std=0.3)
+        model = init_at_std(CnnArch(3, 166), 21, 0.3)
         return model, rng.random((8, 3, 166)), rng.integers(1, 5, 8)
 
     def test_batch_equals_mean_of_single_examples(self):
@@ -320,9 +327,9 @@ class TestWorkspaceReuse:
         rng = np.random.default_rng([h, w])
         xs, labels = rng.random((13, h, w)), rng.integers(1, 5, 13)  # batches 8 + 5
         cfg = TrainConfig(epochs=3)
-        trained, losses = train(init_model(CnnArch(h, w), 7, init_std=0.1),
+        trained, losses = train(init_at_std(CnnArch(h, w), 7, 0.1),
                                 list(zip(xs, labels)), cfg, 5)
-        model = init_model(CnnArch(h, w), 7, init_std=0.1)
+        model = init_at_std(CnnArch(h, w), 7, 0.1)
         params = list(model.params().values())
         velocity = [np.zeros_like(p) for p in params]
         order_rng, expected = np.random.default_rng(5), []
@@ -341,7 +348,7 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("h, w", [(1, 10), (3, 166)])
     def test_predict_blocks_match_fresh_workspaces(self, h, w):
         rng = np.random.default_rng(h * w)
-        model = init_model(CnnArch(h, w), 3, init_std=0.5)
+        model = init_at_std(CnnArch(h, w), 3, 0.5)
         xs = rng.normal(size=(26, h, w)) * rng.uniform(0, 4, (26, 1, 1))
         reused = {8: Workspace(model.arch, 8), 5: Workspace(model.arch, 5)}
         for start, stop in [(0, 8), (8, 13), (13, 21), (21, 26), (5, 13), (0, 5)]:
