@@ -7,7 +7,10 @@ per-cycle saturation notching), faults (step sag with inception transient
 and sustained arcing), and high-impedance faults (sub-threshold arc
 distortion with per-half-cycle randomness). Disturbances originate at an
 event bus and reach each monitored bus through a fixed attenuation table
-standing in for feeder impedances.
+standing in for feeder impedances. Every class model has one signature
+and reads one cached, read-only record axis per sampling rate: the sample
+times, the time since the event and its onset mask, each phase's angle, the
+clean steady state and HIF's arc terms.
 
 Every record is a pure function of (spec, fs, seed): the measurement noise,
 the arc randomness, and the window-detection jitter each consume an
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -48,6 +52,7 @@ XFMR_BUS = 634  # transformer secondary location
 BUS_AMPLITUDE = {632: 1.00, 671: 0.97, 675: 0.94}
 BUS_PHASE = {632: 0.0, 671: -0.07, 675: -0.14}
 _BUS_AMPS = np.array([BUS_AMPLITUDE[b] for b in MONITORED_BUSES])
+_BUS_PHASES = np.array([BUS_PHASE[b] for b in MONITORED_BUSES])
 
 # Event bus -> disturbance attenuation seen at (632, 671, 675); values decay
 # with electrical distance on the feeder.
@@ -65,6 +70,8 @@ PHASE_OFFSETS = (0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
 # amplitude and point-on-wave per phase); a perfectly balanced additive term
 # would be zero-sequence and vanish from the alpha-mode signal downstream.
 PHASE_COUPLING = (1.0, 0.7, 0.55)
+_OFFSET_COLUMN = np.array(PHASE_OFFSETS)[:, None]  # (phases, 1) forms of the two
+_COUPLING_COLUMN = np.array(PHASE_COUPLING)[:, None]  # tuples, for (phases, samples)
 
 # Event severity varies record to record (network state, switching scatter):
 # every disturbance is scaled by a seeded draw from this range.
@@ -374,31 +381,34 @@ def _validate_fs(fs: float):
         raise ConfigError(f"fs: sampling rate {fs} Hz outside [1000, inf)")
 
 
-@functools.lru_cache(maxsize=8)
-def _clean_base(fs: float) -> np.ndarray:
-    """Noiseless balanced steady state, shape (buses, phases, samples);
-    computed once per rate and returned read-only."""
-    n = round(fs * DURATION)
-    t = np.arange(n) / fs
-    out = np.empty((len(MONITORED_BUSES), 3, n))
-    for b, bus in enumerate(MONITORED_BUSES):
-        for p, phase_off in enumerate(PHASE_OFFSETS):
-            out[b, p] = BUS_AMPLITUDE[bus] * np.cos(
-                2.0 * math.pi * F0 * t + phase_off + BUS_PHASE[bus]
-            )
-    out.flags.writeable = False
-    return out
+@dataclass(frozen=True)
+class _Axis:
+    """One rate's record axis: everything the class models read that depends
+    on the rate alone. Every array is read-only."""
+
+    t: np.ndarray      # sample times, s
+    u: np.ndarray      # time since EVENT_TIME, 0 before it
+    on: np.ndarray     # onset mask, t - EVENT_TIME >= 0
+    angle: np.ndarray  # each phase's 60 Hz angle, (phases, samples)
+    clean: np.ndarray  # noiseless balanced steady state, (buses, phases, samples)
+    asym: np.ndarray   # HIF's half-cycle asymmetry of the bus-normalized clean base
+    shape: np.ndarray  # HIF's odd-harmonic shape of the bus-normalized clean base
 
 
 @functools.lru_cache(maxsize=8)
-def _hif_arc_terms(fs: float):
-    """HIF's (asymmetry, odd-harmonic shape) of the per-bus normalized clean
-    base; cached and read-only like _clean_base."""
-    v_norm = _clean_base(fs) / _BUS_AMPS[:, None, None]
-    shape = 0.6 * v_norm ** 3 + 0.4 * v_norm ** 5
-    asym = np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR)
-    asym.flags.writeable = shape.flags.writeable = False
-    return asym, shape
+def _axis(fs: float) -> _Axis:
+    """The rate's record axis, built once per rate, for a valid rate only."""
+    _validate_fs(fs)
+    t = np.arange(round(fs * DURATION)) / fs
+    angle = 2.0 * math.pi * F0 * t + _OFFSET_COLUMN
+    clean = _BUS_AMPS[:, None, None] * np.cos(angle + _BUS_PHASES[:, None, None])
+    v_norm = clean / _BUS_AMPS[:, None, None]
+    axis = _Axis(t, np.maximum(t - EVENT_TIME, 0.0), t - EVENT_TIME >= 0.0, angle, clean,
+                 np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR),
+                 0.6 * v_norm ** 3 + 0.4 * v_norm ** 5)
+    for array in vars(axis).values():
+        array.flags.writeable = False
+    return axis
 
 
 def _noise(seed: int, snr_db: float, n: int) -> np.ndarray:
@@ -414,97 +424,76 @@ def _noise(seed: int, snr_db: float, n: int) -> np.ndarray:
 def synth_steady(fs: float, seed: int = 0,
                  snr_db: float = DEFAULT_SNR_DB) -> WaveformRecord:
     """Balanced 60 Hz three-phase steady state at all monitored buses."""
-    _validate_fs(fs)
-    clean = _clean_base(fs)
+    clean = _axis(fs).clean
     return WaveformRecord(None, fs, clean + _noise(seed, snr_db, clean.shape[2]), seed)
 
 
-def _attenuation_column(location: int) -> np.ndarray:
-    return np.array(ATTENUATION[location])[:, None, None]
+def _phase_burst(axis, amplitude, freq, tau, theta):
+    """Damped oscillation from EVENT_TIME, one row per phase with its own
+    coupling weight and point-on-wave, shape (3, samples)."""
+    envelope = np.where(axis.on, amplitude * np.exp(-axis.u / tau), 0.0)
+    return _COUPLING_COLUMN * envelope * np.sin(
+        2.0 * math.pi * freq * axis.u + theta + _OFFSET_COLUMN)
 
 
-def _phase_burst(t, t0, amplitude, freq, tau, theta):
-    """Damped oscillation from t0, one row per phase with its own coupling
-    weight and point-on-wave, shape (3, len(t))."""
-    u = np.maximum(t - t0, 0.0)
-    envelope = np.where(t - t0 >= 0.0, amplitude * np.exp(-u / tau), 0.0)
-    out = np.empty((3, t.size))
-    for p_idx, (weight, phase_off) in enumerate(zip(PHASE_COUPLING, PHASE_OFFSETS)):
-        out[p_idx] = weight * envelope * np.sin(
-            2.0 * math.pi * freq * u + theta + phase_off
-        )
-    return out
+# The phases a fault disturbs, and the one an HIF does (a downed or leaning
+# conductor arcs on one phase), as (1, phases, 1) masks.
+_FAULT_PHASE_MASKS = {ftype: np.array([[[float(p in phases)] for p in range(3)]])
+                      for ftype, phases in FAULT_PHASES.items()}
+_HIF_PHASE_MASK = np.array([[[1.0], [0.0], [0.0]]])
 
 
-def _apply_cap_switching(clean, spec, t):
+def _apply_cap_switching(axis, spec, theta, atten, seed):
     frac = spec.class_params["size_index"] / (CAP_SIZE_LEVELS - 1)
     f_osc = CAP_FOSC_RANGE[0] + frac * (CAP_FOSC_RANGE[1] - CAP_FOSC_RANGE[0])
     tau = CAP_TAU_RANGE[0] + frac * (CAP_TAU_RANGE[1] - CAP_TAU_RANGE[0])
-    theta = math.radians(spec.inception_angle)
-    ring = _phase_burst(t, EVENT_TIME, CAP_AMPLITUDE, f_osc, tau, theta)
-    return clean + _attenuation_column(spec.location) * ring[None, :, :]
+    ring = _phase_burst(axis, CAP_AMPLITUDE, f_osc, tau, theta)
+    return axis.clean + atten * ring[None, :, :]
 
 
-def _apply_xfmr_energization(clean, spec, t):
-    tap = spec.class_params["tap_index"]
-    frac = tap / (TAP_LEVELS - 1)
-    theta = math.radians(spec.inception_angle)
+def _apply_xfmr_energization(axis, spec, theta, atten, seed):
+    t = axis.t
+    frac = spec.class_params["tap_index"] / (TAP_LEVELS - 1)
     cycles = XFMR_DECAY_CYCLES[0] + frac * (XFMR_DECAY_CYCLES[1] - XFMR_DECAY_CYCLES[0])
     tau = cycles / F0
-    u = t - EVENT_TIME
-    active = u >= 0.0
-    envelope = np.where(active, np.exp(-np.maximum(u, 0.0) / tau), 0.0)
-    atten = _attenuation_column(spec.location)
+    envelope = np.where(axis.on, np.exp(-axis.u / tau), 0.0)
 
     sag = XFMR_SAG_MAX * (0.3 + 0.7 * frac)
-    out = clean * (1.0 - sag * atten * envelope[None, None, :])
+    out = axis.clean * (1.0 - sag * atten * envelope[None, None, :])
     scale = 0.4 + 0.6 * frac
-    for p_idx, phase_off in enumerate(PHASE_OFFSETS):
-        angle_base = 2.0 * math.pi * F0 * t + phase_off
-        ripple = np.zeros_like(t)
-        for order, base_amp in XFMR_HARMONICS:
-            ripple += base_amp * scale * np.cos(order * angle_base + theta)
-        out[:, p_idx, :] += atten[:, 0, :] * envelope * ripple
+    ripple = np.zeros_like(axis.angle)
+    for order, base_amp in XFMR_HARMONICS:
+        ripple += base_amp * scale * np.cos(order * axis.angle + theta)
+    out += atten * envelope * ripple
 
     # connection surge at the energization instant
     f_surge = XFMR_SURGE_FREQ_RANGE[0] + frac * (
         XFMR_SURGE_FREQ_RANGE[1] - XFMR_SURGE_FREQ_RANGE[0]
     )
-    surge = _phase_burst(t, EVENT_TIME,
-                         XFMR_SURGE_AMPLITUDE * (0.5 + 0.5 * frac),
+    surge = _phase_burst(axis, XFMR_SURGE_AMPLITUDE * (0.5 + 0.5 * frac),
                          f_surge, XFMR_SURGE_TAU, theta)
     out += atten * surge[None, :, :]
 
     # one narrow saturation notch per cycle while the inrush decays
     notch = np.zeros_like(t)
-    width = XFMR_NOTCH_WIDTH
-    k = 0
-    while True:
+    for k in itertools.count():
         t_k = EVENT_TIME + k / F0
         if t_k > t[-1]:
             break
-        local = np.abs(t - t_k) < width / 2.0
-        shape = 0.5 * (1.0 + np.cos(2.0 * math.pi * (t[local] - t_k) / width))
+        local = np.abs(t - t_k) < XFMR_NOTCH_WIDTH / 2.0
+        shape = 0.5 * (1.0 + np.cos(2.0 * math.pi * (t[local] - t_k) / XFMR_NOTCH_WIDTH))
         notch[local] += math.exp(-k / (F0 * tau)) * shape
-        k += 1
     depth = XFMR_NOTCH_DEPTH * (0.4 + 0.6 * frac) * (0.75 + 0.25 * math.cos(theta))
     out *= 1.0 - depth * atten * notch[None, None, :]
     return out
 
 
-def _apply_fault(clean, spec, t, seed):
+def _apply_fault(axis, spec, theta, atten, seed):
     p = spec.class_params
     depth = FAULT_DEPTH_TABLE[spec.location][p["resistance_index"]]
     depth *= FAULT_TYPE_FACTOR[p["fault_type"]]
-    theta = math.radians(spec.inception_angle)
-    u = t - EVENT_TIME
-    step = (u >= 0.0).astype(float)
-    atten = _attenuation_column(spec.location)
-
-    phase_mask = np.zeros((1, 3, 1))
-    for p_idx in FAULT_PHASES[p["fault_type"]]:
-        phase_mask[0, p_idx, 0] = 1.0
-    out = clean * (1.0 - depth * atten * phase_mask * step[None, None, :])
+    phase_mask = _FAULT_PHASE_MASKS[p["fault_type"]]
+    out = axis.clean * (1.0 - depth * atten * phase_mask * axis.on[None, None, :])
 
     # short arc transient at inception, proportional to sag depth
     res = p["resistance_index"]
@@ -512,43 +501,35 @@ def _apply_fault(clean, spec, t, seed):
         FAULT_TRANSIENT_FREQ_RANGE[1] - FAULT_TRANSIENT_FREQ_RANGE[0]
     )
     tr_amp = FAULT_TRANSIENT_AMPLITUDE * depth / FAULT_DEPTH_TABLE[632][0]
-    burst = _phase_burst(t, EVENT_TIME, tr_amp, f_tr,
-                         FAULT_TRANSIENT_TAU, theta)
+    burst = _phase_burst(axis, tr_amp, f_tr, FAULT_TRANSIENT_TAU, theta)
     out += atten * phase_mask * burst[None, :, :]
 
     # sustained wideband arcing while the fault persists, scaled with depth
     rng = np.random.default_rng([seed, _STREAM_EVENT])
-    texture = rng.standard_normal((1, 3, t.size))
+    texture = rng.standard_normal((1, 3, axis.t.size))
     rel = depth / FAULT_DEPTH_TABLE[632][0]
     sigma = FAULT_ARC_NOISE * (0.3 + 0.7 * math.sqrt(rel)) * (rel > 0)
-    out += sigma * atten * phase_mask * step[None, None, :] * texture
+    out += sigma * atten * phase_mask * axis.on[None, None, :] * texture
     return out
 
 
-def _apply_hif(clean, spec, t, seed, asym, shape):
-    p = spec.class_params
-    draw = p["draw_index"]
-    theta = math.radians(spec.inception_angle)
+def _apply_hif(axis, spec, theta, atten, seed):
+    t = axis.t
+    draw = spec.class_params["draw_index"]
     rng = np.random.default_rng([seed, _STREAM_EVENT, draw])
-    u = t - EVENT_TIME
-    active = u >= 0.0
-    atten = _attenuation_column(spec.location)
-
     n_half = int(math.ceil(2.0 * F0 * (t[-1] - EVENT_TIME))) + 2
     gains = rng.uniform(0.6, 1.0, size=n_half)
     pulse_gains = rng.uniform(0.5, 1.0, size=n_half)
 
     # half-cycle index of each active sample, counted from the inception
-    k = np.clip(np.floor(2.0 * F0 * np.maximum(u, 0.0)).astype(int), 0, n_half - 1)
-    g = np.where(active, gains[k], 0.0)
+    k = np.clip(np.floor(2.0 * F0 * axis.u).astype(int), 0, n_half - 1)
+    g = np.where(axis.on, gains[k], 0.0)
 
     amp_d = HIF_DISTORTION_BASE + HIF_DISTORTION_SPAN * (draw % HIF_DRAW_LEVELS) / (
         HIF_DRAW_LEVELS - 1
     )
-    # a downed or leaning conductor arcs on one phase
-    phase_mask = np.zeros((1, 3, 1))
-    phase_mask[0, 0, 0] = 1.0
-    out = clean - amp_d * atten * phase_mask * asym * shape * g[None, None, :]
+    out = axis.clean - (amp_d * atten * _HIF_PHASE_MASK * axis.asym * axis.shape
+                        * g[None, None, :])
 
     # arc reignition clicks every half cycle; alternating strength set by
     # the inception angle
@@ -557,42 +538,38 @@ def _apply_hif(clean, spec, t, seed, asym, shape):
         t_k = EVENT_TIME + kk / (2.0 * F0)
         if t_k >= t[-1]:
             break
-        w = t - t_k
-        live = w >= 0.0
+        w = np.maximum(t - t_k, 0.0)  # 0 before the click, where its sine is +0
         side = 1.0 + 0.3 * math.cos(theta) * (1.0 if kk % 2 == 0 else -1.0)
-        pulse += np.where(
-            live,
-            HIF_PULSE_AMPLITUDE * pulse_gains[kk] * side
-            * np.exp(-np.maximum(w, 0.0) / HIF_PULSE_TAU)
-            * np.sin(2.0 * math.pi * HIF_PULSE_FREQ * np.maximum(w, 0.0)),
-            0.0,
-        )
-    out += atten * phase_mask * pulse[None, None, :]
+        pulse += (HIF_PULSE_AMPLITUDE * pulse_gains[kk] * side
+                  * np.exp(-w / HIF_PULSE_TAU) * np.sin(2.0 * math.pi * HIF_PULSE_FREQ * w))
+    out += atten * _HIF_PHASE_MASK * pulse[None, None, :]
     return out
+
+
+# Each class's model(axis, spec, theta, atten, seed) -> the disturbed (buses,
+# phases, samples) record, theta the inception angle in radians and atten the
+# event location's (buses, 1, 1) attenuation column.
+_MODELS = {
+    EventClass.CAPACITOR_SWITCHING: _apply_cap_switching,
+    EventClass.TRANSFORMER_ENERGIZATION: _apply_xfmr_energization,
+    EventClass.FAULT: _apply_fault,
+    EventClass.HIF: _apply_hif,
+}
 
 
 def synth_event(spec: EventSpec, fs: float, seed: int = 0,
                 snr_db: float = DEFAULT_SNR_DB) -> WaveformRecord:
-    """Steady-state base plus the class-specific disturbance model."""
-    _validate_fs(fs)
-    clean = _clean_base(fs)
-    n = clean.shape[2]
-    t = np.arange(n) / fs
-
-    cls = spec.event_class
-    if cls is EventClass.CAPACITOR_SWITCHING:
-        disturbed = _apply_cap_switching(clean, spec, t)
-    elif cls is EventClass.TRANSFORMER_ENERGIZATION:
-        disturbed = _apply_xfmr_energization(clean, spec, t)
-    elif cls is EventClass.FAULT:
-        disturbed = _apply_fault(clean, spec, t, seed)
-    else:
-        disturbed = _apply_hif(clean, spec, t, seed, *_hif_arc_terms(fs))
-
+    """Steady-state base plus the class's disturbance model, scaled by a
+    seeded severity, plus noise."""
+    axis = _axis(fs)
+    theta = math.radians(spec.inception_angle)
+    atten = np.array(ATTENUATION[spec.location])[:, None, None]
+    disturbed = _MODELS[spec.event_class](axis, spec, theta, atten, seed)
     severity = np.random.default_rng([seed, _STREAM_SEVERITY]).uniform(
         *SEVERITY_RANGE
     )
-    samples = clean + severity * (disturbed - clean) + _noise(seed, snr_db, n)
+    samples = (axis.clean + severity * (disturbed - axis.clean)
+               + _noise(seed, snr_db, axis.t.size))
     return WaveformRecord(spec, fs, samples, seed)
 
 

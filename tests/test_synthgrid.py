@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -130,6 +131,21 @@ class TestEvents:
         assert diff[0, 1] < 0.01          # phases B, C untouched after decay
         assert diff[0, 2] < 0.01
 
+    def test_one_model_per_class_with_one_signature(self):
+        assert list(synthgrid._MODELS) == list(EventClass)
+        assert {tuple(inspect.signature(model).parameters)
+                for model in synthgrid._MODELS.values()} == {
+            ("axis", "spec", "theta", "atten", "seed")}
+
+    def test_hif_disturbs_phase_a_from_the_onset_only(self):
+        spec = EventSpec(EventClass.HIF, 30.0, 632, {"draw_index": 1})
+        rec = synth_event(spec, 5000.0, seed=9, snr_db=math.inf)
+        steady = synth_steady(5000.0, seed=9, snr_db=math.inf)
+        onset = int(np.argmax(synthgrid._axis(5000.0).on))
+        changed = rec.samples != steady.samples
+        assert not changed[:, 1:].any() and not changed[:, :, :onset].any()
+        assert changed[:, 0, onset + 1:].mean() > 0.9
+
     def test_attenuation_orders_disturbance_across_buses(self):
         spec = EventSpec(EventClass.CAPACITOR_SWITCHING, 0.0, 675, {"size_index": 0})
         rec = synth_event(spec, 20000.0, seed=5, snr_db=math.inf)
@@ -212,17 +228,21 @@ class TestDataset:
         assert tiny_dataset.labels.tolist() == [int(s.event_class) for s in specs]
         assert tiny_dataset.records is tiny_dataset.records
 
-    def test_clean_base_cached_read_only(self):
-        a = synthgrid._clean_base(5000.0)
-        assert synthgrid._clean_base(5000.0) is a
-        with pytest.raises(ValueError):
-            a[0, 0, 0] = 0.0
-        terms = synthgrid._hif_arc_terms(5000.0)
-        assert synthgrid._hif_arc_terms(5000.0) is terms
-        for term in terms:
-            assert term.shape == a.shape
+    def test_axis_cached_read_only(self):
+        axis = synthgrid._axis(5000.0)
+        assert synthgrid._axis(5000.0) is axis
+        n = round(5000.0 * synthgrid.DURATION)
+        shapes = {"t": (n,), "u": (n,), "on": (n,), "angle": (3, n),
+                  "clean": (3, 3, n), "asym": (3, 3, n), "shape": (3, 3, n)}
+        assert {k: v.shape for k, v in vars(axis).items()} == shapes
+        for name, array in vars(axis).items():
             with pytest.raises(ValueError):
-                term[0, 0, 0] = 0.0
+                array[(0,) * array.ndim] = 0
+        np.testing.assert_array_equal(axis.t, np.arange(n) / 5000.0)
+        np.testing.assert_array_equal(axis.on, axis.t >= EVENT_TIME)
+        np.testing.assert_array_equal(axis.u, np.where(axis.on, axis.t - EVENT_TIME, 0.0))
+        with pytest.raises(ConfigError, match="^fs: sampling rate 999.0 Hz"):
+            synthgrid._axis(999.0)
 
     def test_record_seeds_stable_and_distinct(self):
         seeds = [derive_seed(42, i) for i in range(50)]
