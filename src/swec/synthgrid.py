@@ -70,8 +70,9 @@ PHASE_OFFSETS = (0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
 # amplitude and point-on-wave per phase); a perfectly balanced additive term
 # would be zero-sequence and vanish from the alpha-mode signal downstream.
 PHASE_COUPLING = (1.0, 0.7, 0.55)
-_OFFSET_COLUMN = np.array(PHASE_OFFSETS)[:, None]  # (phases, 1) forms of the two
-_COUPLING_COLUMN = np.array(PHASE_COUPLING)[:, None]  # tuples, for (phases, samples)
+# (phases, 1) columns of the two tuples above, for arithmetic on (phases, samples)
+_OFFSET_COLUMN = np.array(PHASE_OFFSETS)[:, None]
+_COUPLING_COLUMN = np.array(PHASE_COUPLING)[:, None]
 
 # Event severity varies record to record (network state, switching scatter):
 # every disturbance is scaled by a seeded draw from this range.
@@ -397,15 +398,17 @@ class _Axis:
 
 @functools.lru_cache(maxsize=8)
 def _axis(fs: float) -> _Axis:
-    """The rate's record axis, built once per rate, for a valid rate only."""
+    """The rate's record axis, built once per rate; a rate _validate_fs
+    refuses raises its ConfigError."""
     _validate_fs(fs)
     t = np.arange(round(fs * DURATION)) / fs
     angle = 2.0 * math.pi * F0 * t + _OFFSET_COLUMN
     clean = _BUS_AMPS[:, None, None] * np.cos(angle + _BUS_PHASES[:, None, None])
     v_norm = clean / _BUS_AMPS[:, None, None]
-    axis = _Axis(t, np.maximum(t - EVENT_TIME, 0.0), t - EVENT_TIME >= 0.0, angle, clean,
-                 np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR),
-                 0.6 * v_norm ** 3 + 0.4 * v_norm ** 5)
+    axis = _Axis(t=t, u=np.maximum(t - EVENT_TIME, 0.0), on=t - EVENT_TIME >= 0.0,
+                 angle=angle, clean=clean,
+                 asym=np.where(v_norm >= 0.0, 1.0, HIF_NEG_HALF_FACTOR),
+                 shape=0.6 * v_norm ** 3 + 0.4 * v_norm ** 5)
     for array in vars(axis).values():
         array.flags.writeable = False
     return axis

@@ -618,19 +618,19 @@ class TestSweepAndCompare:
         assert f"{path}: --out exists and is not an empty directory" in err
         assert path.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("target", ["dangling", "empty_dir"])
-    def test_symlink_as_out_dir_refused(self, target, capsys, no_build, tmp_path):
-        link = tmp_path / "run"
-        link.symlink_to(tmp_path / target)
-        if target == "empty_dir":
-            (tmp_path / target).mkdir()
+    @pytest.mark.parametrize("target_exists", [False, True], ids=["dangling", "empty_dir"])
+    def test_symlink_as_out_dir_refused(self, target_exists, capsys, no_build, tmp_path):
+        link, target = tmp_path / "run", tmp_path / "target"
+        link.symlink_to(target)
+        if target_exists:
+            target.mkdir()
         code, out, err = run_cli(capsys, "tables", "--only", "compare", "--out", str(link))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{link}: --out exists and is not an empty directory" in err
-        assert link.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == (
-            ["run"] if target == "dangling" else ["empty_dir", "run"])
-        assert target == "dangling" or not any((tmp_path / target).iterdir())
+        # no staging directory left beside the link, nothing written through it
+        assert link.is_symlink() and not (target_exists and any(target.iterdir()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run", "target"][:1 + target_exists]
 
     @pytest.mark.parametrize("empty", [False, True], ids=["fresh", "empty"])
     def test_fresh_or_empty_out_dir_written(self, empty, capsys, tmp_path,

@@ -235,7 +235,7 @@ class TestDataset:
         shapes = {"t": (n,), "u": (n,), "on": (n,), "angle": (3, n),
                   "clean": (3, 3, n), "asym": (3, 3, n), "shape": (3, 3, n)}
         assert {k: v.shape for k, v in vars(axis).items()} == shapes
-        for name, array in vars(axis).items():
+        for array in vars(axis).values():
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
         np.testing.assert_array_equal(axis.t, np.arange(n) / 5000.0)
