@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from dataclasses import replace
@@ -56,9 +57,18 @@ def _parse_tables(text: str) -> tuple:
     return tuple(name for name in expharness.TABLES if name in names)
 
 
+def _refuse_under_non_dir(path: Path, flag: str) -> None:
+    """Refuse, before any work, a path whose parent directories cannot be
+    made because its nearest existing ancestor is not a directory."""
+    above = next(p for p in path.absolute().parents if os.path.lexists(p))
+    if not above.is_dir():
+        raise ValueError(f"{path}: {flag} lies under {above}, which is not a directory")
+
+
 def _cmd_generate(args) -> int:
     config = _load_config(args)
     fs = args.fs if args.fs is not None else max(expharness.FS_LIST)
+    _refuse_under_non_dir(Path(args.out), "--out")
     ds_config = config.dataset_config(fs, config.seed)
     dataset = synthgrid.build_dataset(ds_config)
     out = synthgrid.save_dataset(dataset, args.out)
@@ -69,13 +79,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
+    _refuse_under_non_dir(Path(args.model), "--model")
     dataset = synthgrid.load_dataset(args.data)
     buses = _parse_buses(args.buses)
-    features, split = expharness.features_and_split(config, dataset, buses)
+    features, split, run = expharness.features_and_split(config, dataset, buses)
     model, losses = expharness.fit_method(config, "cnn", features, split)
-    expharness.save_model("cnn", model, args.model, expharness.ModelRun(
-        buses, dataset.config.fs, split.fingerprint(),
-        synthgrid.config_sha256(dataset.config), 0))
+    expharness.save_model("cnn", model, args.model, run)
     _emit([["model", "train_records", "epochs", "first_loss", "last_loss"],
            [str(args.model), str(len(split.train)), str(config.cnn.epochs),
             repr(float(losses[0])), repr(float(losses[-1]))]])
@@ -85,17 +94,16 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     dataset = synthgrid.load_dataset(args.data)
-    method, model, run = expharness.load_model(args.model)
-    digest = synthgrid.config_sha256(dataset.config)
-    if digest != run.config_sha256:
-        raise ValueError(f"{args.data}: config_sha256 {digest[:12]} "
-                         f"(fs {dataset.config.fs:g}) is not {run.config_sha256[:12]} "
-                         f"(fs {run.fs:g}) of the dataset {args.model} was trained on")
-    features, split = expharness.features_and_split(config, dataset, run.buses,
-                                                    run.repeat)
-    if split.fingerprint() != run.split_fingerprint:
-        raise ValueError(f"{args.model}: trained on split {run.split_fingerprint}, not "
-                         f"{split.fingerprint()}; pass the training --seed/--config")
+    method, model, trained = expharness.load_model(args.model)
+    features, split, run = expharness.features_and_split(config, dataset, trained.buses,
+                                                         trained.repeat)
+    if run.config_sha256 != trained.config_sha256:
+        raise ValueError(f"{args.data}: config_sha256 {run.config_sha256[:12]} "
+                         f"(fs {run.fs:g}) is not {trained.config_sha256[:12]} "
+                         f"(fs {trained.fs:g}) of the dataset {args.model} was trained on")
+    if run.split_fingerprint != trained.split_fingerprint:
+        raise ValueError(f"{args.model}: trained on split {trained.split_fingerprint}, "
+                         f"not {run.split_fingerprint}; pass the training --seed/--config")
     report, cm = expharness.evaluate_method(method, model, features, split)
     _emit(metrics.report_rows(method, report, cm))
     return 0
@@ -104,12 +112,14 @@ def _cmd_eval(args) -> int:
 def _cmd_tables(args) -> int:
     config = _load_config(args)
     out = Path(args.out) if args.out else None
-    # a symlink counts as taken even when it dangles or names an empty
-    # directory: save_tables renames the finished run onto the path itself
-    if out and (out.is_symlink()
-                or out.exists() and not (out.is_dir() and not any(out.iterdir()))):
-        raise ValueError(f"{out}: --out exists and is not an empty directory; "
-                         "a run directory holds one run")
+    if out:
+        # a symlink counts as taken even when it dangles or names an empty
+        # directory: save_tables renames the finished run onto the path itself
+        if out.is_symlink() or out.exists() and not (out.is_dir()
+                                                     and not any(out.iterdir())):
+            raise ValueError(f"{out}: --out exists and is not an empty directory; "
+                             "a run directory holds one run")
+        _refuse_under_non_dir(out, "--out")
     results = expharness.tables(config, args.only)
     if out:
         expharness.save_tables(config, results, out)

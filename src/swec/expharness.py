@@ -238,17 +238,23 @@ def split_stratified(labels, train_fraction: float, seed: int) -> SplitIndex:
 
 # ── Pipeline ─────────────────────────────────────────────────────────────────
 
+class ModelRun(NamedTuple):
+    """What a model was trained on, as its model file records it (every
+    record derives from the dataset's config, so config_sha256 names the data)."""
+
+    buses: tuple
+    fs: float
+    split_fingerprint: str
+    config_sha256: str
+    repeat: int  # fixes the split and the training seed
+
+
 @dataclass
 class RunResult:
     method: str
-    fs: float
-    buses: tuple
-    repeat: int
-    accuracy: float
+    run: ModelRun
     report: metrics.MetricsReport
     cm: np.ndarray
-    fingerprint: str
-    config_sha256: str  # of the dataset's config
     model: object
 
 
@@ -271,13 +277,18 @@ def _build(config: ExperimentConfig, fs: float, repeat: int) -> Dataset:
 
 def features_and_split(config: ExperimentConfig, dataset: Dataset, buses,
                        repeat: int = 0):
-    """Features of every record plus the repeat's stratified split."""
+    """Features of every record, the repeat's stratified split and the
+    ModelRun of a model trained on them: its buses in row order (ascending,
+    as featurize stacks them) and its fs a float, so one rate gives one
+    record however the caller wrote it."""
     with _stage("featurize"):
         features = featurize_dataset(dataset, buses)
     with _stage("split"):
         split_seed = derive_seed(config.seed, repeat, _STAGE_SPLIT)
         split = split_stratified(dataset.labels, config.train_fraction, split_seed)
-    return features, split
+    run = ModelRun(tuple(sorted(buses)), float(dataset.config.fs), split.fingerprint(),
+                   synthgrid.config_sha256(dataset.config), repeat)
+    return features, split, run
 
 
 def _subset(features: Features, index):
@@ -347,9 +358,8 @@ def run_grid(config: ExperimentConfig, cells) -> dict:
                     for fs, subsets in grid.items():
                         watched = sorted(set().union(*subsets))
                         dataset = _build(config, fs, repeat)
-                        digest = synthgrid.config_sha256(dataset.config)
-                        features, split = features_and_split(config, dataset, watched,
-                                                             repeat)
+                        features, split, run = features_and_split(config, dataset,
+                                                                  watched, repeat)
                         del dataset  # no dataset is alive when the pool forks
                         start = len(pending)
                         for buses, methods in subsets.items():
@@ -357,23 +367,22 @@ def run_grid(config: ExperimentConfig, cells) -> dict:
                             rows = [watched.index(b) for b in buses]
                             cell = Features(features.values.take(rows, axis=1),
                                             features.labels)
-                            pending += [(fs, buses, method, repeat, cell, split, digest)
-                                        for method in methods]
+                            pending += [(fs, buses, method, cell, split,
+                                         run._replace(buses=buses)) for method in methods]
                         for i in submission_order(pending[start:]):
-                            _, _, method, _, cell, _, _ = pending[start + i]
+                            _, _, method, cell, _, _ = pending[start + i]
                             futures[start + i] = pool.submit(_fit_cell, config, method,
                                                              cell, split, repeat)
             except concurrent.futures.process.BrokenProcessPool as exc:
                 broken = exc  # a worker died: the first unfinished cell names it
-            for i, (fs, buses, method, repeat, cell, split, digest) in enumerate(pending):
+            for i, (fs, buses, method, cell, split, run) in enumerate(pending):
                 if i not in futures:  # the pool broke before it was submitted
                     continue
                 with _stage(f"train[{method}]"):
                     model = futures[i].result()
                 report, cm = evaluate_method(method, model, cell, split)
-                results[repeat, fs, buses, method] = RunResult(
-                    method, fs, buses, repeat, report.accuracy, report, cm,
-                    split.fingerprint(), digest, model)
+                results[run.repeat, fs, buses, method] = RunResult(method, run, report,
+                                                                   cm, model)
             if broken:  # it died between cells
                 raise PipelineError("train", broken)
         except BaseException:
@@ -391,7 +400,7 @@ class Row:
 
     @property
     def accuracies(self) -> list:
-        return [r.accuracy for r in self.runs]
+        return [r.report.accuracy for r in self.runs]
 
     @property
     def mean_accuracy(self) -> float:
@@ -439,24 +448,11 @@ _MODEL_LOADERS = {"cnn": tinycnn.load_model,
                      for m in METHODS if m != "cnn"}}
 
 
-class ModelRun(NamedTuple):
-    """What a model was trained on, as its model file records it (every
-    record derives from the dataset's config, so config_sha256 names the data)."""
-
-    buses: tuple
-    fs: float
-    split_fingerprint: str
-    config_sha256: str
-    repeat: int  # fixes the split and the training seed
-
-
 def save_model(method: str, model, path, run: ModelRun) -> None:
     """Write the method's model file, and any missing parent directory,
-    recording run, its buses in row order (ascending, as featurize stacks
-    them)."""
-    fields = run._replace(buses=sorted(run.buses), fs=float(run.fs))._asdict()
+    recording run as features_and_split derived it."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    _MODEL_SAVERS[method](model, path, run=fields)
+    _MODEL_SAVERS[method](model, path, run=run._asdict())
 
 
 def load_model(path):
@@ -492,7 +488,7 @@ def comparison_rows(comparisons: list[Row]) -> list[list[str]]:
     rows = [["method", "acc", "pre_macro", "rec_macro", "f1_macro", "fpr_macro",
              "split_fingerprints"]]
     for comp in comparisons:
-        fingerprints = "+".join(r.fingerprint for r in comp.runs)
+        fingerprints = "+".join(r.run.split_fingerprint for r in comp.runs)
         rows.append([
             comp.key,
             metrics.format_percent(comp.mean_accuracy),
@@ -556,20 +552,18 @@ def _write_tables(config: ExperimentConfig, results: dict, out: Path) -> None:
         "results": {
             comp.key: {
                 "mean_accuracy": comp.mean_accuracy,
-                "accuracies": [r.accuracy for r in comp.runs],
-                "fingerprints": [r.fingerprint for r in comp.runs],
+                "accuracies": comp.accuracies,
+                "fingerprints": [r.run.split_fingerprint for r in comp.runs],
             }
             for comp in comparisons
         },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     for comp in comparisons:
-        for run in comp.runs:
-            tag = f"{comp.key}_r{run.repeat}"
-            save_model(comp.key, run.model, out / "models" / f"{tag}.bin",
-                       ModelRun(run.buses, run.fs, run.fingerprint, run.config_sha256,
-                                run.repeat))
-            save_report(metrics.report_rows(comp.key, run.report, run.cm),
+        for res in comp.runs:
+            tag = f"{comp.key}_r{res.run.repeat}"
+            save_model(comp.key, res.model, out / "models" / f"{tag}.bin", res.run)
+            save_report(metrics.report_rows(comp.key, res.report, res.cm),
                         out / "reports" / f"{tag}.csv")
 
 

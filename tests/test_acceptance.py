@@ -138,7 +138,7 @@ class TestCriterion6EndToEnd:
     def test_default_run_accuracy(self, timed_tables):
         rows, elapsed = timed_tables
         cnn = next(c for c in rows["compare"] if c.key == "cnn")
-        acc = cnn.runs[0].accuracy
+        acc = cnn.accuracies[0]
         _criterion(6, acc >= 0.90 and elapsed < 600.0,
                    f"cnn accuracy {acc:.4f} at 20 kHz, 3 buses, "
                    f"three tables in {elapsed:.0f}s")
@@ -162,7 +162,7 @@ class TestCriterion8MethodOrdering:
                        ("cnn", "tmlp", "svm", "autoencoder")))
 
     def test_identical_splits(self, comparison):
-        fingerprints = {c.key: tuple(r.fingerprint for r in c.runs)
+        fingerprints = {c.key: tuple(r.run.split_fingerprint for r in c.runs)
                         for c in comparison}
         assert len(set(fingerprints.values())) == 1
 

@@ -171,7 +171,7 @@ def _compare_tiny_energy_features():
     """Energy features and labels of the compare-tiny training split."""
     config = tiny_config()
     dataset = expharness._build(config, 4000.0, 0)
-    features, split = expharness.features_and_split(config, dataset, MONITORED_BUSES)
+    features, split, _ = expharness.features_and_split(config, dataset, MONITORED_BUSES)
     xs, labels = features.values[split.train], features.labels[split.train]
     return energy_feature_set(xs), labels
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -361,7 +362,7 @@ class TestProvenance:
                                  "--model", str(model_path), "--data", str(data_dir))
         assert (code, err) == (0, "")
         config = expharness.load_config(config_path)
-        features, split = expharness.features_and_split(
+        features, split, _ = expharness.features_and_split(
             config, synthgrid.load_dataset(data_dir), rows)
         report, cm = expharness.evaluate_method("cnn", model, features, split)
         expected = io.StringIO()
@@ -617,6 +618,39 @@ class TestSweepAndCompare:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"{path}: --out exists and is not an empty directory" in err
         assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, flag", [("tables", "--out"), ("train", "--model"),
+                                               ("generate", "--out")])
+    def test_output_under_a_file_refused_before_any_work(self, command, flag, capsys,
+                                                          monkeypatch, no_build, tmp_path):
+        monkeypatch.setattr(synthgrid, "build_dataset", self._no_build)  # generate's
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        path = blocker / "out"
+        argv = [command, flag, str(path)]
+        if command == "train":  # the path is refused before the dataset is read
+            argv += ["--data", str(tmp_path / "missing")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path}: {flag} lies under {blocker}, which is not a directory" in err
+        assert blocker.read_text() == "kept\n"
+
+    def test_worker_count_changes_no_result(self, capsys, monkeypatch, tmp_path,
+                                            tiny_config_file):
+        runs, asked = [], []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cores: asked.append(n) or set(range(n)))
+            out_dir = tmp_path / f"run{cores}"
+            code, out, err = run_cli(capsys, "tables", "--config", str(tiny_config_file),
+                                     "--out", str(out_dir))
+            assert (code, err) == (0, "")
+            runs.append((out, {rel: hashlib.sha256(data).hexdigest()
+                               for rel, data in self._files(out_dir).items()}))
+        assert set(asked) == {1, 2, 3}  # run_grid sized its pool from each
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][1]) == 12  # the three tables, plus 4 models and 4 reports
 
     @pytest.mark.parametrize("target_exists", [False, True], ids=["dangling", "empty_dir"])
     def test_symlink_as_out_dir_refused(self, target_exists, capsys, no_build, tmp_path):

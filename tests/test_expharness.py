@@ -239,8 +239,8 @@ class TestPipeline:
     def test_tiny_run_produces_report(self):
         [res] = run_grid(tiny_config(), [(2000.0, (632, 671, 675), "cnn")]).values()
         assert res.cm.sum() == 4  # one test record per class
-        assert 0.0 <= res.accuracy <= 1.0
-        assert res.fingerprint
+        assert 0.0 <= res.report.accuracy <= 1.0
+        assert res.run.split_fingerprint
 
     def test_single_bus_clamped_arch_completes(self):
         [res] = run_grid(tiny_config(), [(2000.0, (632,), "cnn")]).values()
@@ -255,9 +255,9 @@ class TestPipeline:
         cfg = tiny_config()
         [a] = run_grid(cfg, [(2000.0, (632, 671, 675), "svm")]).values()
         [b] = run_grid(cfg, [(2000.0, (632, 671, 675), "svm")]).values()
-        assert a.accuracy == b.accuracy
+        assert a.report.accuracy == b.report.accuracy
         np.testing.assert_array_equal(a.cm, b.cm)
-        assert a.fingerprint == b.fingerprint
+        assert a.run == b.run
 
 
 
@@ -275,8 +275,8 @@ class TestTrainerContract:
     def cell(self):
         cfg = tiny_config()
         dataset = expharness._build(cfg, 4000.0, 0)
-        features, split = expharness.features_and_split(cfg, dataset,
-                                                        synthgrid.MONITORED_BUSES)
+        features, split, _ = expharness.features_and_split(cfg, dataset,
+                                                           synthgrid.MONITORED_BUSES)
         return cfg, features, split
 
     @staticmethod
@@ -377,7 +377,7 @@ class TestSweeps:
         cfg = tiny_config()
         rows = sweep_placement(cfg)
         [direct] = run_grid(cfg, [(cfg.placement_fs, (632,), "cnn")]).values()
-        assert rows[0].accuracies[0] == direct.accuracy
+        assert rows[0].accuracies[0] == direct.report.accuracy
 
     def test_sweep_rows_formatting(self):
         rates = tables(tiny_config(), ["sampling_rate"])["sampling_rate"]
@@ -458,9 +458,9 @@ class TestDatasetLifetime:
             assert [r.key for r in rows[name]] == [r.key for r in want]
             for got_row, want_row in zip(rows[name], want):
                 assert got_row.accuracies == want_row.accuracies
-                for got, run in zip(got_row.runs, want_row.runs):
-                    np.testing.assert_array_equal(got.cm, run.cm)
-                    assert got.fingerprint == run.fingerprint
+                for got, res in zip(got_row.runs, want_row.runs):
+                    np.testing.assert_array_equal(got.cm, res.cm)
+                    assert got.run == res.run
 
 
 class TestPool:
@@ -473,17 +473,18 @@ class TestPool:
         assert multiprocessing.active_children() == []
         cells = [(r, b, m) for r in range(2) for b in subsets for m in methods]
         assert list(results) == [(r, 2000.0, b, m) for r, b, m in cells]
-        assert [(res.repeat, res.buses, res.method)
+        assert [(res.run.repeat, res.run.buses, res.method)
                 for res in results.values()] == cells
         for res, (repeat, buses, method) in zip(results.values(), cells):
             dataset = expharness._build(cfg, 2000.0, repeat)
-            features, split = expharness.features_and_split(cfg, dataset, buses, repeat)
+            features, split, run = expharness.features_and_split(cfg, dataset, buses,
+                                                                 repeat)
             model, _ = expharness.fit_method(cfg, method, features, split, repeat)
             report, cm = expharness.evaluate_method(method, model, features, split)
-            assert res.accuracy == report.accuracy
+            assert res.report.accuracy == report.accuracy
             np.testing.assert_array_equal(res.cm, cm)
-            assert res.fingerprint == split.fingerprint()
-            assert res.config_sha256 == synthgrid.config_sha256(dataset.config)
+            assert res.run == run == (buses, 2000.0, split.fingerprint(),
+                                      synthgrid.config_sha256(dataset.config), repeat)
             for name, value in vars(model).items():  # the tensors and the arch
                 np.testing.assert_array_equal(getattr(res.model, name), value)
 
@@ -531,7 +532,8 @@ class TestPool:
             return fit_method(config, method, *args)
 
         monkeypatch.setattr(expharness, "fit_method", killed)
-        with pytest.raises(PipelineError, match=r"stage 'train\[svm\]'"):
+        with pytest.raises(PipelineError, match=r"stage 'train\[svm\]': A process in "
+                           r"the process pool was terminated abruptly"):
             tables(tiny_config(), ["compare"])
         assert multiprocessing.active_children() == []
 
@@ -539,7 +541,7 @@ class TestPool:
 class TestCompare:
     def test_identical_splits_across_methods(self):
         comps = tables(tiny_config(), ["compare"])["compare"]
-        fingerprints = {c.key: [r.fingerprint for r in c.runs] for c in comps}
+        fingerprints = {c.key: [r.run.split_fingerprint for r in c.runs] for c in comps}
         reference = next(iter(fingerprints.values()))
         assert all(v == reference for v in fingerprints.values())
 
