@@ -623,7 +623,8 @@ class TestSweepAndCompare:
                                                ("generate", "--out")])
     def test_output_under_a_file_refused_before_any_work(self, command, flag, capsys,
                                                           monkeypatch, no_build, tmp_path):
-        monkeypatch.setattr(synthgrid, "build_dataset", self._no_build)  # generate's
+        # no_build covers the grid's builds; generate builds through synthgrid
+        monkeypatch.setattr(synthgrid, "build_dataset", self._no_build)
         blocker = tmp_path / "afile"
         blocker.write_text("kept\n")
         path = blocker / "out"
