@@ -266,12 +266,12 @@ def ae_predict(model: DenseNet, features) -> np.ndarray:
 
 # ── Model files (the store's tensor files, one magic per method) ────────────
 
-def save_dense(model: DenseNet, path, magic: bytes, run: dict | None = None) -> None:
+def save_dense(model: DenseNet, path, magic: bytes, run: dict) -> None:
     """Layer i as tensors w{i} and b{i}, under run's fields and the sizes."""
     tensors = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         tensors[f"w{i}"], tensors[f"b{i}"] = w, b
-    write_tensor_file(path, magic, tensors, **(run or {}), sizes=list(model.sizes))
+    write_tensor_file(path, magic, tensors, **run, sizes=list(model.sizes))
 
 
 def load_dense(path, magic: bytes) -> DenseNet:

@@ -57,9 +57,12 @@ def _parse_tables(text: str) -> tuple:
     return tuple(name for name in expharness.TABLES if name in names)
 
 
-def _refuse_under_non_dir(path: Path, flag: str) -> None:
-    """Refuse, before any work, a path whose parent directories cannot be
-    made because its nearest existing ancestor is not a directory."""
+def _refuse_output(path: Path, flag: str, file: bool) -> None:
+    """Refuse, before any work, an output path whose parent directories
+    cannot be made because its nearest existing ancestor is not a directory,
+    or a file's path that names a directory."""
+    if file and path.is_dir():
+        raise ValueError(f"{path}: {flag} is a directory, not a file")
     above = next(p for p in path.absolute().parents if os.path.lexists(p))
     if not above.is_dir():
         raise ValueError(f"{path}: {flag} lies under {above}, which is not a directory")
@@ -68,7 +71,7 @@ def _refuse_under_non_dir(path: Path, flag: str) -> None:
 def _cmd_generate(args) -> int:
     config = _load_config(args)
     fs = args.fs if args.fs is not None else max(expharness.FS_LIST)
-    _refuse_under_non_dir(Path(args.out), "--out")
+    _refuse_output(Path(args.out), "--out", file=True)
     ds_config = config.dataset_config(fs, config.seed)
     dataset = synthgrid.build_dataset(ds_config)
     out = synthgrid.save_dataset(dataset, args.out)
@@ -79,7 +82,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    _refuse_under_non_dir(Path(args.model), "--model")
+    _refuse_output(Path(args.model), "--model", file=True)
     dataset = synthgrid.load_dataset(args.data)
     buses = _parse_buses(args.buses)
     features, split, run = expharness.features_and_split(config, dataset, buses)
@@ -119,7 +122,7 @@ def _cmd_tables(args) -> int:
                                                      and not any(out.iterdir())):
             raise ValueError(f"{out}: --out exists and is not an empty directory; "
                              "a run directory holds one run")
-        _refuse_under_non_dir(out, "--out")
+        _refuse_output(out, "--out", file=False)
     results = expharness.tables(config, args.only)
     if out:
         expharness.save_tables(config, results, out)

@@ -152,15 +152,12 @@ NUM_CLASSES = len(EventClass)
 class EventSpec:
     """Full description of one event to synthesize. Specs come only from
     DatasetGrids.specs(), whose checks are the boundary, so a spec checks
-    nothing; it only coerces its class."""
+    nothing."""
 
     event_class: EventClass
     inception_angle: float  # degrees in [0, 360)
     location: int
     class_params: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "event_class", EventClass(self.event_class))
 
 
 @dataclass(frozen=True)

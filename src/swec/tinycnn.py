@@ -1,9 +1,8 @@
 """Minimal convolutional classifier, written out by hand in numpy.
 
-One valid-mode convolutional layer (ten 2x20 filters by default; only the
-filter count is settable), ReLU,
-1x2 max pooling (the left column wins ties), one fully connected layer, and
-a softmax head, trained with mini-batch stochastic gradient descent with
+One valid-mode convolutional layer of ten 2x20 filters, ReLU, 1x2 max
+pooling (the left column wins ties), one fully connected layer, and a
+softmax head, trained with mini-batch stochastic gradient descent with
 momentum on the cross-entropy loss. Double precision throughout so the
 finite-difference gradient oracle and the bit-determinism contracts are
 sharp.
@@ -48,12 +47,12 @@ PREDICT_BLOCK = 8  # rows per forward pass of every predictor (predict_in_blocks
 
 @dataclass(frozen=True)
 class CnnArch:
-    """The input dims and filter count, the paper's constants (2x20 filter,
-    1x2 pool, class count) and the dimensions derived from them."""
+    """The input dims, the paper's constants (ten 2x20 filters, 1x2 pool,
+    class count) and the dimensions derived from them."""
 
     input_h: int
     input_w: int
-    num_filters: int = 10
+    num_filters: ClassVar[int] = 10
     filter_h: ClassVar[int] = 2
     filter_w: ClassVar[int] = 20
     pool_w: ClassVar[int] = 2  # the batch kernel pools column pairs
@@ -510,16 +509,14 @@ def make_gradcheck_case(seed: int, input_h: int = 3, input_w: int = 166,
 
 # ── Model file ───────────────────────────────────────────────────────────────
 
-def save_model(model: CnnModel, path, run: dict | None = None) -> None:
-    arch = model.arch
-    write_tensor_file(path, MODEL_MAGIC, model.params(), **(run or {}),
-                      input_h=arch.input_h, input_w=arch.input_w,
-                      num_filters=arch.num_filters)
+def save_model(model: CnnModel, path, run: dict) -> None:
+    write_tensor_file(path, MODEL_MAGIC, model.params(), **run,
+                      input_h=model.arch.input_h, input_w=model.arch.input_w)
 
 
 def load_model(path) -> CnnModel:
     f = TensorFileReader(path, MODEL_MAGIC)
-    dims = [f.field(k, int) for k in ("input_h", "input_w", "num_filters")]
+    dims = [f.field(k, int) for k in ("input_h", "input_w")]
     try:
         arch = CnnArch(*dims)
     except ValueError as exc:

@@ -9,6 +9,10 @@ import pytest
 from swec import baselines, expharness, store, synthgrid, tinycnn
 
 TINY_COUNTS = (2, 2, 2, 2)
+# the run fields every model file records, as expharness.save_model passes them
+RUN_FIELDS = {"buses": [632, 671, 675], "fs": 20000.0,
+              "split_fingerprint": "0123456789abcdef", "config_sha256": "ab" * 32,
+              "repeat": 0}
 
 
 def tiny_grids() -> synthgrid.DatasetGrids:

@@ -12,7 +12,7 @@ from swec.baselines import (AeConfig, MlpConfig, SvmConfig, ae_predict,
                             train_autoencoder_clf, train_svm_ovr, train_tmlp)
 from swec.synthgrid import MONITORED_BUSES, NUM_CLASSES
 from swec.tinycnn import central_difference_errors, cross_entropy
-from conftest import tiny_config
+from conftest import RUN_FIELDS as RUN, tiny_config
 
 
 def separable_clouds(n_per_class=12, dim=10, spread=0.05, seed=0):
@@ -205,7 +205,7 @@ class TestSvmAgainstSequential:
                   "rng = np.random.default_rng(9); "
                   "x = rng.standard_normal((480, 96)); y = np.resize([1, 2, 3, 4], 480); "
                   "b.save_dense(b.train_svm_ovr(x, y, b.SvmConfig(epochs=20), 9)[0], "
-                  "sys.argv[1], b.SVM_MAGIC)")
+                  f"sys.argv[1], b.SVM_MAGIC, {RUN!r})")
         src = str(Path(baselines.__file__).resolve().parents[1])
         path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
         files = []
@@ -372,7 +372,7 @@ class TestDenseBatchRelations:
 
 def _assert_round_trip(model, path, magic):
     """save_dense then load_dense under magic gives the same layers."""
-    baselines.save_dense(model, path, magic)
+    baselines.save_dense(model, path, magic, RUN)
     loaded = baselines.load_dense(path, magic)
     assert loaded.sizes == model.sizes
     for got, want in zip([*loaded.weights, *loaded.biases],
@@ -404,12 +404,12 @@ class TestModelFiles:
         X, y = separable_clouds(seed=20)
         svm, _ = train_svm_ovr(X, y, SvmConfig(epochs=1), 20)
         for magic in (b"SWSV", b"SWML", b"SWAE"):
-            baselines.save_dense(svm, tmp_path / "m.bin", magic)
+            baselines.save_dense(svm, tmp_path / "m.bin", magic, RUN)
             assert (tmp_path / "m.bin").read_bytes()[:4] == magic
 
     def test_wrong_magic_cross_load(self, tmp_path):
         X, y = separable_clouds(seed=21)
         svm, _ = train_svm_ovr(X, y, SvmConfig(epochs=1), 21)
-        baselines.save_dense(svm, tmp_path / "svm.bin", baselines.SVM_MAGIC)
+        baselines.save_dense(svm, tmp_path / "svm.bin", baselines.SVM_MAGIC, RUN)
         with pytest.raises(ValueError, match="magic"):
             baselines.load_dense(tmp_path / "svm.bin", baselines.TMLP_MAGIC)

@@ -637,6 +637,23 @@ class TestSweepAndCompare:
         assert f"{path}: {flag} lies under {blocker}, which is not a directory" in err
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, flag", [("train", "--model"), ("generate", "--out")])
+    def test_directory_as_output_file_refused_before_any_work(self, command, flag, capsys,
+                                                               monkeypatch, no_build,
+                                                               tmp_path):
+        # no_build covers the grid's builds; generate builds through synthgrid
+        monkeypatch.setattr(synthgrid, "build_dataset", self._no_build)
+        path = tmp_path / "dir"
+        path.mkdir()
+        argv = [command, flag, str(path)]
+        if command == "train":  # the path is refused before the dataset is read
+            argv += ["--data", str(tmp_path / "missing")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path}: {flag} is a directory, not a file" in err
+        assert list(path.iterdir()) == []
+
     def test_worker_count_changes_no_result(self, capsys, monkeypatch, tmp_path,
                                             tiny_config_file):
         runs, asked = [], []

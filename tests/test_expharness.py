@@ -488,6 +488,36 @@ class TestPool:
             for name, value in vars(model).items():  # the tensors and the arch
                 np.testing.assert_array_equal(getattr(res.model, name), value)
 
+    @pytest.mark.parametrize("size", ["tiny", "600_records_20k"])
+    def test_grid_features_equal_featurized_builds(self, size, monkeypatch):
+        # pins that a grid trains and scores on featurize_dataset of the full
+        # build, bit for bit, whatever path synthesis and featurize take
+        if size == "tiny":
+            cfg = tiny_config(repeats=2)
+            cells = [(fs, b, "cnn") for fs in (2000.0, 4000.0)
+                     for b in [(675,), (632, 671)]]
+        else:
+            cfg = ExperimentConfig(repeats=1, cnn=tinycnn.TrainConfig(epochs=1))
+            cells = [(20000.0, b, "cnn") for b in [(632,), (632, 671, 675)]]
+        seen, evaluate = [], expharness.evaluate_method
+
+        def recorded(method, model, cell, split):
+            seen.append(cell)
+            return evaluate(method, model, cell, split)
+
+        monkeypatch.setattr(expharness, "evaluate_method", recorded)
+        results = run_grid(cfg, cells)
+        assert len(seen) == len(results) == cfg.repeats * len(cells)
+        builds = {}
+        for (repeat, fs, buses, _), cell in zip(results, seen):
+            if (repeat, fs) not in builds:
+                builds[repeat, fs] = expharness._build(cfg, fs, repeat)
+            want = expharness.featurize_dataset(builds[repeat, fs], buses)
+            assert (cell.values.dtype, cell.values.shape) == \
+                (want.values.dtype, want.values.shape)
+            assert cell.values.tobytes() == want.values.tobytes()
+            assert cell.labels.tolist() == want.labels.tolist()
+
     @pytest.mark.parametrize("table, first", [
         ("compare", ["cnn", "autoencoder", "svm", "tmlp"]),
         ("placement", [(632, 671, 675), (632, 671), (671, 675), (632, 675),
@@ -624,9 +654,9 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("method", ["cnn", "svm", "tmlp"])
     def test_wrong_class_count_rejected(self, method, tmp_path):
-        arch = tinycnn.CnnArch(1, 4, num_filters=2)
+        arch = tinycnn.CnnArch(1, 4)
         model = {
-            "cnn": tinycnn.CnnModel(arch, np.ones((2, 1, 3)), np.zeros(2),
+            "cnn": tinycnn.CnnModel(arch, np.ones((10, 1, 3)), np.zeros(10),
                                     np.ones((3, arch.flat_size)), np.zeros(3)),
             "svm": baselines.DenseNet([np.ones((3, 3))], [np.zeros(3)]),
             "tmlp": baselines.DenseNet([np.ones((3, 6))], [np.zeros(3)]),
@@ -634,6 +664,23 @@ class TestArtifacts:
         path = tmp_path / "m.bin"
         expharness.save_model(method, model, path, RUN)
         with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: 3 classes"):
+            expharness.load_model(path)
+
+    def test_cnn_file_that_records_the_filter_count_loads(self, tmp_path):
+        # the CNN header held num_filters before the count became a constant
+        model, path = _small_model("cnn"), tmp_path / "m.bin"
+        header = {**RUN._asdict(), "input_h": 1, "input_w": 4}
+        store.write_tensor_file(path, b"SWEC", model.params(), **header, num_filters=10)
+        method, loaded, run = expharness.load_model(path)
+        assert (method, run) == ("cnn", RUN)
+        for name, tensor in model.params().items():
+            assert loaded.params()[name].tobytes() == tensor.tobytes(), name
+        eight = tinycnn.CnnModel(model.arch, np.ones((8, 1, 3)), np.zeros(8),
+                                 np.ones((4, 8)), np.zeros(4))
+        store.write_tensor_file(path, b"SWEC", eight.params(), **header, num_filters=8)
+        with pytest.raises(ValueError, match=r"m\.bin: offset [0-9]+: tensor 'conv_w' "
+                                             r"has shape \(8, 1, 3\), expected "
+                                             r"\(10, 1, 3\)$"):
             expharness.load_model(path)
 
     @pytest.mark.parametrize("n_sizes", [0, 1])
@@ -667,7 +714,7 @@ class TestArtifacts:
 def _small_model(method):
     """A small model of each type, as its trainer would return it."""
     return {
-        "cnn": tinycnn.init_model(tinycnn.CnnArch(1, 4, num_filters=2), 0),
+        "cnn": tinycnn.init_model(tinycnn.CnnArch(1, 4), 0),
         "svm": baselines.DenseNet([np.ones((4, 3))], [np.zeros(4)]),
         "tmlp": baselines.DenseNet([np.ones((5, 6)), np.ones((4, 5))],
                                    [np.zeros(5), np.zeros(4)]),

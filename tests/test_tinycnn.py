@@ -1,14 +1,17 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swec import tinycnn
+from swec.store import TensorFileReader
 from swec.tinycnn import (CnnArch, CnnModel, TrainConfig, Workspace,
                           batch_loss_and_grads, fit_sgdm, grad_check, init_model,
                           make_gradcheck_case, predict_batch, sgdm_step, softmax,
                           train, workspace)
+from conftest import RUN_FIELDS as RUN
 
 # Worst relative error per tensor (conv_w, conv_b, fc_w, fc_b) of the ten
 # criterion-3 cases (3x166 input, h = 1e-5), from central differences that
@@ -35,6 +38,12 @@ FULL_FORWARD_ERRORS = {
     9: (6.530622865697363e-09, 1.4004441765332622e-10,
         1.1772735906622822e-08, 3.006903770713932e-11),
 }
+
+
+@pytest.fixture
+def one_filter(monkeypatch):
+    """CnnArch at one filter, for kernels small enough to check by hand."""
+    monkeypatch.setattr(CnnArch, "num_filters", 1)
 
 
 def init_at_std(arch, seed, std):
@@ -87,8 +96,10 @@ class TestArch:
             CnnArch(input_h=1, input_w=1)
 
     def test_filter_dims_and_class_count_are_constants(self):
-        # model files record only input_h, input_w and num_filters
-        for knob in ("filter_h", "filter_w", "num_classes"):
+        # model files record only input_h and input_w
+        assert [f.name for f in fields(CnnArch)] == ["input_h", "input_w"]
+        assert CnnArch.num_filters == 10
+        for knob in ("num_filters", "filter_h", "filter_w", "num_classes"):
             with pytest.raises(TypeError):
                 CnnArch(3, 166, **{knob: 10})
 
@@ -112,16 +123,16 @@ class TestInit:
 
 
 class TestForward:
-    def test_hand_convolution(self):
-        arch = CnnArch(input_h=2, input_w=3, num_filters=1)  # 2x2 filter
+    def test_hand_convolution(self, one_filter):
+        arch = CnnArch(input_h=2, input_w=3)  # 2x2 filter
         model = manual_model(arch, np.ones((1, 2, 2)), [0.0],
                              np.zeros((4, arch.flat_size)), np.zeros(4))
         ws = forwarded(model, np.ones((1, 2, 3)))
         np.testing.assert_array_equal(ws.pre, [[[[4.0, 4.0]]]])
 
-    def test_max_pool(self):
+    def test_max_pool(self, one_filter):
         # a 1x20 filter that passes its first tap: pre-activations 1, 3, 2, 5
-        arch = CnnArch(input_h=1, input_w=23, num_filters=1)
+        arch = CnnArch(input_h=1, input_w=23)
         conv_w = np.zeros((1, 1, 20))
         conv_w[0, 0, 0] = 1.0
         model = manual_model(arch, conv_w, [0.0],
@@ -299,9 +310,9 @@ class TestBatchRelations:
         for g, p in zip(grads, permuted):
             assert np.abs(g - p).max() <= 1e-11 * np.abs(g).max()
 
-    def test_pool_tie_goes_to_left_column(self):
+    def test_pool_tie_goes_to_left_column(self, one_filter):
         # both pool columns pre-activate to 1.0 but see different patches
-        arch = CnnArch(input_h=1, input_w=3, num_filters=1)  # 1x2 filter
+        arch = CnnArch(input_h=1, input_w=3)  # 1x2 filter
         model = manual_model(arch, np.ones((1, 1, 2)), [0.0],
                              np.arange(1.0, 5.0)[:, None], np.zeros(4))
         _, tie = batch_loss_and_grads(model, np.array([[[1.0, 0.0, 1.0]]]),
@@ -364,9 +375,10 @@ class TestWorkspaceReuse:
             assert len(set(codes.tolist())) > 1
 
 
+@pytest.mark.usefixtures("one_filter")
 class TestSgdm:
     def _scalarish_model(self):
-        arch = CnnArch(input_h=1, input_w=3, num_filters=1)  # 1x2 filter
+        arch = CnnArch(input_h=1, input_w=3)  # 1x2 filter
         return manual_model(arch, np.zeros((1, 1, 2)), [0.0],
                             np.zeros((4, arch.flat_size)), np.zeros(4))
 
@@ -510,7 +522,10 @@ class TestModelFile:
         model = init_model(CnnArch(3, 166), seed=6)
         model.conv_b[:] = np.arange(10) * 0.1
         path = tmp_path / "model.bin"
-        tinycnn.save_model(model, path)
+        tinycnn.save_model(model, path, RUN)
+        header = TensorFileReader(path, tinycnn.MODEL_MAGIC).header
+        assert {k: v for k, v in header.items() if k != "tensors"} == \
+            {**RUN, "input_h": 3, "input_w": 166}
         loaded = tinycnn.load_model(path)
         np.testing.assert_array_equal(loaded.conv_w, model.conv_w)
         np.testing.assert_array_equal(loaded.conv_b, model.conv_b)
@@ -520,12 +535,12 @@ class TestModelFile:
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.bin"
-        tinycnn.save_model(init_model(CnnArch(3, 166), 0), path)
+        tinycnn.save_model(init_model(CnnArch(3, 166), 0), path, RUN)
         assert path.read_bytes()[:4] == b"SWEC"
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
-        tinycnn.save_model(init_model(CnnArch(3, 166), 0), path)
+        tinycnn.save_model(init_model(CnnArch(3, 166), 0), path, RUN)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
@@ -533,7 +548,7 @@ class TestModelFile:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
-        tinycnn.save_model(init_model(CnnArch(3, 166), 0), path)
+        tinycnn.save_model(init_model(CnnArch(3, 166), 0), path, RUN)
         data = path.read_bytes()
         path.write_bytes(b"XXXX" + data[4:])
         with pytest.raises(ValueError, match="magic"):
@@ -541,13 +556,11 @@ class TestModelFile:
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
-@given(st.integers(1, 3), st.integers(2, 200), st.integers(1, 12),
-       st.integers(0, 2**32 - 1))
-def test_every_arch_round_trips(tmp_path_factory, input_h, input_w, num_filters,
-                                seed):
-    model = init_model(CnnArch(input_h, input_w, num_filters), seed)
+@given(st.integers(1, 3), st.integers(2, 200), st.integers(0, 2**32 - 1))
+def test_every_arch_round_trips(tmp_path_factory, input_h, input_w, seed):
+    model = init_model(CnnArch(input_h, input_w), seed)
     path = tmp_path_factory.getbasetemp() / "arch_round_trip.bin"
-    tinycnn.save_model(model, path)
+    tinycnn.save_model(model, path, RUN)
     loaded = tinycnn.load_model(path)
     assert loaded.arch == model.arch
     for name, tensor in model.params().items():
